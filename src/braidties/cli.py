@@ -30,6 +30,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -38,7 +39,8 @@ from . import btalg, hecke, monodromic
 from .coxeter import (all_perms, dim_C, dimension_rows, perm_length,
                       perm_mul, simple_perm)
 from .finite_model import (build_model, delta_in_epsilon_span,
-                           monodromic_crosscheck, verify_main_identity)
+                           monodromic_crosscheck, perfect_square_root,
+                           verify_main_identity)
 from .monodromic import trivial_character
 
 MAX_THREADS = 64
@@ -112,11 +114,19 @@ def _serialize(report: dict, fmt: str) -> str:
 
 def _emit(report: dict, config: RunConfig) -> None:
     text = _serialize(report, config.fmt)
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    if not config.out:
         sys.stdout.write(text)
+        return
+    # write beside the target and rename, so the target is never partial
+    tmp = f"{config.out}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, config.out)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +318,7 @@ def cmd_finite_model(config: RunConfig) -> tuple[dict, int]:
     span = delta_in_epsilon_span(config.n, config.q, config.k)
     model = build_model(config.n, config.q, config.k)
     crosschecks = []
-    root = 1
-    while root * root < model.qk:
-        root += 1
-    if root * root == model.qk and config.n <= 2:
+    if perfect_square_root(model.qk) is not None and config.n <= 2:
         for theta in model.all_characters():
             crosschecks.append(monodromic_crosscheck(
                 config.n, config.q, config.k, theta.exponents))
@@ -421,6 +428,12 @@ def _validate(parser: argparse.ArgumentParser, args) -> RunConfig:
     k = getattr(args, "k", 1)
     if q < 2 or k < 1:
         parser.error("--q needs a prime power >= 2 and --k >= 1")
+    if args.out:
+        target_dir = os.path.dirname(args.out) or "."
+        if not os.path.isdir(target_dir):
+            parser.error(f"--out: no directory {target_dir!r}")
+        if os.path.isdir(args.out):
+            parser.error(f"--out: {args.out!r} is a directory")
     return RunConfig(command=args.command, n=n, q=q, k=k, mode=mode,
                      suite=getattr(args, "suite", ""), seed=args.seed,
                      fmt=args.fmt, out=args.out, threads=threads)

@@ -63,6 +63,7 @@ True
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -322,20 +323,8 @@ class SparseOperator:
         return self + (-other)
 
     def __mul__(self, other: "SparseOperator") -> "SparseOperator":
-        out: dict[int, dict[int, Cyclotomic]] = {}
-        for x, row in self.rows.items():
-            acc: dict[int, Cyclotomic] = {}
-            for y, a in row.items():
-                brow = other.rows.get(y)
-                if not brow:
-                    continue
-                for z, b in brow.items():
-                    prod = a * b
-                    prev = acc.get(z)
-                    acc[z] = prod if prev is None else prev + prod
-            if acc:
-                out[x] = acc
-        return SparseOperator(self.N, out)
+        return SparseOperator(self.N, _sparse_product(self.N, self.rows,
+                                                      other.rows))
 
     def scale(self, a) -> "SparseOperator":
         if isinstance(a, Cyclotomic):
@@ -346,17 +335,9 @@ class SparseOperator:
                                        for x, row in self.rows.items()})
 
     def apply(self, vec: dict[int, Cyclotomic]) -> dict[int, Cyclotomic]:
-        out: dict[int, Cyclotomic] = {}
-        for x, row in self.rows.items():
-            acc = None
-            for y, a in row.items():
-                f = vec.get(y)
-                if f is not None:
-                    term = a * f
-                    acc = term if acc is None else acc + term
-            if acc is not None and acc:
-                out[x] = acc
-        return out
+        column = {y: {0: c} for y, c in vec.items()}
+        return {x: row[0] for x, row in
+                _sparse_product(self.N, self.rows, column).items() if row[0]}
 
     def is_zero(self) -> bool:
         return not self.rows
@@ -367,6 +348,51 @@ class SparseOperator:
 
     def __hash__(self):
         raise TypeError("SparseOperator is unhashable")
+
+
+def _sparse_product(N: int, rows_a: dict, rows_b: dict) -> dict:
+    """The product of two row-sparse matrices over Q(zeta_N), with an
+    entry (zero when its terms cancel) wherever at least one term lands.
+
+    Each row of A, and all of B, are brought to one denominator (the lcm
+    of their entries'), so that an output entry is a plain sum of integer
+    convolutions of numerator vectors, reduced mod Phi_N and
+    gcd-normalized once."""
+    if any(c.order != N for rows in (rows_a, rows_b)
+           for row in rows.values() for c in row.values()):
+        raise ValueError("mixing cyclotomic fields of different orders")
+    if not rows_a or not rows_b:
+        return {}
+    width = 2 * len(Cyclotomic.one(N).num) - 1
+    den_b = math.lcm(*(c.den for row in rows_b.values()
+                       for c in row.values()))
+    # per entry of B: its nonzero (index, numerator) pairs over den_b
+    scaled_b = {y: [(z, [(j, n * (den_b // c.den))
+                         for j, n in enumerate(c.num) if n])
+                    for z, c in row.items()]
+                for y, row in rows_b.items()}
+    out = {}
+    for x, row in rows_a.items():
+        den_a = math.lcm(*(c.den for c in row.values()))
+        acc: dict[int, list[int]] = {}
+        for y, a in row.items():
+            brow = scaled_b.get(y)
+            if not brow:
+                continue
+            m = den_a // a.den
+            na = [(i, n * m) for i, n in enumerate(a.num) if n]
+            for z, nb in brow:
+                conv = acc.get(z)
+                if conv is None:
+                    conv = acc[z] = [0] * width
+                for i, p in na:
+                    for j, q in nb:
+                        conv[i + j] += p * q
+        if acc:
+            den = den_a * den_b
+            out[x] = {z: Cyclotomic.from_convolution(N, conv, den)
+                      for z, conv in acc.items()}
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1121,6 +1147,16 @@ def delta_in_epsilon_span(n: int, q: int, k: int) -> dict:
             "count": len(thetas)}
 
 
+def perfect_square_root(a: int) -> int | None:
+    """The nonnegative r with r*r = a, or None when a is not a square.
+
+    >>> perfect_square_root(16), perfect_square_root(8)
+    (4, None)
+    """
+    r = math.isqrt(a)
+    return r if r * r == a else None
+
+
 def monodromic_crosscheck(n: int, q: int, k: int,
                           exponents: tuple[int, ...]) -> dict:
     """Match the values of op_ks on eps_theta against the one-letter
@@ -1136,10 +1172,8 @@ def monodromic_crosscheck(n: int, q: int, k: int,
     """
     model = build_model(n, q, k)
     qk = model.qk
-    root = 1
-    while root * root < qk:
-        root += 1
-    if root * root != qk:
+    root = perfect_square_root(qk)
+    if root is None:
         raise ValueError("crosscheck requires q^k to be a perfect square")
     v0 = Fraction(1, root)
     theta = torus_character(max(qk - 1, 1), exponents)

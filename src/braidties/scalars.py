@@ -9,7 +9,17 @@ Four coefficient domains, all exact:
   representations;
 - cyclotomic fields $\mathbb{Q}(\zeta_N)$: `Cyclotomic`, with coordinates
   reduced modulo the $N$-th cyclotomic polynomial $\Phi_N$ (a field, unlike
-  $\mathbb{Q}[x]/(x^N-1)$).
+  $\mathbb{Q}[x]/(x^N-1)$), stored as integer numerators over one positive
+  common denominator.
+
+The canonical form of a cyclotomic number: the gcd of its numerators and
+its denominator is 1 (the split of a polynomial into content and primitive
+part). Since $\Phi_N$ is monic with integer coefficients, a product is an
+integer convolution followed by a reduction with integer rows, and the
+only division left is the final gcd. A sum of many products can add up
+their raw convolutions over a common denominator and reduce and normalize
+once (`Cyclotomic.from_convolution`), which is how the finite-model
+operator products compute each entry.
 
 The canonical form of a rational function: the denominator is a monic
 ordinary polynomial in $v$ with nonzero constant term; any Laurent unit
@@ -31,7 +41,7 @@ True
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm
 from typing import Iterable
 
 ZERO_F = Fraction(0)
@@ -251,10 +261,6 @@ class LaurentPoly:
             base = base * base
             k >>= 1
         return out
-
-    def shifted(self, k: int) -> "LaurentPoly":
-        """Multiply by v^k."""
-        return LaurentPoly._raw({e + k: x for e, x in self.c.items()})
 
     def bar(self) -> "LaurentPoly":
         """The involution v -> v^{-1}."""
@@ -555,31 +561,27 @@ def cyclotomic_poly(N: int) -> tuple[int, ...]:
 
 
 class _CycField:
-    """Per-N reduction data: phi(N) and the coordinates of zeta^(phi+j)."""
+    """Per-N integer data: phi(N), the coefficients of Phi_N, and the
+    coordinates of zeta^k for every k below max(N, 2 phi - 1); those with
+    k >= phi are the rows that reduce a raw product mod Phi_N."""
 
-    __slots__ = ("order", "phi", "poly", "red_rows")
+    __slots__ = ("order", "phi", "poly", "powers", "red_rows")
 
     def __init__(self, N: int):
         self.order = N
-        poly = tuple(Fraction(c) for c in cyclotomic_poly(N))
+        poly = cyclotomic_poly(N)
         phi = len(poly) - 1
         self.phi = phi
         self.poly = poly
-        # zeta^phi = -(poly[0] + ... + poly[phi-1] x^{phi-1}); iterate upward
-        rows = []
-        prev = tuple(-poly[i] for i in range(phi))
-        rows.append(prev)
-        for _ in range(phi - 2):
-            nxt = [ZERO_F] * phi
+        # multiply by x and rewrite x^phi = -(poly[0] + ... + poly[phi-1] x^{phi-1})
+        powers = [(1,) + (0,) * (phi - 1)]
+        for _ in range(max(N, 2 * phi - 1) - 1):
+            prev = powers[-1]
             carry = prev[phi - 1]
-            for i in range(phi - 1):
-                nxt[i + 1] = prev[i]
-            if carry:
-                for i in range(phi):
-                    nxt[i] += carry * rows[0][i]
-            prev = tuple(nxt)
-            rows.append(prev)
-        self.red_rows = rows
+            powers.append(tuple((prev[i - 1] if i else 0) - carry * poly[i]
+                                for i in range(phi)))
+        self.powers = powers
+        self.red_rows = powers[phi:2 * phi - 1]
 
 
 _CYC_FIELD_CACHE: dict[int, _CycField] = {}
@@ -593,8 +595,41 @@ def _cyc_field(N: int) -> _CycField:
     return f
 
 
+def _cyc(order: int, num, den: int) -> "Cyclotomic":
+    """The canonical element num/den: divides out gcd(num..., den)."""
+    g = int_gcd(den, *num)
+    if g != 1:
+        num = [x // g for x in num]
+        den //= g
+    out = object.__new__(Cyclotomic)
+    out.order = order
+    out.num = tuple(num)
+    out.den = den
+    return out
+
+
+def _from_conv(f: _CycField, conv: list[int], den: int) -> "Cyclotomic":
+    """(sum of conv[k] zeta^k) / den, reduced mod Phi_N and normalized;
+    conv has at least phi entries and is not modified."""
+    phi = f.phi
+    out = conv[:phi]
+    for row, c in zip(f.red_rows, conv[phi:]):
+        if c:
+            for i, r in enumerate(row):
+                if r:
+                    out[i] += c * r
+    return _cyc(f.order, out, den)
+
+
 class Cyclotomic:
-    """Element of Q(zeta_N): coordinates w.r.t. 1, zeta, ..., zeta^{phi(N)-1}.
+    """Element of Q(zeta_N) on the basis 1, zeta, ..., zeta^{phi(N)-1}.
+
+    Stored as integer numerators `num` over one positive denominator
+    `den` with gcd(num..., den) = 1, so equal values have equal
+    representations. A product is an integer convolution reduced mod
+    Phi_N. A sum of many products can add up the raw convolutions of the
+    numerators over a common denominator and reduce and normalize once,
+    through `from_convolution`.
 
     >>> a = Cyclotomic.root(6, 1)
     >>> a * a == Cyclotomic.root(6, 2)
@@ -603,127 +638,127 @@ class Cyclotomic:
     True
     >>> (a / a).rational_value()
     Fraction(1, 1)
+    >>> x = Cyclotomic(6, [Fraction(1, 2), Fraction(-3, 4)])
+    >>> x.num, x.den
+    ((2, -3), 4)
     """
 
-    __slots__ = ("order", "coords")
+    __slots__ = ("order", "num", "den")
 
-    def __init__(self, order: int, coords: Iterable[Fraction], _trusted: bool = False):
+    def __init__(self, order: int, coords: Iterable[Fraction]):
+        phi = _cyc_field(order).phi
+        coords = [Fraction(c) for c in coords]
+        if len(coords) != phi:
+            raise ValueError(f"need {phi} coordinates for order {order}")
+        # over the lcm of reduced denominators, the numerators share no
+        # prime with it: each p^e dividing it exactly divides one denominator
+        den = lcm(*(c.denominator for c in coords))
         self.order = order
-        if _trusted:
-            self.coords = tuple(coords)
-        else:
-            phi = _cyc_field(order).phi
-            coords = tuple(Fraction(c) for c in coords)
-            if len(coords) != phi:
-                raise ValueError(f"need {phi} coordinates for order {order}")
-            self.coords = coords
+        self.num = tuple(c.numerator * (den // c.denominator) for c in coords)
+        self.den = den
 
     @classmethod
     def zero(cls, N: int) -> "Cyclotomic":
-        return cls(N, (ZERO_F,) * _cyc_field(N).phi, _trusted=True)
+        return _cyc(N, (0,) * _cyc_field(N).phi, 1)
 
     @classmethod
     def one(cls, N: int) -> "Cyclotomic":
-        phi = _cyc_field(N).phi
-        return cls(N, (ONE_F,) + (ZERO_F,) * (phi - 1), _trusted=True)
+        return _cyc(N, _cyc_field(N).powers[0], 1)
 
     @classmethod
     def from_rational(cls, N: int, a: Fraction | int) -> "Cyclotomic":
-        phi = _cyc_field(N).phi
-        return cls(N, (Fraction(a),) + (ZERO_F,) * (phi - 1), _trusted=True)
+        a = Fraction(a)
+        return _cyc(N, (a.numerator,) + (0,) * (_cyc_field(N).phi - 1),
+                    a.denominator)
 
     @classmethod
     def root(cls, N: int, j: int = 1) -> "Cyclotomic":
         """zeta_N^j."""
+        return _cyc(N, _cyc_field(N).powers[j % N], 1)
+
+    @classmethod
+    def from_convolution(cls, N: int, conv: list[int], den: int) -> "Cyclotomic":
+        """The element (conv[0] + conv[1] zeta + ... ) / den, for integer
+        coefficients of degree below 2 phi(N) - 1 (a sum of raw products of
+        numerator vectors) and a positive denominator."""
         f = _cyc_field(N)
-        j %= N
-        if j < f.phi:
-            coords = [ZERO_F] * f.phi
-            coords[j] = ONE_F
-            return cls(N, coords, _trusted=True)
-        out = cls.one(N)
-        zeta = cls(N, [ZERO_F, ONE_F] + [ZERO_F] * (f.phi - 2), _trusted=True) \
-            if f.phi > 1 else cls.from_rational(N, _nth_root_rational(N))
-        k = j
-        base = zeta
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        if len(conv) > 2 * f.phi - 1 or den < 1:
+            raise ValueError("convolution too long or denominator not positive")
+        if len(conv) < f.phi:
+            conv = list(conv) + [0] * (f.phi - len(conv))
+        return _from_conv(f, conv, den)
 
     def _chk(self, other: "Cyclotomic") -> None:
         if self.order != other.order:
             raise ValueError("mixing cyclotomic fields of different orders")
 
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not any(self.num)
 
     def __bool__(self) -> bool:
-        return any(self.coords)
+        return any(self.num)
 
     def is_rational(self) -> bool:
-        return not any(self.coords[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"not rational: {self!r}")
-        return self.coords[0]
+        return Fraction(self.num[0], self.den)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Cyclotomic) and self.order == other.order
-                and self.coords == other.coords)
+                and self.den == other.den and self.num == other.num)
 
     def __hash__(self) -> int:
-        return hash((self.order, self.coords))
+        return hash((self.order, self.num, self.den))
 
     def __add__(self, other: "Cyclotomic") -> "Cyclotomic":
         self._chk(other)
-        return Cyclotomic(self.order,
-                          tuple(a + b for a, b in zip(self.coords, other.coords)),
-                          _trusted=True)
+        da, db = self.den, other.den
+        if da == db:
+            return _cyc(self.order, [x + y for x, y in zip(self.num, other.num)],
+                        da)
+        g = int_gcd(da, db)
+        ma, mb = db // g, da // g
+        return _cyc(self.order, [x * ma + y * mb
+                                 for x, y in zip(self.num, other.num)], da * ma)
 
     def __neg__(self) -> "Cyclotomic":
-        return Cyclotomic(self.order, tuple(-a for a in self.coords), _trusted=True)
+        return _cyc(self.order, [-x for x in self.num], self.den)
 
     def __sub__(self, other: "Cyclotomic") -> "Cyclotomic":
         return self + (-other)
 
     def scale(self, a: Fraction) -> "Cyclotomic":
-        return Cyclotomic(self.order, tuple(x * a for x in self.coords), _trusted=True)
+        a = Fraction(a)
+        return _cyc(self.order, [x * a.numerator for x in self.num],
+                    self.den * a.denominator)
 
     def __mul__(self, other: "Cyclotomic") -> "Cyclotomic":
         self._chk(other)
         f = _cyc_field(self.order)
-        phi = f.phi
-        a, b = self.coords, other.coords
-        conv = [ZERO_F] * (2 * phi - 1)
-        for i, x in enumerate(a):
+        conv = [0] * (2 * f.phi - 1)
+        nb = other.num
+        for i, x in enumerate(self.num):
             if x:
-                for j, y in enumerate(b):
+                for j, y in enumerate(nb, i):
                     if y:
-                        conv[i + j] += x * y
-        out = conv[:phi]
-        for j in range(phi - 1):
-            c = conv[phi + j]
-            if c:
-                row = f.red_rows[j]
-                for i in range(phi):
-                    out[i] += c * row[i]
-        return Cyclotomic(self.order, tuple(out), _trusted=True)
+                        conv[j] += x * y
+        return _from_conv(f, conv, self.den * other.den)
 
     def inv(self) -> "Cyclotomic":
         if self.is_zero():
             raise ZeroDivisionError("inverting zero cyclotomic")
         f = _cyc_field(self.order)
-        a = _ptrim(list(self.coords))
-        g, s = _pxgcd(a, f.poly)
+        # (num/den)^-1 = den * num^-1, with num^-1 from the extended gcd in Q[x]
+        g, s = _pxgcd(_ptrim([Fraction(x) for x in self.num]),
+                      tuple(Fraction(c) for c in f.poly))
         if len(g) != 1:
             raise ArithmeticError("cyclotomic inverse failed (non-unit gcd)")
-        inv_coeffs = list(s) + [ZERO_F] * (f.phi - len(s))
-        out = Cyclotomic(self.order, tuple(x / g[0] for x in inv_coeffs), _trusted=True)
-        return out
+        factor = self.den / g[0]
+        return Cyclotomic(self.order, [x * factor for x in s]
+                          + [ZERO_F] * (f.phi - len(s)))
 
     def __truediv__(self, other: "Cyclotomic") -> "Cyclotomic":
         return self * other.inv()
@@ -745,11 +780,13 @@ class Cyclotomic:
         N = self.order
         if int_gcd(j % N, N) != 1:
             raise ValueError("galois exponent must be coprime to the order")
-        out = Cyclotomic.zero(N)
-        for i, x in enumerate(self.coords):
+        powers = _cyc_field(N).powers
+        out = [0] * len(self.num)
+        for i, x in enumerate(self.num):
             if x:
-                out = out + Cyclotomic.root(N, i * j).scale(x)
-        return out
+                for k, r in enumerate(powers[i * j % N]):
+                    out[k] += x * r
+        return _cyc(N, out, self.den)
 
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation zeta -> zeta^{-1}."""
@@ -759,9 +796,10 @@ class Cyclotomic:
         if self.is_zero():
             return "0"
         parts = []
-        for i, x in enumerate(self.coords):
-            if not x:
+        for i, n in enumerate(self.num):
+            if not n:
                 continue
+            x = Fraction(n, self.den)
             if i == 0:
                 parts.append(str(x))
             else:
@@ -776,11 +814,6 @@ class Cyclotomic:
         for body in parts[1:]:
             out += " - " + body[1:] if body.startswith("-") else " + " + body
         return out
-
-
-def _nth_root_rational(N: int) -> Fraction:
-    # phi(N) = 1 only for N in {1, 2}
-    return ONE_F if N == 1 else Fraction(-1)
 
 
 if __name__ == "__main__":

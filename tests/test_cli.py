@@ -177,3 +177,33 @@ def test_threads_capped_and_recorded(tmp_path):
     code, text = run_cli(["dim", "--n", "2", "--threads", "9999"], tmp_path)
     assert code == 0
     assert json.loads(text)["config"]["threads"] == cli.MAX_THREADS
+
+
+def test_bad_out_path_is_usage_error_before_computing(monkeypatch, tmp_path):
+    def never(config):
+        raise AssertionError("computed despite an unusable --out")
+
+    monkeypatch.setitem(cli._DISPATCH, "dim", never)
+    for out in (tmp_path / "missing" / "x.json", tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["dim", "--n", "20", "--out", str(out)])
+        assert exc.value.code == 2, out
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_written_whole_or_not_at_all(monkeypatch, tmp_path):
+    out = tmp_path / "x.json"
+    out.write_text("previous\n", encoding="utf-8")
+
+    def killed(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli.os, "replace", killed)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["dim", "--n", "2", "--out", str(out)])
+    assert list(tmp_path.iterdir()) == [out]
+    assert out.read_text(encoding="utf-8") == "previous\n"
+    monkeypatch.undo()
+    assert cli.main(["dim", "--n", "2", "--out", str(out)]) == 0
+    assert list(tmp_path.iterdir()) == [out]
+    assert json.loads(out.read_text(encoding="utf-8"))["total"] == 20

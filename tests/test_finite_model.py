@@ -1,6 +1,8 @@
 """Tests for the finite basic affine space and its operator algebras."""
 
 import doctest
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -61,6 +63,68 @@ def test_matrix_helpers():
     b = ((0, 1), (1, 0))
     assert mat_det(F, b) == 1  # -1 = 1 in characteristic 2
 
+
+def _rand_sparse(rng, N, npoints, density):
+    """Random row-sparse operator whose entries mix denominators."""
+    phi = len(Cyclotomic.one(N).num)
+    rows = {}
+    for x in range(npoints):
+        for y in range(npoints):
+            if rng.random() < density:
+                coords = [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 5, 12)))
+                          if rng.random() < 0.6 else 0 for _ in range(phi)]
+                rows.setdefault(x, {})[y] = Cyclotomic(N, coords)
+    return FM.SparseOperator(N, rows)
+
+
+def _entrywise_product(A, B, npoints):
+    zero = Cyclotomic.zero(A.N)
+    want = {}
+    for x, row in A.rows.items():
+        for z in range(npoints):
+            acc = zero
+            for y, a in row.items():
+                b = B.rows.get(y, {}).get(z)
+                if b is not None:
+                    acc = acc + a * b
+            if acc:
+                want.setdefault(x, {})[z] = acc
+    return want
+
+
+@pytest.mark.parametrize("N", [1, 3, 4, 8, 20])
+def test_sparse_product_and_apply_match_entrywise_definition(N):
+    rng = random.Random(N)
+    zero = Cyclotomic.zero(N)
+    for _ in range(8):
+        npoints = rng.randint(2, 7)
+        A = _rand_sparse(rng, N, npoints, 0.5)
+        B = _rand_sparse(rng, N, npoints, 0.5)
+        # column y1 of A cancels column y0 against equal rows of B
+        y0, y1 = rng.sample(range(npoints), 2)
+        if y0 in B.rows:
+            B.rows[y1] = dict(B.rows[y0])
+        for row in A.rows.values():
+            if y0 in row:
+                row[y1] = -row[y0]
+        assert (A * B).rows == _entrywise_product(A, B, npoints)
+        vec = {y: c for y, c in _rand_sparse(rng, N, npoints, 0.5).rows.get(
+            0, {}).items()}
+        want = {}
+        for x, row in A.rows.items():
+            acc = zero
+            for y, a in row.items():
+                if y in vec:
+                    acc = acc + a * vec[y]
+            if acc:
+                want[x] = acc
+        assert A.apply(vec) == want
+    c, d = Cyclotomic.root(N, 1).scale(Fraction(1, 3)), Cyclotomic.root(N, 2)
+    A = FM.SparseOperator(N, {0: {0: c, 1: -c}})
+    B = FM.SparseOperator(N, {0: {0: d}, 1: {0: d}})
+    assert (A * B).is_zero() and A.apply({0: d, 1: d}) == {}
+    with pytest.raises(ValueError):
+        A * FM.SparseOperator(N, {0: {0: Cyclotomic.one(N + 1)}})
 
 def test_model_sizes():
     assert expected_size_x(1, 2) == 3

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -175,3 +176,188 @@ def test_cyclotomic_rational_detection():
     assert not z.is_rational()
     # z6 satisfies z^2 = z - 1, so z + z^5 = z + conj(z) = 1
     assert (z + z.conjugate()).rational_value() == 1
+
+
+# ---------------------------------------------------------------------------
+# differential test of Cyclotomic against a Fraction-coordinate reference
+# ---------------------------------------------------------------------------
+
+# Phi_N, low degree first, written out independently of cyclotomic_poly
+PHI = {1: (-1, 1), 2: (1, 1), 3: (1, 1, 1), 4: (1, 0, 1), 5: (1, 1, 1, 1, 1),
+       6: (1, -1, 1), 8: (1, 0, 0, 0, 1), 12: (1, 0, -1, 0, 1),
+       20: (1, 0, -1, 0, 1, 0, -1, 0, 1)}
+
+
+class RefCyc:
+    """Q(zeta_N) on Fraction coordinates: naive polynomial products
+    reduced by long division by the monic Phi_N."""
+
+    def __init__(self, N, coords):
+        self.N = N
+        self.coords = tuple(Fraction(c) for c in coords)
+
+    @staticmethod
+    def reduce(N, poly):
+        phi_poly = PHI[N]
+        d = len(phi_poly) - 1
+        rem = [Fraction(c) for c in poly] + [Fraction(0)] * d
+        for top in range(len(rem) - 1, d - 1, -1):
+            c = rem[top]
+            if c:
+                for i, p in enumerate(phi_poly):
+                    rem[top - d + i] -= c * p
+        return RefCyc(N, rem[:d])
+
+    @staticmethod
+    def monomial(N, e):
+        return RefCyc.reduce(N, [0] * e + [1])
+
+    def __add__(self, other):
+        return RefCyc(self.N, [a + b for a, b in zip(self.coords, other.coords)])
+
+    def __neg__(self):
+        return RefCyc(self.N, [-a for a in self.coords])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, a):
+        return RefCyc(self.N, [x * a for x in self.coords])
+
+    def __mul__(self, other):
+        prod = [Fraction(0)] * (2 * len(self.coords) - 1)
+        for i, a in enumerate(self.coords):
+            for j, b in enumerate(other.coords):
+                prod[i + j] += a * b
+        return RefCyc.reduce(self.N, prod)
+
+    def inv(self):
+        # solve (multiplication by self) s = 1 by Gauss-Jordan elimination
+        d = len(self.coords)
+        cols = [(self * RefCyc.monomial(self.N, j)).coords for j in range(d)]
+        M = [[cols[j][i] for j in range(d)] + [Fraction(int(i == 0))]
+             for i in range(d)]
+        for c in range(d):
+            p = next(r for r in range(c, d) if M[r][c])
+            M[c], M[p] = M[p], M[c]
+            M[c] = [x / M[c][c] for x in M[c]]
+            for r in range(d):
+                if r != c and M[r][c]:
+                    M[r] = [x - M[r][c] * y for x, y in zip(M[r], M[c])]
+        return RefCyc(self.N, [row[d] for row in M])
+
+    def __pow__(self, k):
+        base = self.inv() if k < 0 else self
+        out = RefCyc.monomial(self.N, 0)
+        for _ in range(abs(k)):
+            out = out * base
+        return out
+
+    def galois(self, j):
+        out = RefCyc(self.N, [0] * len(self.coords))
+        for i, x in enumerate(self.coords):
+            out = out + RefCyc.monomial(self.N, i * j % self.N).scale(x)
+        return out
+
+    def canonical(self):
+        """(integer numerators, positive denominator) with no common factor."""
+        den = 1
+        for c in self.coords:
+            den = den * c.denominator // gcd(den, c.denominator)
+        return tuple(int(c * den) for c in self.coords), den
+
+
+def assert_matches(x, ref):
+    assert x.order == ref.N
+    assert (x.num, x.den) == ref.canonical()
+    twin = Cyclotomic(ref.N, ref.coords)
+    assert x == twin and hash(x) == hash(twin)
+
+
+def rand_pair(rng, N, zero_share=0.3):
+    coords = [Fraction(0) if rng.random() < zero_share
+              else Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+              for _ in range(len(PHI[N]) - 1)]
+    return Cyclotomic(N, coords), RefCyc(N, coords)
+
+
+CYC_ORDERS = sorted(PHI)
+
+
+@pytest.mark.parametrize("N", CYC_ORDERS)
+def test_cyclotomic_poly_matches_reference(N):
+    assert cyclotomic_poly(N) == PHI[N]
+
+
+@pytest.mark.parametrize("N", CYC_ORDERS)
+def test_cyclotomic_matches_fraction_reference(N):
+    rng = random.Random(1000 + N)
+    units = [j for j in range(1, N + 1) if gcd(j, N) == 1]
+    for _ in range(60):
+        (a, ra), (b, rb) = rand_pair(rng, N), rand_pair(rng, N)
+        assert_matches(a, ra)
+        assert_matches(a + b, ra + rb)
+        assert_matches(a - b, ra - rb)
+        assert_matches(-a, -ra)
+        assert_matches(a * b, ra * rb)
+        q = Fraction(rng.randint(-7, 7), rng.randint(1, 9))
+        assert_matches(a.scale(q), ra.scale(q))
+        k = rng.randint(0, 5)
+        assert_matches(a ** k, ra ** k)
+        j = rng.choice(units)
+        assert_matches(a.galois(j), ra.galois(j))
+        assert_matches(a.conjugate(), ra.galois(N - 1))
+        if not b.is_zero():
+            assert_matches(b.inv(), rb.inv())
+            assert_matches(a / b, ra * rb.inv())
+            assert_matches(b ** -2, rb ** -2)
+        phi = len(PHI[N]) - 1
+        conv = [rng.randint(-50, 50) for _ in range(rng.randint(1, 2 * phi - 1))]
+        den = rng.randint(1, 60)
+        assert_matches(Cyclotomic.from_convolution(N, conv, den),
+                       RefCyc.reduce(N, [Fraction(c, den) for c in conv]))
+    for j in range(-N, 2 * N):
+        assert_matches(Cyclotomic.root(N, j), RefCyc.monomial(N, j % N))
+
+
+@pytest.mark.parametrize("N", CYC_ORDERS)
+def test_cyclotomic_canonical_form(N):
+    rng = random.Random(2000 + N)
+    zero = Cyclotomic.zero(N)
+    for _ in range(40):
+        a, b, c = (rand_pair(rng, N)[0] for _ in range(3))
+        s = a + b
+        conv = [0] * (2 * len(s.num) - 1)
+        for i, x in enumerate(s.num):
+            for j, y in enumerate(c.num):
+                conv[i + j] += x * y
+        routes = [(a + b) * c, a * c + b * c, c * b + c * a,
+                  Cyclotomic.from_convolution(N, conv, s.den * c.den)]
+        if not c.is_zero():
+            routes.append((a + b) * c * c / c)
+        for other in routes[1:]:
+            assert other == routes[0] and hash(other) == hash(routes[0])
+            assert (other.num, other.den) == (routes[0].num, routes[0].den)
+        assert a - a == zero and hash(a - a) == hash(zero)
+        assert (a - a).den == 1
+        assert a.scale(Fraction(3, 2)).scale(Fraction(2, 3)) == a
+        assert a.conjugate().conjugate() == a
+    assert Cyclotomic.root(N, N + 1) == Cyclotomic.root(N, 1)
+    assert Cyclotomic.from_rational(N, Fraction(6, 4)) \
+        == Cyclotomic.one(N).scale(Fraction(3, 2))
+    with pytest.raises(ValueError):
+        Cyclotomic.from_convolution(N, [1] * (2 * len(PHI[N]) - 2), 1)
+    with pytest.raises(ValueError):
+        Cyclotomic.from_convolution(N, [1], 0)
+
+
+def test_cyclotomic_repr_pinned():
+    h, q = Fraction(1, 2), Fraction(3, 4)
+    assert repr(Cyclotomic(12, [h, -1, 0, q])) == "1/2 - z12 + 3/4*z12^3"
+    assert repr(Cyclotomic(5, [0, Fraction(-2, 3), 0, 1])) == "-2/3*z5 + z5^3"
+    assert repr(Cyclotomic(20, [0] * 7 + [Fraction(-5, 6)])) == "-5/6*z20^7"
+    assert repr(Cyclotomic.root(6, 2)) == "-1 + z6"
+    assert repr(Cyclotomic.root(6, 5)) == "1 - z6"
+    assert repr(Cyclotomic.root(2, 1)) == "-1"
+    assert repr(Cyclotomic.from_rational(4, Fraction(-7, 3))) == "-7/3"
+    assert repr(Cyclotomic.zero(8)) == "0"
