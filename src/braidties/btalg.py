@@ -73,17 +73,15 @@ from .coxeter import (
     pair_partition,
     partition_from_blocks,
     partition_join,
-    perm_inv,
     perm_length,
     perm_mul,
     reduced_word,
-    right_descents,
     simple_perm,
     support_partition,
     transposition_perm,
     w_action,
 )
-from .linalg import Echelon, ModPEchelon, TaggedEchelon
+from .linalg import Echelon, ModPEchelon, SparseVector, _acc
 from .scalars import RationalFunctionScalar as RF
 
 V = RF.V
@@ -94,18 +92,12 @@ BasisPair = tuple[SetPartition, Perm]
 WordCombo = dict[tuple[int, ...], RF]  # signed letters: +i = a_i, -i = a_i^{-1}
 
 
-class BTElement:
+class BTElement(SparseVector):
     """Finitely supported map (SetPartition, Permutation) -> RF."""
 
-    __slots__ = ("m", "terms")
-
-    def __init__(self, m: int, terms: dict[BasisPair, RF] | None = None):
-        self.m = m
-        self.terms = {k: c for k, c in (terms or {}).items() if c}
-
-    @classmethod
-    def zero(cls, m: int) -> "BTElement":
-        return cls(m)
+    __slots__ = ("m",)
+    _ambient = "m"
+    ZERO = RF.ZERO
 
     @classmethod
     def unit(cls, m: int) -> "BTElement":
@@ -114,38 +106,6 @@ class BTElement:
     @classmethod
     def basis(cls, P: SetPartition, w: Perm, coeff: RF = RF.ONE) -> "BTElement":
         return cls(len(w), {(P, w): coeff})
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, BTElement) and self.m == other.m
-                and self.terms == other.terms)
-
-    def __add__(self, other: "BTElement") -> "BTElement":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            y = out.get(k)
-            y = c if y is None else y + c
-            if y:
-                out[k] = y
-            else:
-                out.pop(k, None)
-        return BTElement(self.m, out)
-
-    def __neg__(self) -> "BTElement":
-        return BTElement(self.m, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "BTElement") -> "BTElement":
-        return self + (-other)
-
-    def scale(self, a: RF) -> "BTElement":
-        if not a:
-            return BTElement(self.m)
-        return BTElement(self.m, {k: c * a for k, c in self.terms.items()})
-
-    def coeff(self, P: SetPartition, w: Perm) -> RF:
-        return self.terms.get((P, w), RF.ZERO)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -167,76 +127,45 @@ def e_element(P: SetPartition) -> BTElement:
     return BTElement.basis(P, identity_perm(m))
 
 
-def a_element(i: int, m: int) -> BTElement:
-    """The signed generator a_s = -g_s."""
-    return g_element(simple_perm(i, m)).scale(-RF.ONE)
-
-
 def lmul_e(P: SetPartition, x: BTElement) -> BTElement:
     out: dict[BasisPair, RF] = {}
     for (Q, w), c in x.terms.items():
-        k = (partition_join(P, Q), w)
-        y = out.get(k)
-        y = c if y is None else y + c
-        if y:
-            out[k] = y
-        else:
-            out.pop(k, None)
-    return BTElement(x.m, out)
+        _acc(out, (partition_join(P, Q), w), c)
+    return x._like(out)
 
 
 def lmul_g(i: int, x: BTElement) -> BTElement:
     """g_{s_i} * x, resolved term by term through the quadratic relation."""
-    m = x.m
-    s = simple_perm(i, m)
-    pair = pair_partition(i, i + 1, m)
+    s = simple_perm(i, x.m)
+    pair = pair_partition(i, i + 1, x.m)
     out: dict[BasisPair, RF] = {}
-
-    def put(k, c):
-        y = out.get(k)
-        y = c if y is None else y + c
-        if y:
-            out[k] = y
-        else:
-            out.pop(k, None)
-
     for (P, w), c in x.terms.items():
         sP = w_action(s, P)
         sw = perm_mul(s, w)
-        put((sP, sw), c)
+        _acc(out, (sP, sw), c)
         if perm_length(sw) < perm_length(w):
             joined = partition_join(sP, pair)
             cc = c * _QM1
-            put((joined, sw), cc)
-            put((joined, w), cc)
-    return BTElement(m, out)
+            _acc(out, (joined, sw), cc)
+            _acc(out, (joined, w), cc)
+    return x._like(out)
 
 
 def lmul_g_inv(i: int, x: BTElement) -> BTElement:
     """g_{s_i}^{-1} * x, the mirror rule with v^{-2} - 1 weights."""
-    m = x.m
-    s = simple_perm(i, m)
-    pair = pair_partition(i, i + 1, m)
+    s = simple_perm(i, x.m)
+    pair = pair_partition(i, i + 1, x.m)
     out: dict[BasisPair, RF] = {}
-
-    def put(k, c):
-        y = out.get(k)
-        y = c if y is None else y + c
-        if y:
-            out[k] = y
-        else:
-            out.pop(k, None)
-
     for (P, w), c in x.terms.items():
         sP = w_action(s, P)
         sw = perm_mul(s, w)
-        put((sP, sw), c)
+        _acc(out, (sP, sw), c)
         if perm_length(sw) > perm_length(w):
             joined = partition_join(sP, pair)
             cc = c * _QIM1
-            put((joined, sw), cc)
-            put((joined, w), cc)
-    return BTElement(m, out)
+            _acc(out, (joined, sw), cc)
+            _acc(out, (joined, w), cc)
+    return x._like(out)
 
 
 def lmul_g_word(word, x: BTElement) -> BTElement:
@@ -748,44 +677,12 @@ def combo_element(combo: WordCombo, m: int) -> BTElement:
     return out
 
 
-def _combo_add(a: WordCombo, b: WordCombo, factor: RF = RF.ONE) -> WordCombo:
-    out = dict(a)
-    for k, c in b.items():
-        y = out.get(k)
-        y = c * factor if y is None else y + c * factor
-        if y:
-            out[k] = y
-        else:
-            out.pop(k, None)
-    return out
-
-
-def _combo_mul(a: WordCombo, b: WordCombo) -> WordCombo:
-    out: WordCombo = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            k = ka + kb
-            c = ca * cb
-            y = out.get(k)
-            y = c if y is None else y + c
-            if y:
-                out[k] = y
-            else:
-                out.pop(k, None)
-    return out
-
-
 def c_simple_bt(i: int, m: int) -> BTElement:
     """c_s = (a_s^2 - 1)/(v - v^3) = -e_s(1 + g_s)/v."""
     pair = pair_partition(i, i + 1, m)
     c = -RF.VI
     return BTElement(m, {(pair, identity_perm(m)): c,
                          (pair, simple_perm(i, m)): c})
-
-
-def _c_simple_combo(i: int) -> WordCombo:
-    denom = (V - V ** 3).inv()
-    return {(i, i): denom, (): -denom}
 
 
 @lru_cache(maxsize=None)
@@ -824,12 +721,12 @@ def kl_lift(w: Perm) -> BTElement:
 
 
 @lru_cache(maxsize=None)
-def _tracked_closure(n: int) -> TaggedEchelon:
+def _tracked_closure(n: int) -> Echelon:
     """Closure of span{1} under the g_s, with every row tagged by the
     signed generator word that produced it (letter i stands for a_i = -g_i,
     so the tag of g_i * x is the tag of x prefixed with i and negated)."""
     m = n + 1
-    ech = TaggedEchelon()
+    ech = Echelon()
     unit = BTElement.unit(m)
     ech.insert(to_vector(unit), {(): RF.ONE})
     frontier = [(unit, {(): RF.ONE})]

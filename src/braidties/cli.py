@@ -170,26 +170,46 @@ def _pi_image(x: btalg.BTElement) -> hecke.HeckeElement:
         monodromic.pi_of_combo(combo, trivial_character(x.m)))
 
 
-def suite_kl_lift(n: int) -> list[tuple[str, bool]]:
+def _kl_lift_records(n: int) -> list[dict]:
+    """Per w in S_{n+1}, by length: the lift's terms and its three checks
+    (bar-invariance, image under the trivial-character surjection, and
+    that every descent recursion has the same image)."""
     m = n + 1
     table = hecke.kl_table(m)
-    ok_bar = ok_img = ok_descent = True
-    for w in all_perms(m):
+    records = []
+    for w in sorted(all_perms(m), key=lambda u: (perm_length(u), u)):
         cw = btalg.kl_lift(w)
-        if btalg.bar(cw) != cw:
-            ok_bar = False
+        bar_ok = btalg.bar(cw) == cw
         target = hecke.canonical_basis(w, table)
-        if _pi_image(cw) != target:
-            ok_img = False
+        img_ok = _pi_image(cw) == target
+        descent_ok = True
         if perm_length(w) >= 2:
             for s in range(1, m):
                 if perm_length(perm_mul(simple_perm(s, m), w)) \
                         < perm_length(w):
                     if _pi_image(btalg.kl_lift_via(w, s)) != target:
-                        ok_descent = False
-    return [("lift bar-invariant", ok_bar),
-            ("lift maps onto the canonical basis", ok_img),
-            ("every descent recursion maps to the same image", ok_descent)]
+                        descent_ok = False
+        terms = [{"blocks": [list(b) for b in P], "perm": list(u),
+                  "coeff": repr(cw.terms[(P, u)])}
+                 for P, u in sorted(cw.terms)]
+        records.append({"w": list(w), "length": perm_length(w),
+                        "terms": terms, "bar_invariant": bar_ok,
+                        "image_matches": img_ok,
+                        "descent_images_agree": descent_ok})
+    return records
+
+
+_KL_LIFT_CHECKS = (
+    ("lift bar-invariant", "bar_invariant"),
+    ("lift maps onto the canonical basis", "image_matches"),
+    ("every descent recursion maps to the same image",
+     "descent_images_agree"))
+
+
+def suite_kl_lift(n: int) -> list[tuple[str, bool]]:
+    records = _kl_lift_records(n)
+    return [(label, all(r[key] for r in records))
+            for label, key in _KL_LIFT_CHECKS]
 
 
 def suite_monodromic(n: int, seed: int,
@@ -203,13 +223,18 @@ def suite_monodromic(n: int, seed: int,
     return checks
 
 
-def suite_finite(n: int, q: int, k: int) -> list[tuple[str, bool]]:
-    rep = verify_main_identity(n, q, k)
-    checks = list(rep["checks"])
+def _finite_checks(n: int, q: int, k: int) -> tuple[list, dict]:
+    """The main-identity checks on one finite model, then the base-point
+    span solve as one more check; returns the checks and the solve."""
+    checks = list(verify_main_identity(n, q, k)["checks"])
     span = delta_in_epsilon_span(n, q, k)
     checks.append(("base-point delta solved in character span",
                    span["solved"]))
-    return checks
+    return checks, span
+
+
+def suite_finite(n: int, q: int, k: int) -> list[tuple[str, bool]]:
+    return _finite_checks(n, q, k)[0]
 
 
 _SUITE_BOUNDS = {"presentation": 3, "hecke": 3, "kl-lift": 3,
@@ -285,51 +310,24 @@ def cmd_verify(config: RunConfig) -> tuple[dict, int]:
 
 
 def cmd_kl_lift(config: RunConfig) -> tuple[dict, int]:
-    m = config.n + 1
-    table = hecke.kl_table(m)
-    records = []
-    all_ok = True
-    for w in sorted(all_perms(m), key=lambda u: (perm_length(u), u)):
-        cw = btalg.kl_lift(w)
-        bar_ok = btalg.bar(cw) == cw
-        target = hecke.canonical_basis(w, table)
-        img_ok = _pi_image(cw) == target
-        descent_ok = True
-        if perm_length(w) >= 2:
-            for s in range(1, m):
-                if perm_length(perm_mul(simple_perm(s, m), w)) \
-                        < perm_length(w):
-                    if _pi_image(btalg.kl_lift_via(w, s)) != target:
-                        descent_ok = False
-        terms = [{"blocks": [list(b) for b in P], "perm": list(u),
-                  "coeff": repr(cw.terms[(P, u)])}
-                 for P, u in sorted(cw.terms)]
-        all_ok = all_ok and bar_ok and img_ok and descent_ok
-        records.append({"w": list(w), "length": perm_length(w),
-                        "terms": terms, "bar_invariant": bar_ok,
-                        "image_matches": img_ok,
-                        "descent_images_agree": descent_ok})
-    report = {"config": config.public(), "records": records, "ok": all_ok}
-    return report, 0 if all_ok else 1
+    records = _kl_lift_records(config.n)
+    ok = all(r[key] for r in records for _, key in _KL_LIFT_CHECKS)
+    report = {"config": config.public(), "records": records, "ok": ok}
+    return report, 0 if ok else 1
 
 
 def cmd_finite_model(config: RunConfig) -> tuple[dict, int]:
-    identity = verify_main_identity(config.n, config.q, config.k)
-    span = delta_in_epsilon_span(config.n, config.q, config.k)
-    model = build_model(config.n, config.q, config.k)
+    n, q, k = config.n, config.q, config.k
+    checks, span = _finite_checks(n, q, k)
     crosschecks = []
-    if perfect_square_root(model.qk) is not None and config.n <= 2:
+    model = build_model(n, q, k)
+    if perfect_square_root(model.qk) is not None and n <= 2:
         for theta in model.all_characters():
-            crosschecks.append(monodromic_crosscheck(
-                config.n, config.q, config.k, theta.exponents))
-    ok = identity["ok"] and span["solved"] \
-        and all(c["ok"] for c in crosschecks)
-    checks = list(identity["checks"])
-    checks.append(("base-point delta solved in character span",
-                   span["solved"]))
-    for c in crosschecks:
-        checks.append((f"monodromic comparison at exponents "
-                       f"{tuple(c['exponents'])}", c["ok"]))
+            c = monodromic_crosscheck(n, q, k, theta.exponents)
+            crosschecks.append(c)
+            checks.append((f"monodromic comparison at exponents "
+                           f"{tuple(c['exponents'])}", c["ok"]))
+    ok = all(flag for _, flag in checks)
     report = {"config": config.public(), "checks": checks,
               "delta_span": span, "crosschecks": crosschecks, "ok": ok}
     return report, 0 if ok else 1

@@ -69,11 +69,12 @@ from functools import lru_cache
 
 from . import monodromic
 from .coxeter import (Perm, all_perms, identity_perm, perm_length, perm_mul,
-                      reduced_word, simple_perm)
+                      simple_perm)
+from .linalg import SparseVector, _acc, _axpy, solve
 from .monodromic import TorusCharacter, torus_character
-from .scalars import Cyclotomic, RationalFunctionScalar as RF
+from .scalars import Cyclotomic
 
-ALLOWED_DEFAULT_CEILING = 1000
+SIZE_CEILING = 1000  # largest |X| a model is built for
 
 
 # ---------------------------------------------------------------------------
@@ -286,73 +287,62 @@ def _diag(F: SmallField, entries):
 # sparse operators over one cyclotomic field
 # ---------------------------------------------------------------------------
 
-class SparseOperator:
-    """Row-sparse matrix over Q(zeta_N), indexed by X-point indices."""
+class _Row(dict):
+    """One row of a `SparseOperator`: column -> nonzero cyclotomic entry.
 
-    __slots__ = ("N", "rows")
+    Rows are the coefficients of an operator seen as a sparse vector over
+    row indices, so they add, negate and scale like scalars, through the
+    same zero-dropping accumulation.  A stored row is never changed in
+    place, so operators may share rows."""
 
-    def __init__(self, N: int, rows: dict[int, dict[int, Cyclotomic]]):
-        self.N = N
-        self.rows = {x: {y: c for y, c in row.items() if c}
-                     for x, row in rows.items()}
-        self.rows = {x: row for x, row in self.rows.items() if row}
+    __slots__ = ()
 
-    @classmethod
-    def zero(cls, N: int) -> "SparseOperator":
-        return cls(N, {})
+    def __add__(self, other: dict) -> "_Row":
+        return _axpy(_Row(self), other)
+
+    def __neg__(self) -> "_Row":
+        return _Row({y: -c for y, c in self.items()})
+
+    def __mul__(self, a) -> "_Row":
+        if isinstance(a, Cyclotomic):
+            return _Row({y: c * a for y, c in self.items()})
+        return _Row({y: c.scale(a) for y, c in self.items()})
+
+
+class SparseOperator(SparseVector):
+    """Row-sparse matrix over Q(zeta_N), indexed by X-point indices: a
+    sparse vector over row indices whose coefficients are the rows."""
+
+    __slots__ = ("N",)
+    _ambient = "N"
+
+    def __init__(self, N: int,
+                 rows: dict[int, dict[int, Cyclotomic]] | None = None):
+        super().__init__(N, {x: _Row({y: c for y, c in row.items() if c})
+                             for x, row in (rows or {}).items()})
+
+    @property
+    def rows(self) -> dict[int, _Row]:
+        """The nonzero rows by row index (the terms of the vector)."""
+        return self.terms
 
     @classmethod
     def identity(cls, N: int, npoints: int) -> "SparseOperator":
         one = Cyclotomic.one(N)
         return cls(N, {x: {x: one} for x in range(npoints)})
 
-    def __add__(self, other: "SparseOperator") -> "SparseOperator":
-        out = {x: dict(row) for x, row in self.rows.items()}
-        for x, row in other.rows.items():
-            tgt = out.setdefault(x, {})
-            for y, c in row.items():
-                prev = tgt.get(y)
-                tgt[y] = c if prev is None else prev + c
-        return SparseOperator(self.N, out)
-
-    def __neg__(self) -> "SparseOperator":
-        return SparseOperator(self.N, {x: {y: -c for y, c in row.items()}
-                                       for x, row in self.rows.items()})
-
-    def __sub__(self, other: "SparseOperator") -> "SparseOperator":
-        return self + (-other)
-
     def __mul__(self, other: "SparseOperator") -> "SparseOperator":
-        return SparseOperator(self.N, _sparse_product(self.N, self.rows,
-                                                      other.rows))
-
-    def scale(self, a) -> "SparseOperator":
-        if isinstance(a, Cyclotomic):
-            return SparseOperator(self.N, {x: {y: c * a for y, c in row.items()}
-                                           for x, row in self.rows.items()})
-        a = Fraction(a)
-        return SparseOperator(self.N, {x: {y: c.scale(a) for y, c in row.items()}
-                                       for x, row in self.rows.items()})
+        return self._like(_sparse_product(self.N, self.rows, other.rows))
 
     def apply(self, vec: dict[int, Cyclotomic]) -> dict[int, Cyclotomic]:
         column = {y: {0: c} for y, c in vec.items()}
         return {x: row[0] for x, row in
-                _sparse_product(self.N, self.rows, column).items() if row[0]}
-
-    def is_zero(self) -> bool:
-        return not self.rows
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, SparseOperator) and self.N == other.N
-                and self.rows == other.rows)
-
-    def __hash__(self):
-        raise TypeError("SparseOperator is unhashable")
+                _sparse_product(self.N, self.rows, column).items()}
 
 
 def _sparse_product(N: int, rows_a: dict, rows_b: dict) -> dict:
-    """The product of two row-sparse matrices over Q(zeta_N), with an
-    entry (zero when its terms cancel) wherever at least one term lands.
+    """The rows of the product of two row-sparse matrices over Q(zeta_N),
+    holding the entries whose terms do not cancel.
 
     Each row of A, and all of B, are brought to one denominator (the lcm
     of their entries'), so that an output entry is a plain sum of integer
@@ -388,10 +378,14 @@ def _sparse_product(N: int, rows_a: dict, rows_b: dict) -> dict:
                 for i, p in na:
                     for j, q in nb:
                         conv[i + j] += p * q
-        if acc:
-            den = den_a * den_b
-            out[x] = {z: Cyclotomic.from_convolution(N, conv, den)
-                      for z, conv in acc.items()}
+        den = den_a * den_b
+        out_row = _Row()
+        for z, conv in acc.items():
+            c = Cyclotomic.from_convolution(N, conv, den)
+            if c:
+                out_row[z] = c
+        if out_row:
+            out[x] = out_row
     return out
 
 
@@ -409,8 +403,7 @@ def expected_size_x(n: int, qk: int) -> int:
 class FiniteModel:
     """SL_{n+1} over F_{q^k} acting on functions on G/U."""
 
-    def __init__(self, n: int, q: int, k: int,
-                 ceiling: int = ALLOWED_DEFAULT_CEILING):
+    def __init__(self, n: int, q: int, k: int):
         p, a = _factor_prime_power(q)
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -420,9 +413,9 @@ class FiniteModel:
         F = self.F
         self.qk = F.size
         self.size_x = expected_size_x(n, self.qk)
-        if self.size_x > ceiling:
+        if self.size_x > SIZE_CEILING:
             raise ValueError(
-                f"size ceiling exceeded: |X| = {self.size_x} > {ceiling}")
+                f"size ceiling exceeded: |X| = {self.size_x} > {SIZE_CEILING}")
         self.N = (self.qk - 1) * (p if p % 2 else 1)
         if self.N < 1:
             self.N = 1
@@ -472,12 +465,6 @@ class FiniteModel:
         M[i - 1][i] = 1
         M[i][i - 1] = F.neg_t[1]
         return tuple(tuple(row) for row in M)
-
-    def nw(self, w: Perm):
-        out = mat_identity(self.m)
-        for i in reduced_word(w):
-            out = mat_mul(self.F, out, self.simple_n(i))
-        return out
 
     def coroot_torus(self, i: int, j: int, r: int):
         """diag with r at position i, r^{-1} at position j: the coroot
@@ -619,15 +606,6 @@ class FiniteModel:
         return tuple(self.coset_index[mat_mul(self.F, gi, rep)]
                      for rep in self.x_reps)
 
-    def left_translation(self, g) -> SparseOperator:
-        one = Cyclotomic.one(self.N)
-        perm = self.left_translation_perm(g)
-        return SparseOperator(self.N,
-                              {x: {perm[x]: one} for x in range(self.size_x)})
-
-    def R_t(self, t) -> SparseOperator:
-        return self.right_translation(t)
-
     def s_cell_targets(self, i: int, inverse: bool = False) -> tuple:
         """For each x, the q^k points of xUsU/U (of xUs^{-1}U/U when
         inverse is set; the two differ by the h_s(-1) translate in odd
@@ -716,8 +694,7 @@ class FiniteModel:
                 row = {}
                 for r in range(1, self.F.size):
                     y = self.coset_index[mat_mul(self.F, g, self.h_s(i, r))]
-                    prev = row.get(y)
-                    row[y] = one if prev is None else prev + one
+                    _acc(row, y, one)
                 rows[x] = row
             return SparseOperator(self.N, rows)
         out = self._cached(("op_es", i), build)
@@ -734,18 +711,6 @@ class FiniteModel:
                 out = out + self.right_translation(self.coroot_torus(i, j, r))
             return out
         return self._cached(("E_refl", i, j), build)
-
-    def isotypic_projector(self, theta: TorusCharacter) -> SparseOperator:
-        """|T|^{-1} sum of theta(t) R_t: projects onto the functions with
-        f(xt) = theta(t) f(x), the line of eps_theta on each torus."""
-        def build():
-            out = SparseOperator.zero(self.N)
-            scale = Fraction(1, len(self.T_list))
-            for t in self.T_list:
-                coeff = self.theta_value(theta, t).scale(scale)
-                out = out + self.right_translation(t).scale(coeff)
-            return out
-        return self._cached(("P_theta", theta), build)
 
     def pi_s_projector(self, i: int) -> SparseOperator:
         """Projection onto the isotypic pieces whose character kills the
@@ -765,10 +730,7 @@ class FiniteModel:
                 coeff = coeff.scale(scale)
                 perm = self.translation_perm(t)
                 for x in range(self.size_x):
-                    row = rows.setdefault(x, {})
-                    y = perm[x]
-                    prev = row.get(y)
-                    row[y] = coeff if prev is None else prev + coeff
+                    _acc(rows.setdefault(x, {}), perm[x], coeff)
             return SparseOperator(self.N, rows)
         return self._cached(("pi_s", i), build)
 
@@ -781,9 +743,8 @@ class FiniteModel:
 
 
 @lru_cache(maxsize=None)
-def build_model(n: int, q: int, k: int,
-                ceiling: int = ALLOWED_DEFAULT_CEILING) -> FiniteModel:
-    return FiniteModel(n, q, k, ceiling)
+def build_model(n: int, q: int, k: int) -> FiniteModel:
+    return FiniteModel(n, q, k)
 
 
 def perm_then_op(perm, A: SparseOperator) -> SparseOperator:
@@ -793,14 +754,14 @@ def perm_then_op(perm, A: SparseOperator) -> SparseOperator:
     for x in range(len(perm)):
         row = A.rows.get(perm[x])
         if row:
-            rows[x] = dict(row)
-    return SparseOperator(A.N, rows)
+            rows[x] = row
+    return A._like(rows)
 
 
 def op_then_perm(A: SparseOperator, perm) -> SparseOperator:
     """The product A * (permutation operator): columns get remapped."""
-    return SparseOperator(A.N, {x: {perm[y]: c for y, c in row.items()}
-                                for x, row in A.rows.items()})
+    return A._like({x: _Row({perm[y]: c for y, c in row.items()})
+                    for x, row in A.rows.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -894,7 +855,7 @@ def verify_juyumaya_relations(model: FiniteModel) -> list:
     for i in range(1, model.m):
         L = model.L_s(i)
         cubic = (L * L - one) * (L + one.scale(qinv))
-        if not cubic.is_zero():
+        if cubic:
             ok = False
         if model.L_s_inv(i) * L != one or L * model.L_s_inv(i) != one:
             ok = False
@@ -1089,13 +1050,12 @@ def _word_op(model: FiniteModel, word) -> SparseOperator:
     return out
 
 
-def verify_main_identity(n: int, q: int, k: int,
-                         ceiling: int = ALLOWED_DEFAULT_CEILING) -> dict:
+def verify_main_identity(n: int, q: int, k: int) -> dict:
     """Full verification report for one configuration: the convolution
     operator equals the Juyumaya generator entrywise, both presentations
     hold, the tie dictionary specializes, and the explicit values on
     every eps_theta come out as computed in closed form."""
-    model = build_model(n, q, k, ceiling)
+    model = build_model(n, q, k)
     checks = [("op_ks equals L_s entrywise", op_ks_equals_L(model)),
               ("op_es equals E_s entrywise", op_es_equals_E(model))]
     checks += verify_yokonuma_relations(model)
@@ -1120,31 +1080,18 @@ def delta_in_epsilon_span(n: int, q: int, k: int) -> dict:
     >>> rep["solved"], rep["coefficients"]
     (True, [Fraction(1, 1)])
     """
-    from .linalg import solve_dense
-
     model = build_model(n, q, k)
-    thetas = model.all_characters()
-    torus_points = sorted(model.torus_of)
-    base = model.coset_index[mat_identity(model.m)]
-    A = [[model.eps_theta(theta).get(x, Cyclotomic.zero(model.N))
-          for theta in thetas] for x in torus_points]
-    b = [Cyclotomic.one(model.N) if x == base else Cyclotomic.zero(model.N)
-         for x in torus_points]
-    coeffs = solve_dense(A, b, Cyclotomic.zero(model.N),
-                         Cyclotomic.one(model.N))
-    residual_zero = True
+    one = Cyclotomic.one(model.N)
+    delta = {model.coset_index[mat_identity(model.m)]: one}
+    eps = [model.eps_theta(theta) for theta in model.all_characters()]
+    coeffs = solve(eps, delta, one)
     acc: dict[int, Cyclotomic] = {}
-    for c, theta in zip(coeffs, thetas):
-        for x, v in model.eps_theta(theta).items():
-            prev = acc.get(x, Cyclotomic.zero(model.N))
-            acc[x] = prev + c * v
-    for x in range(model.size_x):
-        want = Cyclotomic.one(model.N) if x == base else Cyclotomic.zero(model.N)
-        if acc.get(x, Cyclotomic.zero(model.N)) != want:
-            residual_zero = False
+    for c, v in zip(coeffs, eps):
+        if c:
+            _axpy(acc, v, c)
     out = [c.rational_value() if c.is_rational() else c for c in coeffs]
-    return {"solved": residual_zero, "coefficients": out,
-            "count": len(thetas)}
+    return {"solved": acc == delta, "coefficients": out,
+            "count": len(eps)}
 
 
 def perfect_square_root(a: int) -> int | None:
@@ -1187,10 +1134,10 @@ def monodromic_crosscheck(n: int, q: int, k: int,
         e_key = (identity_perm(model.m), theta)
         s_key = (simple_perm(i, model.m), theta)
         alpha_pi = Cyclotomic.from_rational(
-            model.N, x.terms.get(e_key, RF.ZERO).specialize(v0))
+            model.N, x.coeff(e_key).specialize(v0))
         beta_pi = Cyclotomic.from_rational(
             model.N,
-            x.terms.get(s_key, RF.ZERO).specialize(v0) * Fraction(-1, qk))
+            x.coeff(s_key).specialize(v0) * Fraction(-1, qk))
         if inside:
             kappa = Cyclotomic.one(model.N)
         else:

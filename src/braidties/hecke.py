@@ -56,24 +56,19 @@ from .coxeter import (
     right_descents,
     simple_perm,
 )
+from .linalg import SparseVector, _acc
 from .scalars import LaurentPoly, RationalFunctionScalar as RF
 
 V = RF.V
 QPoly = dict[int, int]  # polynomial in q = v^2, exponent -> integer coefficient
 
 
-class HeckeElement:
+class HeckeElement(SparseVector):
     """Finitely supported map Perm -> RF over a fixed S_m."""
 
-    __slots__ = ("m", "terms")
-
-    def __init__(self, m: int, terms: dict[Perm, RF] | None = None):
-        self.m = m
-        self.terms = {w: c for w, c in (terms or {}).items() if c}
-
-    @classmethod
-    def zero(cls, m: int) -> "HeckeElement":
-        return cls(m)
+    __slots__ = ("m",)
+    _ambient = "m"
+    ZERO = RF.ZERO
 
     @classmethod
     def unit(cls, m: int) -> "HeckeElement":
@@ -83,47 +78,9 @@ class HeckeElement:
     def basis(cls, w: Perm, coeff: RF = RF.ONE) -> "HeckeElement":
         return cls(len(w), {w: coeff})
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, HeckeElement) and self.m == other.m
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.m, tuple(sorted(self.terms.items()))))
-
-    def __add__(self, other: "HeckeElement") -> "HeckeElement":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            y = out.get(w)
-            y = c if y is None else y + c
-            if y:
-                out[w] = y
-            else:
-                out.pop(w, None)
-        return HeckeElement(self.m, out)
-
-    def __neg__(self) -> "HeckeElement":
-        return HeckeElement(self.m, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: "HeckeElement") -> "HeckeElement":
-        return self + (-other)
-
-    def scale(self, a: RF) -> "HeckeElement":
-        if not a:
-            return HeckeElement(self.m)
-        return HeckeElement(self.m, {w: c * a for w, c in self.terms.items()})
-
-    def coeff(self, w: Perm) -> RF:
-        return self.terms.get(w, RF.ZERO)
-
     def coeff_tilde(self, w: Perm) -> RF:
         """Coefficient in the normalized basis: of Ã_w, i.e. A_w * v^{l(w)}."""
         return self.coeff(w) * RF.from_laurent(LaurentPoly.monomial(perm_length(w)))
-
-    def is_laurent(self) -> bool:
-        return all(c.is_laurent() for c in self.terms.values())
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -137,19 +94,9 @@ class HeckeElement:
 
 def _lmul_simple(i: int, x: HeckeElement) -> HeckeElement:
     """A_{s_i} * x via the quadratic relation."""
-    m = x.m
     out: dict[Perm, RF] = {}
     q = V * V
     qm1 = q - 1
-
-    def put(w, c):
-        y = out.get(w)
-        y = c if y is None else y + c
-        if y:
-            out[w] = y
-        else:
-            out.pop(w, None)
-
     for w, c in x.terms.items():
         # left multiplication by s_i swaps the values i, i+1 in w
         pos_i = w.index(i)
@@ -158,11 +105,11 @@ def _lmul_simple(i: int, x: HeckeElement) -> HeckeElement:
         sw[pos_i], sw[pos_i1] = i + 1, i
         sw = tuple(sw)
         if pos_i < pos_i1:  # l(s_i w) > l(w)
-            put(sw, c)
+            _acc(out, sw, c)
         else:
-            put(w, c * qm1)
-            put(sw, c * q)
-    return HeckeElement(m, out)
+            _acc(out, w, c * qm1)
+            _acc(out, sw, c * q)
+    return x._like(out)
 
 
 def hecke_mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:

@@ -63,6 +63,7 @@ from .coxeter import (
     reduced_word,
     simple_perm,
 )
+from .linalg import Echelon, SparseVector, _acc
 from .scalars import RationalFunctionScalar as RF
 
 V = RF.V
@@ -98,10 +99,6 @@ def torus_character(modulus: int, exponents) -> TorusCharacter:
 
 def trivial_character(m: int, modulus: int = 1) -> TorusCharacter:
     return torus_character(modulus, (0,) * m)
-
-
-def is_trivial(theta: TorusCharacter) -> bool:
-    return all(b == 0 for b in theta.exponents)
 
 
 def w_act(w: Perm, theta: TorusCharacter) -> TorusCharacter:
@@ -162,44 +159,12 @@ def all_characters(m: int, modulus: int) -> tuple[TorusCharacter, ...]:
 # elements of the orbit algebra
 # ---------------------------------------------------------------------------
 
-class MonodromicElement:
+class MonodromicElement(SparseVector):
     """Q(v)-combination of basis terms A_w 1_L."""
 
-    __slots__ = ("m", "terms")
-
-    def __init__(self, m: int, terms: dict[tuple[Perm, TorusCharacter], RF]):
-        self.m = m
-        self.terms = {k: c for k, c in terms.items() if c != RF.ZERO}
-
-    @staticmethod
-    def zero(m: int) -> "MonodromicElement":
-        return MonodromicElement(m, {})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            y = out.get(k)
-            y = c if y is None else y + c
-            if y == RF.ZERO:
-                out.pop(k, None)
-            else:
-                out[k] = y
-        return MonodromicElement(self.m, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-RF.ONE)
-
-    def scale(self, f: RF) -> "MonodromicElement":
-        return MonodromicElement(self.m, {k: c * f for k, c in self.terms.items()})
-
-    def coeff(self, w: Perm, L: TorusCharacter) -> RF:
-        return self.terms.get((w, L), RF.ZERO)
-
-    def __eq__(self, other):
-        return isinstance(other, MonodromicElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+    __slots__ = ("m",)
+    _ambient = "m"
+    ZERO = RF.ZERO
 
     def __repr__(self):
         if not self.terms:
@@ -242,27 +207,17 @@ def lmul_As(i: int, x: MonodromicElement) -> MonodromicElement:
     it goes down the quadratic relation yields v^2 A_{s_i w} 1_L plus
     (v^2-1) A_w 1_L whenever s_i fixes the left character w L.
     """
-    m = x.m
-    s = simple_perm(i, m)
+    s = simple_perm(i, x.m)
     out: dict[tuple[Perm, TorusCharacter], RF] = {}
-
-    def put(key, c):
-        y = out.get(key)
-        y = c if y is None else y + c
-        if y == RF.ZERO:
-            out.pop(key, None)
-        else:
-            out[key] = y
-
     for (w, L), c in x.terms.items():
         sw = perm_mul(s, w)
         if perm_length(sw) > perm_length(w):
-            put((sw, L), c)
+            _acc(out, (sw, L), c)
         else:
-            put((sw, L), c * _Q)
+            _acc(out, (sw, L), c * _Q)
             if simple_in_circle(i, w_act(w, L)):
-                put((w, L), c * _QM1)
-    return MonodromicElement(m, out)
+                _acc(out, (w, L), c * _QM1)
+    return x._like(out)
 
 
 def lmul_Aw(w: Perm, x: MonodromicElement) -> MonodromicElement:
@@ -293,11 +248,6 @@ def ho_mul(a: MonodromicElement, b: MonodromicElement) -> MonodromicElement:
     return out
 
 
-def a_tilde_mono(w: Perm, L: TorusCharacter) -> MonodromicElement:
-    """Normalized basis element Atilde_w 1_L = v^{-l(w)} A_w 1_L."""
-    return standard_element(w, L).scale(V ** (-perm_length(w)))
-
-
 # ---------------------------------------------------------------------------
 # the surjections pi_L on signed generator words
 # ---------------------------------------------------------------------------
@@ -311,7 +261,6 @@ def _letter_action(i: int, inverse: bool,
     Atilde_s = v^{-1} A_s otherwise; its inverse acts by v^{-2} A_s resp.
     v^{-1} A_s (there Atilde_s^2 1_theta = 1_theta).
     """
-    m = x.m
     inside: dict[tuple[Perm, TorusCharacter], RF] = {}
     outside: dict[tuple[Perm, TorusCharacter], RF] = {}
     for (w, L), c in x.terms.items():
@@ -319,8 +268,8 @@ def _letter_action(i: int, inverse: bool,
             inside[(w, L)] = c
         else:
             outside[(w, L)] = c
-    xin = MonodromicElement(m, inside)
-    xout = MonodromicElement(m, outside)
+    xin = x._like(inside)
+    xout = x._like(outside)
     if inverse:
         part_in = lmul_As(i, xin).scale(V ** -2)
     else:
@@ -359,11 +308,6 @@ def hecke_image(x: MonodromicElement) -> "hecke.HeckeElement":
     for (w, L), c in x.terms.items():
         out = out + hecke.HeckeElement.basis(w, c)
     return out
-
-
-def pi_trivial(word: tuple[int, ...], m: int) -> "hecke.HeckeElement":
-    """pi at the trivial character, landing in the Hecke algebra."""
-    return hecke_image(pi_L(word, trivial_character(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +465,6 @@ def pi_image_rank(theta: TorusCharacter, max_length: int = 6) -> int:
     """Measured rank of the span of pi_L images of all positive words up
     to the given length (an observation about how much of the orbit
     algebra the braid generators reach; not asserted anywhere)."""
-    from .linalg import Echelon
-
     m = len(theta.exponents)
     orbit = orbit_of(theta)
     index = {(w, L): k for k, (w, L) in enumerate(

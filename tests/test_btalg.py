@@ -237,8 +237,8 @@ def test_c_simple_pinned_form():
     c = c_simple_bt(1, m)
     P = pair_partition(1, 2, m)
     e, s = identity_perm(m), simple_perm(1, m)
-    assert c.coeff(P, e) == -(V ** -1)
-    assert c.coeff(P, s) == -(V ** -1)
+    assert c.coeff((P, e)) == -(V ** -1)
+    assert c.coeff((P, s)) == -(V ** -1)
     assert len(c.terms) == 2
     assert kl_lift((2, 1)) == c
 

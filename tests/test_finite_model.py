@@ -122,7 +122,7 @@ def test_sparse_product_and_apply_match_entrywise_definition(N):
     c, d = Cyclotomic.root(N, 1).scale(Fraction(1, 3)), Cyclotomic.root(N, 2)
     A = FM.SparseOperator(N, {0: {0: c, 1: -c}})
     B = FM.SparseOperator(N, {0: {0: d}, 1: {0: d}})
-    assert (A * B).is_zero() and A.apply({0: d, 1: d}) == {}
+    assert not (A * B) and A.apply({0: d, 1: d}) == {}
     with pytest.raises(ValueError):
         A * FM.SparseOperator(N, {0: {0: Cyclotomic.one(N + 1)}})
 
@@ -140,6 +140,15 @@ def test_model_sizes():
 def test_size_ceiling_enforced():
     with pytest.raises(ValueError):
         build_model(2, 2, 3)  # SL_3(F_8): |X| = 32193
+
+
+def test_finite_model_job_builds_one_model(tmp_path):
+    from braidties import cli
+
+    build_model.cache_clear()
+    out = str(tmp_path / "report.json")
+    assert cli.main(["finite-model", "--n", "1", "--q", "4", "--out", out]) == 0
+    assert build_model.cache_info().misses == 1
 
 
 def test_prime_power_q():
