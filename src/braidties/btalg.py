@@ -60,8 +60,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from . import hecke
 from .coxeter import (
     Perm,
@@ -372,6 +370,8 @@ def closure_echelon(n: int) -> Echelon:
 # extra edges of coefficient v^2 - 1
 @lru_cache(maxsize=None)
 def _structure_tables(m: int):
+    import numpy as np
+
     pairs = basis_pairs(m)
     idx = _pair_index(m)
     tables = []
@@ -395,6 +395,8 @@ def _structure_tables(m: int):
 
 
 def _closure_rank_modp(m: int, v0: Fraction, p: int) -> int:
+    import numpy as np
+
     tables = _structure_tables(m)
     B = len(basis_pairs(m))
     v0p = v0.numerator % p * pow(v0.denominator % p, p - 2, p) % p
@@ -582,6 +584,8 @@ def jr_span(n: int, R: SetPartition, mode: str = "exact",
         return SpanBasis(vectors, ech, pivots)
     if mode != "specialized":
         raise ValueError(f"unknown mode: {mode!r}")
+    import numpy as np
+
     (v0, p), = _specialization_points(seed, 1)
     ech = ModPEchelon(len(pairs), p)
     vectors, pivots = [], []

@@ -21,7 +21,12 @@ Subcommands:
 
 Identical configurations (including the seed) produce byte-identical
 output files; JSON keys are sorted, CSV columns fixed.  Exit codes:
-0 success, 1 verification failure, 2 usage error.
+0 success, 1 verification failure, 2 usage error, 3 internal error (one
+line on stderr, no output file).
+
+Each command imports the modules it runs when it runs, so ``dim`` loads
+only `coxeter`, and numpy is loaded only by ``dim-rank --mode
+specialized``.
 """
 
 from __future__ import annotations
@@ -35,13 +40,8 @@ import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from . import btalg, hecke, monodromic
 from .coxeter import (all_perms, dim_C, dimension_rows, perm_length,
                       perm_mul, simple_perm)
-from .finite_model import (build_model, delta_in_epsilon_span,
-                           monodromic_crosscheck, perfect_square_root,
-                           verify_main_identity)
-from .monodromic import trivial_character
 
 MAX_THREADS = 64
 
@@ -134,10 +134,14 @@ def _emit(report: dict, config: RunConfig) -> None:
 # ---------------------------------------------------------------------------
 
 def suite_btalg(n: int) -> list[tuple[str, bool]]:
-    return btalg.verify_presentation(n)
+    from .btalg import verify_presentation
+
+    return verify_presentation(n)
 
 
 def suite_hecke(n: int) -> list[tuple[str, bool]]:
+    from . import hecke
+
     m = n + 1
     table = hecke.kl_table(m)
     perms = all_perms(m)
@@ -162,18 +166,23 @@ def suite_hecke(n: int) -> list[tuple[str, bool]]:
             ("canonical product expansion integral", ok_int)]
 
 
-def _pi_image(x: btalg.BTElement) -> hecke.HeckeElement:
-    """Image of an element of the braid-generated subalgebra in the
-    Hecke algebra: the trivial-character corner of the orbit algebra."""
+def _pi_image(x):
+    """Image of a `btalg.BTElement` of the braid-generated subalgebra in
+    the Hecke algebra (a `hecke.HeckeElement`): the trivial-character
+    corner of the orbit algebra."""
+    from . import btalg, monodromic
+
     combo = btalg.word_combo(x)
     return monodromic.hecke_image(
-        monodromic.pi_of_combo(combo, trivial_character(x.m)))
+        monodromic.pi_of_combo(combo, monodromic.trivial_character(x.m)))
 
 
 def _kl_lift_records(n: int) -> list[dict]:
     """Per w in S_{n+1}, by length: the lift's terms and its three checks
     (bar-invariance, image under the trivial-character surjection, and
     that every descent recursion has the same image)."""
+    from . import btalg, hecke
+
     m = n + 1
     table = hecke.kl_table(m)
     records = []
@@ -214,6 +223,8 @@ def suite_kl_lift(n: int) -> list[tuple[str, bool]]:
 
 def suite_monodromic(n: int, seed: int,
                      trials: int = 120) -> list[tuple[str, bool]]:
+    from . import monodromic
+
     checks = list(monodromic.verify_ho_relations(n, 3))
     checks.append(("trivial orbit matches the Hecke algebra",
                    monodromic.verify_hecke_comparison(n)))
@@ -226,6 +237,8 @@ def suite_monodromic(n: int, seed: int,
 def _finite_checks(n: int, q: int, k: int) -> tuple[list, dict]:
     """The main-identity checks on one finite model, then the base-point
     span solve as one more check; returns the checks and the solve."""
+    from .finite_model import delta_in_epsilon_span, verify_main_identity
+
     checks = list(verify_main_identity(n, q, k)["checks"])
     span = delta_in_epsilon_span(n, q, k)
     checks.append(("base-point delta solved in character span",
@@ -283,6 +296,8 @@ def cmd_dim(config: RunConfig) -> tuple[dict, int]:
 
 
 def cmd_dim_rank(config: RunConfig) -> tuple[dict, int]:
+    from . import btalg
+
     rank = btalg.c_dimension_report(config.n, mode=config.mode,
                                     seed=config.seed)
     formula = dim_C(config.n)
@@ -317,6 +332,9 @@ def cmd_kl_lift(config: RunConfig) -> tuple[dict, int]:
 
 
 def cmd_finite_model(config: RunConfig) -> tuple[dict, int]:
+    from .finite_model import (build_model, monodromic_crosscheck,
+                               perfect_square_root)
+
     n, q, k = config.n, config.q, config.k
     checks, span = _finite_checks(n, q, k)
     crosschecks = []
@@ -369,14 +387,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exact", "specialized"),
                    default="exact")
 
+    # None marks an option left out, so that one a suite ignores is refused
     p = sub.add_parser("verify", help="run one verification suite")
-    common(p)
+    common(p, n_default=None)
     p.add_argument("--suite",
                    choices=("presentation", "hecke", "kl-lift",
                             "monodromic", "finite", "all"),
                    default="all")
-    p.add_argument("--q", type=int, default=2, help="field prime power")
-    p.add_argument("--k", type=int, default=1, help="field extension degree")
+    p.add_argument("--q", type=int, default=None,
+                   help="field prime power (suite finite)")
+    p.add_argument("--k", type=int, default=None,
+                   help="field extension degree (suite finite)")
 
     p = sub.add_parser("kl-lift",
                        help="bar-invariant lifts of the canonical basis")
@@ -391,7 +412,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_VERIFY_DEFAULTS = {"n": 2, "q": 2, "k": 1}
+
+
 def _validate(parser: argparse.ArgumentParser, args) -> RunConfig:
+    if args.command == "verify":
+        # the battery fixes its own sizes; only the finite suite reads q, k
+        used = {"all": (), "finite": ("n", "q", "k")}.get(args.suite, ("n",))
+        for name, default in _VERIFY_DEFAULTS.items():
+            if getattr(args, name) is None:
+                setattr(args, name, default)
+            elif name not in used:
+                parser.error(f"verify --suite {args.suite} ignores --{name}")
     n = args.n
     if n < 0:
         parser.error("--n must be nonnegative")
@@ -447,10 +479,15 @@ def main(argv=None) -> int:
     config = _validate(parser, args)
     try:
         report, code = _DISPATCH[config.command](config)
+        _emit(report, config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(report, config)
+    except Exception as exc:
+        message = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {message}",
+              file=sys.stderr)
+        return 3
     return code
 
 

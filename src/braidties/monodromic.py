@@ -52,7 +52,6 @@ import random
 from dataclasses import dataclass
 
 from . import hecke
-from .btalg import combo_element, word_element
 from .coxeter import (
     Perm,
     all_perms,
@@ -438,6 +437,8 @@ def pi_consistency(n: int, trials: int, seed: int = 0,
     >>> pi_consistency(1, 10)["failures"]
     0
     """
+    from .btalg import combo_element, word_element
+
     rng = random.Random(seed)
     m = n + 1
     failures = 0

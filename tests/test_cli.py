@@ -2,9 +2,13 @@
 schemas, exit codes, and subcommand coverage."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import braidties
 from braidties import cli
 
 
@@ -73,7 +77,15 @@ def test_usage_errors_exit_2(tmp_path):
                  ["dim", "--n", "2", "--threads", "0"],
                  ["dim", "--n", "-1"],
                  ["nonsense"],
-                 ["verify", "--badflag"]):
+                 ["verify", "--badflag"],
+                 # options the chosen suite would ignore
+                 ["verify", "--n", "2"],
+                 ["verify", "--suite", "all", "--n", "1"],
+                 ["verify", "--suite", "all", "--q", "3"],
+                 ["verify", "--suite", "all", "--k", "2"],
+                 ["verify", "--suite", "hecke", "--n", "2", "--q", "3"],
+                 ["verify", "--suite", "presentation", "--k", "1"],
+                 ["verify", "--suite", "monodromic", "--q", "2"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(args)
         assert exc.value.code == 2, args
@@ -81,8 +93,21 @@ def test_usage_errors_exit_2(tmp_path):
     assert cli.main(["finite-model", "--n", "3", "--q", "2", "--k", "2"]) == 2
 
 
+def test_verify_fills_left_out_options_with_the_defaults():
+    parser = cli._build_parser()
+    for args in (["verify"], ["verify", "--suite", "hecke"],
+                 ["verify", "--suite", "finite"],
+                 ["verify", "--suite", "finite", "--n", "2", "--q", "2",
+                  "--k", "1"]):
+        config = cli._validate(parser, parser.parse_args(args))
+        assert (config.n, config.q, config.k) == (2, 2, 1), args
+    config = cli._validate(parser, parser.parse_args(
+        ["verify", "--suite", "finite", "--n", "1", "--q", "4", "--k", "2"]))
+    assert (config.n, config.q, config.k) == (1, 4, 2)
+
+
 def test_verification_failure_exits_1(monkeypatch, tmp_path):
-    monkeypatch.setattr(cli.btalg, "verify_presentation",
+    monkeypatch.setattr("braidties.btalg.verify_presentation",
                         lambda n: [("fabricated failing check", False)])
     code, text = run_cli(["verify", "--suite", "presentation", "--n", "2"],
                          tmp_path)
@@ -207,3 +232,78 @@ def test_out_written_whole_or_not_at_all(monkeypatch, tmp_path):
     assert cli.main(["dim", "--n", "2", "--out", str(out)]) == 0
     assert list(tmp_path.iterdir()) == [out]
     assert json.loads(out.read_text(encoding="utf-8"))["total"] == 20
+
+
+def test_internal_error_exits_3_with_one_line(monkeypatch, tmp_path,
+                                               capsys):
+    def broken(config):
+        raise RuntimeError("injected\nfault")
+
+    monkeypatch.setitem(cli._DISPATCH, "dim", broken)
+    out = tmp_path / "x.json"
+    assert cli.main(["dim", "--n", "2", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: RuntimeError: injected fault\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+    def interrupted(config):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli._DISPATCH, "dim", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["dim", "--n", "2", "--out", str(out)])
+    assert list(tmp_path.iterdir()) == []
+
+
+# Runs one CLI job in a fresh interpreter, numpy blocked unless the first
+# argument is "allow", and prints the exit code, the braidties modules
+# loaded and whether numpy was loaded.
+_IMPORT_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+if sys.argv[2] != "allow":
+    sys.modules["numpy"] = None
+from braidties import cli
+code = cli.main(sys.argv[3:])
+print(json.dumps({"code": code,
+                  "numpy": sys.modules.get("numpy") is not None,
+                  "modules": sorted(m for m in sys.modules
+                                    if m.startswith("braidties."))}))
+"""
+
+
+def _probe_imports(args, tmp_path, numpy="block"):
+    src = os.path.dirname(os.path.dirname(braidties.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, src, numpy, *args,
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("args", [
+    ["dim", "--n", "3"],
+    ["verify", "--suite", "presentation", "--n", "1"],
+    ["verify", "--suite", "hecke", "--n", "1"],
+    ["verify", "--suite", "monodromic", "--n", "1"],
+    ["kl-lift", "--n", "1"],
+    ["dim-rank", "--mode", "exact", "--n", "1"],
+    ["finite-model", "--n", "1", "--q", "2"],
+], ids=lambda args: " ".join(args))
+def test_jobs_run_without_numpy(args, tmp_path):
+    probe = _probe_imports(args, tmp_path)
+    assert probe["code"] == 0
+    assert not probe["numpy"]
+    if args[0] == "dim":
+        assert probe["modules"] == ["braidties.cli", "braidties.coxeter"]
+    if args[0] == "finite-model":
+        assert "braidties.btalg" not in probe["modules"]
+
+
+def test_specialized_rank_loads_numpy(tmp_path):
+    probe = _probe_imports(["dim-rank", "--mode", "specialized", "--n", "1"],
+                           tmp_path, numpy="allow")
+    assert probe["code"] == 0
+    assert probe["numpy"]
