@@ -70,29 +70,23 @@ class RunConfig:
 # serialization
 # ---------------------------------------------------------------------------
 
-def _jsonable(x):
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, (str, int, float, bool)) or x is None:
-        return x
-    return repr(x)
+def _json_leaf(x):
+    """What JSON cannot encode: a Fraction as its str, anything else as
+    its repr."""
+    return str(x) if isinstance(x, Fraction) else repr(x)
 
 
 def _csv_rows(report: dict) -> tuple[list[str], list[list]]:
     cmd = report["config"]["command"]
     if cmd in ("dim",):
         header = ["I", "N_I", "R_I", "D_I"]
-        rows = [[" ".join(str(i) for i in r["I"]), r["N_I"], r["R_I"],
+        rows = [[" ".join(map(str, r["I"])), r["N_I"], r["R_I"],
                  r["D_I"]] for r in report["rows"]]
         return header, rows
     if cmd == "kl-lift":
         header = ["w", "terms", "bar_invariant", "image_matches",
                   "descent_images_agree"]
-        rows = [[" ".join(str(i) for i in r["w"]), len(r["terms"]),
+        rows = [[" ".join(map(str, r["w"])), len(r["terms"]),
                  r["bar_invariant"], r["image_matches"],
                  r["descent_images_agree"]] for r in report["records"]]
         return header, rows
@@ -102,13 +96,13 @@ def _csv_rows(report: dict) -> tuple[list[str], list[list]]:
 
 def _serialize(report: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
+        return json.dumps(report, default=_json_leaf, sort_keys=True,
+                          indent=2) + "\n"
     buf = io.StringIO()
     header, rows = _csv_rows(report)
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -285,7 +279,7 @@ _ALL_BATTERY = (("presentation", {"n": 2}),
 def cmd_dim(config: RunConfig) -> tuple[dict, int]:
     mode = {"subset": "subset-enumeration",
             "aggregation": "partition-aggregation"}[config.mode]
-    rows = [{"I": list(r.subset), "lambda": list(r.lam),
+    rows = [{"I": r.subset, "lambda": r.lam,
              "N_I": r.normalizer_order, "R_I": r.subgroup_count,
              "D_I": r.descent_count} for r in dimension_rows(config.n)]
     total = dim_C(config.n, mode)

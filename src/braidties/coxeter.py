@@ -26,14 +26,21 @@ functions attach to $I$:
   contiguous block of $I$, by inclusion-exclusion
   $D_I = \sum_{T} (-1)^{|T|} (n+1)!/\prod_{i \in T}(\lambda_i+1)!$
   over subsets $T$ of block positions, which factorizes as
-  $(n+1)!\prod_i \big(1 - 1/(\lambda_i+1)!\big)$.
+  $(n+1)!\prod_i \big(1 - 1/(\lambda_i+1)!\big)$.  The product form is the
+  value; for $k \leq 12$ and $n \leq 25$ the $2^k$ inclusion-exclusion
+  terms are summed as exact integers and asserted to agree (each
+  $\prod_{i \in T}(\lambda_i+1)!$ divides $(n+1)!$, since
+  $\sum_i (\lambda_i+1) \leq n+1$).
 
 The dimension of the braid-generated subalgebra is
 $\sum_{\lambda \in P(n)} R_\lambda D_\lambda$, summed over the *distinct*
 partitions $\lambda$ realizable by such subsets (each conjugacy class of
 reflection subgroups counted once); $P(n)$ is the set of partitions
 $\lambda = (\lambda_1 \geq \dots \geq \lambda_k)$ with
-$\sum \lambda_i + k - 1 \leq n$.
+$\sum \lambda_i + k - 1 \leq n$.  `dim_C` finds these partitions either by
+enumerating $P(n)$ or, in subset mode, by a walk over the prefixes
+$I \cap \{1,\dots,j\}$ of all $2^n$ subsets that keeps only their distinct
+run-length states.
 
 >>> length_descents((3, 2, 1))
 (3, frozenset({1, 2}))
@@ -47,7 +54,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
@@ -310,6 +316,12 @@ def lambda_multiplicities(lam: tuple[int, ...]) -> dict[int, int]:
         out[part] = out.get(part, 0) + 1
     return out
 
+def _subset_lambda_in(n: int, I) -> tuple[int, ...]:
+    """lambda^I, after checking that I is a subset of {1..n}."""
+    if not set(I) <= set(range(1, n + 1)):
+        raise ValueError(f"I = {set(I)} is not a subset of {{1..{n}}}")
+    return subset_lambda(I)
+
 def howlett_order(n: int, I) -> int:
     """Order of the normalizer of the Young subgroup W_I in S_{n+1}:
     (n+1 - sum_i (i+1) n_i)! * prod_i n_i! ((i+1)!)^{n_i}.
@@ -321,15 +333,14 @@ def howlett_order(n: int, I) -> int:
     >>> howlett_order(2, {1})
     2
     """
-    return _howlett_order_lambda(n, subset_lambda(I))
+    return _howlett_order_lambda(n, _subset_lambda_in(n, I))
 
 def _howlett_order_lambda(n: int, lam: tuple[int, ...]) -> int:
-    mult = lambda_multiplicities(lam)
-    fixed = n + 1 - sum((i + 1) * ni for i, ni in mult.items())
+    fixed = n + 1 - sum(lam) - len(lam)
     if fixed < 0:
         raise ValueError(f"partition {lam} does not fit in S_{n + 1}")
     out = factorial(fixed)
-    for i, ni in mult.items():
+    for i, ni in lambda_multiplicities(lam).items():
         out *= factorial(ni) * factorial(i + 1) ** ni
     return out
 
@@ -341,7 +352,8 @@ def d_subset(n: int, I) -> int:
     """Number of w in S_{n+1} with a right descent in every contiguous
     block of I, by the factorized product form
     $(n+1)! \\prod_b (1 - 1/(|b|+1)!)$; at desk scale the raw
-    inclusion-exclusion over block subsets is asserted to agree.
+    inclusion-exclusion over block subsets, summed as exact integers,
+    is asserted to agree.
 
     >>> d_subset(4, {1, 2, 4})
     50
@@ -350,9 +362,12 @@ def d_subset(n: int, I) -> int:
     >>> d_subset(5, set()) == factorial(6)
     True
     """
-    return _d_value_lambda(n, subset_lambda(I))
+    return _d_value_lambda(n, _subset_lambda_in(n, I))
 
 def _d_value_lambda(n: int, lam: tuple[int, ...]) -> int:
+    # the blocks of sizes lam_i + 1 fit side by side in {1..n+1}, so every
+    # product of their factorials divides (n+1)! (multinomial coefficient)
+    assert sum(lam) + len(lam) <= n + 1, (n, lam)
     total = factorial(n + 1)
     num = total
     den = 1
@@ -362,20 +377,18 @@ def _d_value_lambda(n: int, lam: tuple[int, ...]) -> int:
         den *= f
     assert num % den == 0, (n, lam)
     value = num // den
-    k = len(lam)
-    if k <= 12 and n <= 25:
+    if len(lam) <= 12 and n <= 25:
         # cross-check the product form against raw inclusion-exclusion
         # whenever the 2^k sum is affordable (covers every lambda of
-        # every n <= 12, and everything reachable in subset mode)
-        acc = Fraction(0)
-        for mask in range(1 << k):
-            d = 1
-            sign = 1
-            for pos in range(k):
-                if mask >> pos & 1:
-                    d *= factorial(lam[pos] + 1)
-                    sign = -sign
-            acc += Fraction(sign * total, d)
+        # every n <= 12, and everything reachable in subset mode); the
+        # list doubles once per block, each product d over T carries the
+        # sign (-1)^|T|, and d divides (n+1)! (above), so every term
+        # (n+1)!//d is exact
+        signed = [1]
+        for part in lam:
+            f = factorial(part + 1)
+            signed += [-d * f for d in signed]
+        acc = sum(total // d for d in signed)
         assert acc == value, (n, lam, acc, value)
     return value
 
@@ -443,21 +456,25 @@ def partitions_P(n: int) -> list[tuple[tuple[int, ...], int]]:
     >>> dict(partitions_P(4))[(1, 1)]
     3
     """
+    return [(lam, _realizing_count(n, lam)) for lam in reversed(_lambdas_P(n))]
+
+def _lambdas_P(n: int) -> list[tuple[int, ...]]:
+    """P(n) in reverse lexicographic order, ending with ()."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    out: list[tuple[tuple[int, ...], int]] = []
+    out: list[tuple[int, ...]] = []
 
-    def descend(prefix: list[int], max_part: int, remaining: int):
+    def descend(prefix: tuple[int, ...], max_part: int, remaining: int):
         # remaining = n - sum(prefix) - (len(prefix) - 1) slots still usable
-        out.append((tuple(prefix), _realizing_count(n, tuple(prefix))))
         for part in range(min(max_part, remaining), 0, -1):
             # adding a part costs part + 1 slots (gap) except for the first
             cost = part if not prefix else part + 1
             if cost <= remaining:
-                descend(prefix + [part], part, remaining - cost)
+                descend(prefix + (part,), part, remaining - cost)
+        # after its extensions, which are larger lexicographically
+        out.append(prefix)
 
-    descend([], n, n)
-    out.sort()
+    descend((), n, n)
     return out
 
 def _realizing_count(n: int, lam: tuple[int, ...]) -> int:
@@ -475,47 +492,52 @@ def dim_C(n: int, mode: str = "partition-aggregation") -> int:
     """Dimension of the braid-generated subalgebra:
     sum of R_lambda * D_lambda over the distinct partitions in P(n).
 
-    Both modes return the same number; subset-enumeration walks all 2^n
-    subsets and deduplicates by lambda (n <= 20), partition-aggregation
-    enumerates P(n) directly (n <= 50).
+    Both modes return the same number; subset-enumeration collects the
+    distinct lambda^I over all 2^n subsets I by a walk over the prefixes
+    of I (n <= 20), partition-aggregation enumerates P(n) directly
+    (n <= 50).
 
     >>> [dim_C(n) for n in range(6)]
     [1, 3, 20, 217, 3364, 71098]
     >>> dim_C(2, "subset-enumeration")
     20
     """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if mode == "subset-enumeration":
         if n > 20:
             raise ValueError("subset-enumeration bounded at n <= 20")
-        lambdas = _distinct_lambdas_by_mask(n)
+        lambdas = _distinct_lambdas_by_prefix(n)
     elif mode == "partition-aggregation":
         if n > 50:
             raise ValueError("partition-aggregation bounded at n <= 50")
-        lambdas = [lam for lam, _ in partitions_P(n)]
+        lambdas = _lambdas_P(n)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return sum(_r_value_lambda(n, lam) * _d_value_lambda(n, lam) for lam in lambdas)
+    total = factorial(n + 1)
+    return sum(total // _howlett_order_lambda(n, lam) * _d_value_lambda(n, lam)
+               for lam in lambdas)
 
-def _r_value_lambda(n: int, lam: tuple[int, ...]) -> int:
-    return factorial(n + 1) // _howlett_order_lambda(n, lam)
+def _distinct_lambdas_by_prefix(n: int) -> list[tuple[int, ...]]:
+    """{lambda^I : I a subset of {1..n}}, sorted, built from run lengths.
 
-def _distinct_lambdas_by_mask(n: int) -> list[tuple[int, ...]]:
-    seen: set[tuple[int, ...]] = set()
-    for mask in range(1 << n):
-        runs = []
-        run = 0
-        rest = mask
-        while rest:
-            if rest & 1:
-                run += 1
-            elif run:
-                runs.append(run)
-                run = 0
-            rest >>= 1
-        if run:
-            runs.append(run)
-        seen.add(tuple(sorted(runs, reverse=True)))
-    return sorted(seen)
+    Member j of {1..n+1} either joins I, extending the open run, or not,
+    closing it (n + 1 never joins).  After each member the states (the
+    finished run lengths, decreasing, and the open run's length) of all
+    subsets of the prefix are deduplicated: the rest of the walk depends
+    on nothing else.
+    """
+    states = {((), 0)}
+    for j in range(1, n + 2):
+        step = set()
+        for runs, open_run in states:
+            if j <= n:
+                step.add((runs, open_run + 1))
+            if open_run:
+                runs = tuple(sorted((*runs, open_run), reverse=True))
+            step.add((runs, 0))
+        states = step
+    return sorted(runs for runs, _ in states)
 
 @dataclass(frozen=True)
 class DimensionRow:
@@ -551,13 +573,15 @@ def dimension_rows(n: int) -> list[DimensionRow]:
     >>> [(r.subset, r.normalizer_order, r.subgroup_count, r.descent_count) for r in rows]
     [((1, 2), 6, 1, 5), ((1,), 2, 3, 3), ((), 6, 1, 6)]
     """
+    total = factorial(n + 1)
     rows = []
-    for lam, _count in sorted(partitions_P(n), reverse=True):
+    for lam in _lambdas_P(n):
+        order = _howlett_order_lambda(n, lam)
         rows.append(DimensionRow(
             subset=canonical_subset(lam),
             lam=lam,
-            normalizer_order=_howlett_order_lambda(n, lam),
-            subgroup_count=_r_value_lambda(n, lam),
+            normalizer_order=order,
+            subgroup_count=total // order,
             descent_count=_d_value_lambda(n, lam),
         ))
     return rows

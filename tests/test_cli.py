@@ -1,10 +1,12 @@
 """Tests for the command-line interface: determinism, serialization
 schemas, exit codes, and subcommand coverage."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -66,6 +68,51 @@ def test_stdout_when_no_out(capsys):
     assert code == 0
     captured = capsys.readouterr()
     assert captured.out.splitlines()[0] == "I,N_I,R_I,D_I"
+
+
+class _Opaque:
+    """A value JSON cannot encode; serialized through its repr."""
+    def __repr__(self):
+        return "Opaque(1, 2)"
+
+
+def test_serialize_pinned():
+    # expected text as the serializer of 31984ce wrote it
+    report = {"config": {"command": "dim", "n": 2,
+                         "nested": {"b": (1, (2, 3)), "a": Fraction(-3, 4)}},
+              "rows": [{"I": (1, 2), "lambda": [2], "N_I": 6,
+                        "R_I": Fraction(1, 3), "D_I": _Opaque()},
+                       {"I": (), "lambda": (), "N_I": 6, "R_I": 1,
+                        "D_I": complex(1, 2)}],
+              "total": Fraction(5), "row_sum_matches": True, "empty": None,
+              "ratio": 0.5}
+    assert cli._serialize(report, "json") == (
+        '{\n  "config": {\n    "command": "dim",\n    "n": 2,\n'
+        '    "nested": {\n      "a": "-3/4",\n      "b": [\n        1,\n'
+        '        [\n          2,\n          3\n        ]\n      ]\n    }\n'
+        '  },\n  "empty": null,\n  "ratio": 0.5,\n'
+        '  "row_sum_matches": true,\n  "rows": [\n    {\n'
+        '      "D_I": "Opaque(1, 2)",\n      "I": [\n        1,\n'
+        '        2\n      ],\n      "N_I": 6,\n      "R_I": "1/3",\n'
+        '      "lambda": [\n        2\n      ]\n    },\n    {\n'
+        '      "D_I": "(1+2j)",\n      "I": [],\n      "N_I": 6,\n'
+        '      "R_I": 1,\n      "lambda": []\n    }\n  ],\n'
+        '  "total": "5"\n}\n')
+    assert cli._serialize(report, "csv") == (
+        'I,N_I,R_I,D_I\n1 2,6,1/3,"Opaque(1, 2)"\n,6,1,(1+2j)\n')
+
+
+@pytest.mark.parametrize("args, digest", [
+    (["dim", "--n", "22", "--mode", "aggregation", "--format", "json"],
+     "63baad5c83e208942a76994deac970544a25744a2b7249f5f3093c92a41e9ba6"),
+    (["dim", "--n", "20", "--mode", "subset", "--format", "csv"],
+     "ff36030c3354661b166f404e06ef006d8413a9f730e6ad170320b5c986a68612"),
+], ids=["aggregation n22 json", "subset n20 csv"])
+def test_dim_output_digest(args, digest, tmp_path):
+    # sha256 of the output file as written at commit 31984ce
+    code, text = run_cli(args, tmp_path)
+    assert code == 0
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 def test_usage_errors_exit_2(tmp_path):

@@ -7,6 +7,7 @@ from math import factorial
 import pytest
 
 from braidties.coxeter import (
+    _distinct_lambdas_by_prefix,
     all_perms,
     all_reflections,
     all_set_partitions,
@@ -189,9 +190,31 @@ def test_partitions_P_matches_enumeration():
         assert by_lambda == dict(partitions_P(n)), n
 
 
+def test_prefix_walk_matches_subset_enumeration():
+    # oracle: lambda^I for every one of the 2^n subsets, literally
+    for n in range(15):
+        literal = sorted({subset_lambda(I) for I in all_subsets(n)})
+        assert _distinct_lambdas_by_prefix(n) == literal, n
+
+
 def test_dim_modes_agree():
-    for n in range(13):
+    # every n the subset mode accepts
+    for n in range(21):
         assert dim_C(n, "subset-enumeration") == dim_C(n, "partition-aggregation"), n
+
+
+def test_dim_rejects_negative_n():
+    for mode in ("subset-enumeration", "partition-aggregation"):
+        with pytest.raises(ValueError):
+            dim_C(-1, mode)
+
+
+def test_subset_functions_reject_subsets_outside_range():
+    for f in (howlett_order, r_subset, d_subset):
+        for I in ({5}, {7}, {0}, {1, 3}):
+            with pytest.raises(ValueError):
+                f(2, I)
+    assert d_subset(2, {2}) == 3 and howlett_order(2, {1, 2}) == 6
 
 
 def test_dim_known_values():
