@@ -6,10 +6,12 @@ Subcommands:
 
 - ``dim``: per-class table (subset representative $I$, normalizer order
   $N_I$, class size $R_I$, descent count $D_I$) and the total dimension
-  of the braid-generated subalgebra.
-- ``dim-rank``: cross-check of that closed-form total against the rank
-  of the generated subalgebra computed by linear closure, exact or at
-  sampled specializations of $v$.
+  of the braid-generated subalgebra; ``row_sum_matches`` compares the sum
+  of $R_I D_I$ with `coxeter.dim_recurrence` (and, in subset mode, with
+  the total over the classes of the prefix walk).
+- ``dim-rank``: cross-check of the closed-form total (`dim_recurrence`)
+  against the rank of the generated subalgebra computed by linear
+  closure, exact or at sampled specializations of $v$.
 - ``verify``: run a named identity suite and report one pass/fail line
   per identity; exit code 0 only when every line passes.
 - ``kl-lift``: emit the bar-invariant lifts $c_w$ with exact
@@ -40,8 +42,8 @@ import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .coxeter import (all_perms, dim_C, dimension_rows, perm_length,
-                      perm_mul, simple_perm)
+from .coxeter import (all_perms, dim_C, dim_recurrence, dimension_rows,
+                      perm_length, perm_mul, simple_perm)
 
 MAX_THREADS = 64
 
@@ -277,16 +279,17 @@ _ALL_BATTERY = (("presentation", {"n": 2}),
 # ---------------------------------------------------------------------------
 
 def cmd_dim(config: RunConfig) -> tuple[dict, int]:
-    mode = {"subset": "subset-enumeration",
-            "aggregation": "partition-aggregation"}[config.mode]
     rows = [{"I": r.subset, "lambda": r.lam,
              "N_I": r.normalizer_order, "R_I": r.subgroup_count,
              "D_I": r.descent_count} for r in dimension_rows(config.n)]
-    total = dim_C(config.n, mode)
     cross = sum(r["R_I"] * r["D_I"] for r in rows)
+    # subset mode also sums over the classes its prefix walk finds
+    total = (dim_C(config.n, "subset-enumeration") if config.mode == "subset"
+             else cross)
+    matches = cross == total == dim_recurrence(config.n)
     report = {"config": config.public(), "rows": rows, "total": total,
-              "row_sum_matches": cross == total}
-    return report, 0 if cross == total else 1
+              "row_sum_matches": matches}
+    return report, 0 if matches else 1
 
 
 def cmd_dim_rank(config: RunConfig) -> tuple[dict, int]:
@@ -294,7 +297,7 @@ def cmd_dim_rank(config: RunConfig) -> tuple[dict, int]:
 
     rank = btalg.c_dimension_report(config.n, mode=config.mode,
                                     seed=config.seed)
-    formula = dim_C(config.n)
+    formula = dim_recurrence(config.n)
     match = bool(rank["agree"]) and rank["dimension"] == formula
     report = {"config": config.public(), "closure": rank,
               "formula_dimension": formula, "match": match,

@@ -40,7 +40,9 @@ $\lambda = (\lambda_1 \geq \dots \geq \lambda_k)$ with
 $\sum \lambda_i + k - 1 \leq n$.  `dim_C` finds these partitions either by
 enumerating $P(n)$ or, in subset mode, by a walk over the prefixes
 $I \cap \{1,\dots,j\}$ of all $2^n$ subsets that keeps only their distinct
-run-length states.
+run-length states.  `dim_recurrence` computes the same number by the
+exponential formula over set partitions and shares no code with `dim_C`;
+the command line checks its row sums against it.
 
 >>> length_descents((3, 2, 1))
 (3, frozenset({1, 2}))
@@ -517,6 +519,33 @@ def dim_C(n: int, mode: str = "partition-aggregation") -> int:
     total = factorial(n + 1)
     return sum(total // _howlett_order_lambda(n, lam) * _d_value_lambda(n, lam)
                for lam in lambdas)
+
+
+def dim_recurrence(n: int) -> int:
+    r"""The same dimension by the exponential formula, in exact integers
+    and independently of `dim_C`'s partitions and helpers.
+
+    Summed over all set partitions of $\{1..n+1\}$, $D$ factorizes over
+    the blocks, $D = (n+1)!\prod_B f(|B|)$ with $f(1) = 1$ and
+    $f(k) = 1 - 1/k!$. Splitting off the block of 1 gives
+    $\dim(n) = (n+1)!\,a_{n+1}$ with $a_0 = 1$ and
+    $a_m = \sum_{k=1}^{m} \binom{m-1}{k-1} f(k)\, a_{m-k}$. This runs on
+    the integers $b_m = m!\,a_m$:
+    $b_m = m\,b_{m-1} + \sum_{k=2}^{m} \binom{m-1}{k-1}\binom{m}{k}
+    (k!-1)\, b_{m-k}$, and $\dim(n) = b_{n+1}$.
+
+    >>> [dim_recurrence(n) for n in range(7)]
+    [1, 3, 20, 217, 3364, 71098, 1960867]
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    b = [1]
+    for m in range(1, n + 2):
+        b.append(m * b[m - 1]
+                 + sum(comb(m - 1, k - 1) * comb(m, k) * (factorial(k) - 1)
+                       * b[m - k] for k in range(2, m + 1)))
+    return b[n + 1]
+
 
 def _distinct_lambdas_by_prefix(n: int) -> list[tuple[int, ...]]:
     """{lambda^I : I a subset of {1..n}}, sorted, built from run lengths.

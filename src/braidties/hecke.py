@@ -42,8 +42,6 @@ v^2 - 1
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .coxeter import (
     Perm,
     all_perms,
@@ -274,7 +272,7 @@ def kl_table(m: int) -> KLTable:
 
 def _qpoly_to_rf(p: QPoly) -> RF:
     """Evaluate an integer polynomial in q at q = v^2."""
-    return RF.from_laurent(LaurentPoly({2 * e: Fraction(c) for e, c in p.items()}))
+    return RF.from_laurent(LaurentPoly({2 * e: c for e, c in p.items()}))
 
 
 def canonical_basis(w: Perm, table: KLTable | None = None) -> HeckeElement:
@@ -331,7 +329,7 @@ def canonical_by_bar(w: Perm) -> HeckeElement:
             if y == w:
                 continue
             f = elem.coeff_tilde(y).as_laurent()
-            low = {e: c for e, c in f.c.items() if e <= 0}
+            low = {e: c for e, c in f.coeffs().items() if e <= 0}
             if not low:
                 continue
             key = (perm_length(y), y)
@@ -341,7 +339,7 @@ def canonical_by_bar(w: Perm) -> HeckeElement:
                 g = dict(low)
                 for e, c in low.items():
                     if e < 0:
-                        g[-e] = g.get(-e, Fraction(0)) + c
+                        g[-e] = g.get(-e, 0) + c
                 defect_g = LaurentPoly(g)
         if defect_y is None:
             break
@@ -358,7 +356,7 @@ def kl_from_bar_oracle(x: Perm, w: Perm) -> QPoly:
     gap = perm_length(w) - perm_length(x)
     sign = -1 if gap % 2 else 1
     out: QPoly = {}
-    for e, c in f.c.items():
+    for e, c in f.coeffs().items():
         # e = gap - 2k for the q^k term
         k2 = gap - e
         assert k2 >= 0 and k2 % 2 == 0, (x, w, f)
@@ -390,9 +388,10 @@ def c_expansion(s: int, u: Perm, table: KLTable | None = None
         y = max(rem.terms, key=lambda t: (perm_length(t), t))
         gamma = rem.coeff_tilde(y)
         lp = gamma.as_laurent()
-        if set(lp.c) - {0}:
+        cs = lp.coeffs()
+        if set(cs) - {0}:
             raise ArithmeticError(f"non-constant C-basis coefficient at {y}: {lp}")
-        ci = lp.c.get(0, Fraction(0))
+        ci = cs.get(0, 0)
         if ci.denominator != 1:
             raise ArithmeticError(f"non-integer C-basis coefficient at {y}: {ci}")
         out[y] = int(ci)

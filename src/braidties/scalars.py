@@ -1,6 +1,6 @@
 r"""Exact scalar arithmetic for the whole workbench.
 
-Four coefficient domains, all exact:
+Four coefficient domains, all exact and all stored as Python integers:
 
 - rationals: `fractions.Fraction` from the standard library, used as-is;
 - Laurent polynomials $\mathbb{Q}[v, v^{-1}]$: `LaurentPoly`;
@@ -12,19 +12,32 @@ Four coefficient domains, all exact:
   $\mathbb{Q}[x]/(x^N-1)$), stored as integer numerators over one positive
   common denominator.
 
-The canonical form of a cyclotomic number: the gcd of its numerators and
-its denominator is 1 (the split of a polynomial into content and primitive
-part). Since $\Phi_N$ is monic with integer coefficients, a product is an
-integer convolution followed by a reduction with integer rows, and the
-only division left is the final gcd. A sum of many products can add up
-their raw convolutions over a common denominator and reduce and normalize
-once (`Cyclotomic.from_convolution`), which is how the finite-model
-operator products compute each entry.
+Both polynomial-backed types split a value into a rational content and an
+integer part (the content and primitive part of a polynomial). A Laurent
+polynomial is $v^{lo} (c_0 + c_1 v + \dots + c_k v^k) / d$ with integers
+$c_i$, $c_0 \ne 0 \ne c_k$, $d > 0$ and $\gcd(c_0, \dots, c_k, d) = 1$, so
+its representation is unique. Sums and products are integer additions and
+convolutions followed by one integer gcd, and none when $d = 1$, which is
+the common case.
 
 The canonical form of a rational function: the denominator is a monic
 ordinary polynomial in $v$ with nonzero constant term; any Laurent unit
 $v^k$ is absorbed into the numerator; numerator and denominator share no
-polynomial factor.
+polynomial factor. `RationalFunctionScalar.make` reaches it through
+primitive integer polynomials with a positive leading coefficient: a
+polynomial gcd over $\mathbb{Z}[x]$ (the heuristic GCDHEU of Char, Geddes
+and Gonnet, with a primitive remainder sequence as fallback) runs only
+when both parts have more than one term. A sum or product of Laurent
+polynomials, a Laurent polynomial plus a fraction, and a quotient by a
+monomial never reach it.
+
+The canonical form of a cyclotomic number: the gcd of its numerators and
+its denominator is 1. Since $\Phi_N$ is monic with integer coefficients,
+a product is an integer convolution followed by a reduction with integer
+rows, and the only division left is the final gcd. A sum of many
+products can add up their raw convolutions over a common denominator and
+reduce and normalize once (`Cyclotomic.from_convolution`), which is how
+the finite-model operator products compute each entry.
 
 >>> v = RationalFunctionScalar.V
 >>> (v*v - 1) / (v - v**3)
@@ -41,15 +54,132 @@ True
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd, lcm
-from typing import Iterable
+from math import gcd as int_gcd, isqrt, lcm
 
 ZERO_F = Fraction(0)
 ONE_F = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
-# ordinary polynomials: tuples of Fractions, low degree first, no trailing zero
+# integer polynomials: tuples of ints, low degree first, no trailing zero
+# ---------------------------------------------------------------------------
+
+def _zeval(a: tuple[int, ...], x: int) -> int:
+    acc = 0
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def _zdiv(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...] | None:
+    """a / b in Z[x] when b divides a there, else None."""
+    lb = len(b)
+    n = len(a) - lb
+    if n < 0:
+        return None
+    rem = list(a)
+    top = b[-1]
+    quo = [0] * (n + 1)
+    for k in range(n, -1, -1):
+        t = rem[k + lb - 1]
+        if t:
+            c, r = divmod(t, top)
+            if r:
+                return None
+            quo[k] = c
+            for j, y in enumerate(b, k):
+                if y:
+                    rem[j] -= c * y
+    if any(rem[:lb - 1]):
+        return None
+    return tuple(quo)
+
+
+def _zprimitive(a: tuple[int, ...]) -> tuple[int, ...]:
+    """a divided by its content, signed so that the leading coefficient
+    is positive."""
+    g = int_gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return a if g == 1 else tuple(x // g for x in a)
+
+
+def _zprem(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Pseudo-remainder of a by b: the remainder of lc(b)^k * a over Z."""
+    rem = list(a)
+    lb = len(b)
+    top = b[-1]
+    while len(rem) >= lb:
+        t = rem[-1]
+        if t:
+            rem = [x * top for x in rem]
+            for j, y in enumerate(b, len(rem) - lb):
+                rem[j] -= t * y
+        rem.pop()
+    while rem and not rem[-1]:
+        rem.pop()
+    return tuple(rem)
+
+
+def _zgcd_prs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """gcd of nonzero a, b in Z[x] by the primitive remainder sequence;
+    primitive with a positive leading coefficient."""
+    a, b = _zprimitive(a), _zprimitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = _zprem(a, b)
+        if not r:
+            return b
+        a, b = b, _zprimitive(r)
+    return (1,)
+
+
+def _zgcd(a: tuple[int, ...], b: tuple[int, ...]
+          ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """(g, a/g, b/g) for primitive a, b in Z[x], with g their gcd,
+    primitive with a positive leading coefficient.
+
+    GCDHEU: evaluate at an integer xi, take the integer gcd, read its
+    balanced base-xi digits back as a polynomial H, and accept pp(H) if it
+    divides a and b. With xi >= 2 min(|a|, |b|) + 2 (max norms) an accepted
+    pp(H) is the gcd: if gcd = pp(H) k with k nonconstant, every root of k
+    is a root of a (or b), so |k(xi)| > (xi/2)^deg k >= xi/2, while k(xi)
+    must divide the content of H, which is at most xi/2. Six growing
+    points are tried before the remainder sequence.
+
+    >>> _zgcd((-1, 0, 1), (1, 2, 1))
+    ((1, 1), (-1, 1), (1, 1))
+    """
+    if len(a) == 1 or len(b) == 1:
+        return (1,), a, b
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    for _ in range(6):
+        h = int_gcd(_zeval(a, xi), _zeval(b, xi))
+        half = xi // 2
+        digits = []
+        while h:
+            r = h % xi
+            if r > half:
+                r -= xi
+            digits.append(r)
+            h = (h - r) // xi
+        if len(digits) == 1:
+            return (1,), a, b
+        g = _zprimitive(tuple(digits))
+        qa = _zdiv(a, g)
+        if qa is not None:
+            qb = _zdiv(b, g)
+            if qb is not None:
+                return g, qa, qb
+        xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
+    g = _zgcd_prs(a, b)
+    return g, _zdiv(a, g), _zdiv(b, g)
+
+
+# ---------------------------------------------------------------------------
+# ordinary polynomials over Q: tuples of Fractions, low degree first, no
+# trailing zero (the extended gcd behind Cyclotomic.inv)
 # ---------------------------------------------------------------------------
 
 def _ptrim(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
@@ -91,28 +221,6 @@ def _pdivmod(a: tuple[Fraction, ...], b: tuple[Fraction, ...]
     return _ptrim(quo), _ptrim(rem)
 
 
-def _pdivexact(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    q, r = _pdivmod(a, b)
-    if r:
-        raise ArithmeticError("division not exact")
-    return q
-
-
-def _pmonic(a: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    if not a or a[-1] == 1:
-        return a
-    lead = a[-1]
-    return tuple(c / lead for c in a)
-
-
-def _pgcd(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    """Monic gcd in Q[x]; gcd(0, a) = monic(a)."""
-    while b:
-        a, b = b, _pdivmod(a, b)[1]
-        b = _pmonic(b)
-    return _pmonic(a)
-
-
 def _psub(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     n = max(len(a), len(b))
     return _ptrim([(a[i] if i < len(a) else ZERO_F) - (b[i] if i < len(b) else ZERO_F)
@@ -139,10 +247,58 @@ def _pxgcd(a: tuple[Fraction, ...], b: tuple[Fraction, ...]
 # Laurent polynomials in v
 # ---------------------------------------------------------------------------
 
-class LaurentPoly:
-    """Finitely supported map exponent -> Fraction, exponents may be negative.
+def _lp(lo: int, co: tuple[int, ...], d: int = 1) -> "LaurentPoly":
+    """v^lo * (co[0] + co[1] v + ...) / d from a representation that is
+    already canonical."""
+    out = object.__new__(LaurentPoly)
+    out._lo = lo
+    out._co = co
+    out._d = d
+    return out
 
-    Immutable and hashable; no zero coefficients are stored.
+
+def _lp_norm(lo: int, co: list[int], d: int) -> "LaurentPoly":
+    """The canonical form of v^lo * (co[0] + co[1] v + ...) / d, d > 0:
+    zeros stripped at both ends and gcd(co..., d) divided out."""
+    hi = len(co)
+    while hi and not co[hi - 1]:
+        hi -= 1
+    if not hi:
+        return _LP_ZERO
+    start = 0
+    while not co[start]:
+        start += 1
+    if start or hi < len(co):
+        co = co[start:hi]
+    if d != 1:
+        g = int_gcd(d, *co)
+        if g != 1:
+            co = [x // g for x in co]
+            d //= g
+    return _lp(lo + start, tuple(co), d)
+
+
+def _lp_scaled(lo: int, co: tuple[int, ...], m: int, d: int) -> "LaurentPoly":
+    """The canonical form of v^lo * m * (co[0] + co[1] v + ...) / d, for
+    co without zeros at either end, m != 0 and d > 0."""
+    if m != 1:
+        co = tuple([x * m for x in co])
+    if d != 1:
+        g = int_gcd(d, *co)
+        if g != 1:
+            co = tuple([x // g for x in co])
+            d //= g
+    return _lp(lo, co, d)
+
+
+class LaurentPoly:
+    """Laurent polynomial in v over Q, immutable and hashable.
+
+    Stored as integers: the value is v^lo * (c_0 + c_1 v + ... + c_k v^k)
+    / d with c_0 and c_k nonzero, d > 0 and gcd(c_0, ..., c_k, d) = 1, so
+    equal values have equal representations. Build one from an exponent ->
+    coefficient map with the constructor, and read that map back with
+    `coeffs`; no other code depends on the storage.
 
     >>> p = LaurentPoly.monomial(2) - LaurentPoly.one()
     >>> p
@@ -151,109 +307,121 @@ class LaurentPoly:
     -1 + v^-2
     >>> p(Fraction(3))
     Fraction(8, 1)
+    >>> LaurentPoly({-1: Fraction(1, 2), 1: 3}).coeffs()
+    {-1: Fraction(1, 2), 1: Fraction(3, 1)}
     """
 
-    __slots__ = ("c", "_key")
+    __slots__ = ("_lo", "_co", "_d")
 
-    def __init__(self, coeffs: dict[int, Fraction] | None = None):
-        c = {}
-        if coeffs:
-            for e, x in coeffs.items():
-                if x:
-                    c[e] = x if type(x) is Fraction else Fraction(x)
-        self.c = c
-        self._key = tuple(sorted(c.items()))
-
-    @classmethod
-    def _raw(cls, c: dict[int, Fraction]) -> "LaurentPoly":
-        out = object.__new__(cls)
-        out.c = c
-        out._key = tuple(sorted(c.items()))
-        return out
+    def __init__(self, coeffs: dict[int, Fraction | int] | None = None):
+        terms = [(e, Fraction(x)) for e, x in (coeffs or {}).items() if x]
+        if not terms:
+            self._lo, self._co, self._d = 0, (), 1
+            return
+        # over the lcm of reduced denominators, the numerators share no
+        # prime with it: each p^e dividing it exactly divides one denominator
+        d = lcm(*(x.denominator for _, x in terms))
+        lo = min(e for e, _ in terms)
+        co = [0] * (max(e for e, _ in terms) - lo + 1)
+        for e, x in terms:
+            co[e - lo] = x.numerator * (d // x.denominator)
+        self._lo, self._co, self._d = lo, tuple(co), d
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls._raw({})
+        return _LP_ZERO
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls._raw({0: ONE_F})
+        return _LP_ONE
 
     @classmethod
     def monomial(cls, exp: int, coeff: Fraction | int = 1) -> "LaurentPoly":
         coeff = Fraction(coeff)
-        return cls._raw({exp: coeff} if coeff else {})
+        if not coeff:
+            return _LP_ZERO
+        return _lp(exp, (coeff.numerator,), coeff.denominator)
 
     @classmethod
     def const(cls, a: Fraction | int) -> "LaurentPoly":
         return cls.monomial(0, a)
 
-    @classmethod
-    def from_ordinary(cls, shift: int, coeffs: Iterable[Fraction]) -> "LaurentPoly":
-        return cls._raw({shift + i: x for i, x in enumerate(coeffs) if x})
+    def coeffs(self) -> dict[int, Fraction]:
+        """The nonzero coefficients, exponent -> Fraction, by increasing
+        exponent."""
+        lo, d = self._lo, self._d
+        return {lo + i: Fraction(x, d) for i, x in enumerate(self._co) if x}
 
     def __bool__(self) -> bool:
-        return bool(self.c)
-
-    def is_one(self) -> bool:
-        return self.c == {0: ONE_F}
+        return bool(self._co)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, LaurentPoly) and self._key == other._key
+        return (isinstance(other, LaurentPoly) and self._lo == other._lo
+                and self._d == other._d and self._co == other._co)
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash(tuple(self.coeffs().items()))
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        c = dict(self.c)
-        for e, x in other.c.items():
-            y = c.get(e)
-            if y is None:
-                c[e] = x
-            else:
-                y = y + x
-                if y:
-                    c[e] = y
-                else:
-                    del c[e]
-        return LaurentPoly._raw(c)
+        ca, cb = self._co, other._co
+        if not ca:
+            return other
+        if not cb:
+            return self
+        d = self._d
+        if d != other._d:
+            g = int_gcd(d, other._d)
+            ma, mb = other._d // g, d // g
+            ca = [x * ma for x in ca]
+            cb = [x * mb for x in cb]
+            d *= ma
+        la, lb = self._lo, other._lo
+        if la > lb:
+            la, lb, ca, cb = lb, la, cb, ca
+        out = list(ca)
+        off = lb - la
+        if off + len(cb) > len(out):
+            out.extend([0] * (off + len(cb) - len(out)))
+        for j, y in enumerate(cb, off):
+            out[j] += y
+        return _lp_norm(la, out, d)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._raw({e: -x for e, x in self.c.items()})
+        return _lp(self._lo, tuple([-x for x in self._co]), self._d)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        a, b = self.c, other.c
+        a, b = self._co, other._co
         if not a or not b:
-            return LaurentPoly._raw({})
+            return _LP_ZERO
         if len(a) > len(b):
             a, b = b, a
-        c: dict[int, Fraction] = {}
-        for ea, xa in a.items():
-            for eb, xb in b.items():
-                e = ea + eb
-                y = c.get(e)
-                if y is None:
-                    c[e] = xa * xb
-                else:
-                    y = y + xa * xb
-                    if y:
-                        c[e] = y
-                    else:
-                        del c[e]
-        return LaurentPoly._raw(c)
-
-    def scale(self, a: Fraction) -> "LaurentPoly":
-        if not a:
-            return LaurentPoly._raw({})
-        return LaurentPoly._raw({e: x * a for e, x in self.c.items()})
+        if len(a) == 1:
+            x = a[0]
+            co = b if x == 1 else tuple([x * y for y in b])
+        else:
+            # integer convolution: no zero divisors, so the ends stay nonzero
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b, i):
+                        if y:
+                            out[j] += x * y
+            co = tuple(out)
+        d = self._d * other._d
+        if d != 1:
+            g = int_gcd(d, *co)
+            if g != 1:
+                co = tuple([x // g for x in co])
+                d //= g
+        return _lp(self._lo + other._lo, co, d)
 
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
             raise ValueError("negative power of a Laurent polynomial")
-        out = LaurentPoly.one()
+        out = _LP_ONE
         base = self
         while k:
             if k & 1:
@@ -264,40 +432,43 @@ class LaurentPoly:
 
     def bar(self) -> "LaurentPoly":
         """The involution v -> v^{-1}."""
-        return LaurentPoly._raw({-e: x for e, x in self.c.items()})
-
-    def valuation(self) -> int:
-        if not self.c:
-            raise ValueError("valuation of zero")
-        return min(self.c)
-
-    def degree(self) -> int:
-        if not self.c:
-            raise ValueError("degree of zero")
-        return max(self.c)
-
-    def to_ordinary(self) -> tuple[int, tuple[Fraction, ...]]:
-        """Split off the Laurent unit: self = v^shift * (ordinary poly p),
-        with p(0) != 0. Zero maps to (0, ())."""
-        if not self.c:
-            return 0, ()
-        shift = min(self.c)
-        top = max(self.c)
-        return shift, tuple(self.c.get(shift + i, ZERO_F) for i in range(top - shift + 1))
+        co = self._co
+        if not co:
+            return self
+        return _lp(-(self._lo + len(co) - 1), co[::-1], self._d)
 
     def __call__(self, v0: Fraction) -> Fraction:
-        if not self.c:
+        v0 = Fraction(v0)
+        co = self._co
+        if not co:
             return ZERO_F
-        if v0 == 0 and min(self.c) < 0:
+        lo = self._lo
+        p, q = v0.numerator, v0.denominator
+        if not p and lo < 0:
             raise ZeroDivisionError("evaluating negative powers at v=0")
-        return sum((x * v0 ** e for e, x in self.c.items()), ZERO_F)
+        # acc = sum co[i] p^i q^(k-i), so the ordinary part is acc / q^k
+        acc, qk = 0, 1
+        for c in reversed(co):
+            acc = acc * p + c * qk
+            qk *= q
+        den = qk // q * self._d
+        if lo >= 0:
+            return Fraction(acc * p ** lo, den * q ** lo)
+        return Fraction(acc * q ** -lo, den * p ** -lo)
 
     def __repr__(self) -> str:
-        if not self.c:
+        co = self._co
+        if not co:
             return "0"
+        lo, d = self._lo, self._d
         parts = []
-        for e in sorted(self.c, reverse=True):
-            x = self.c[e]
+        for i in range(len(co) - 1, -1, -1):
+            x = co[i]
+            if not x:
+                continue
+            if d != 1:
+                x = Fraction(x, d)
+            e = lo + i
             if e == 0:
                 body = str(x)
             else:
@@ -315,14 +486,21 @@ class LaurentPoly:
         return out
 
 
-LaurentPoly.ZERO = LaurentPoly.zero()
-LaurentPoly.ONE = LaurentPoly.one()
-LaurentPoly.V = LaurentPoly.monomial(1)
+_LP_ZERO = _lp(0, ())
+_LP_ONE = _lp(0, (1,))
+LaurentPoly.V = _lp(1, (1,))
 
 
 # ---------------------------------------------------------------------------
 # the field Q(v)
 # ---------------------------------------------------------------------------
+
+def _rf(num: LaurentPoly, den: LaurentPoly) -> "RationalFunctionScalar":
+    out = object.__new__(RationalFunctionScalar)
+    out.num = num
+    out.den = den
+    return out
+
 
 class RationalFunctionScalar:
     """Element of Q(v) in canonical form.
@@ -332,6 +510,13 @@ class RationalFunctionScalar:
     the numerator. Canonical means `==` on representations decides
     equality of values.
 
+    Inside, den is a primitive integer polynomial D with a positive
+    leading coefficient l, stored as D / l, and `make` computes on the
+    primitive parts of both sides, so every polynomial gcd runs over Z[x].
+    A Laurent value (den = 1) is the common case: sums and products of two
+    of them are Laurent operations, and a Laurent polynomial plus n/D is
+    (L D + n)/D, already in lowest terms.
+
     >>> v = RationalFunctionScalar.V
     >>> x = (v**2 - RationalFunctionScalar.ONE) / (v - v**3)
     >>> x
@@ -340,6 +525,8 @@ class RationalFunctionScalar:
     True
     >>> (RationalFunctionScalar.ONE / (v + RationalFunctionScalar.ONE)).den
     v + 1
+    >>> (v + 1) / (2 * v + 3)
+    (1/2*v + 1/2)/(v + 3/2)
     """
 
     __slots__ = ("num", "den")
@@ -355,44 +542,48 @@ class RationalFunctionScalar:
 
     @staticmethod
     def make(num: LaurentPoly, den: LaurentPoly) -> "RationalFunctionScalar":
-        if not den:
+        dco = den._co
+        if not dco:
             raise ZeroDivisionError("rational function with zero denominator")
-        if not num:
+        nco = num._co
+        if not nco:
             return RF_ZERO
-        if den.is_one():
-            return RationalFunctionScalar(num, LaurentPoly.ONE, _canonical=True)
-        a, pn = num.to_ordinary()
-        b, pd = den.to_ordinary()
-        g = _pgcd(pn, pd)
-        if len(g) > 1:
-            pn = _pdivexact(pn, g)
-            pd = _pdivexact(pd, g)
-        lead = pd[-1]
-        if lead != 1:
-            pn = tuple(x / lead for x in pn)
-            pd = tuple(x / lead for x in pd)
-        return RationalFunctionScalar(
-            LaurentPoly.from_ordinary(a - b, pn),
-            LaurentPoly.from_ordinary(0, pd),
-            _canonical=True,
-        )
+        shift = num._lo - den._lo
+        if len(dco) == 1:
+            # a monomial or a constant: the quotient is a Laurent polynomial
+            c = dco[0]
+            return _rf(_lp_scaled(shift, nco, den._d if c > 0 else -den._d,
+                                  num._d * abs(c)), _LP_ONE)
+        gn = int_gcd(*nco)
+        n = nco if gn == 1 else tuple([x // gn for x in nco])
+        gd = int_gcd(*dco)
+        if dco[-1] < 0:
+            gd = -gd
+        d = dco if gd == 1 else tuple([x // gd for x in dco])
+        if len(n) > 1:
+            _, n, d = _zgcd(n, d)
+        # num/den = v^shift * (gn den._d) / (gd num._d) * n/d, with n, d
+        # coprime and d primitive; the canonical denominator is d / lead
+        lead = d[-1]
+        cn, cd = gn * den._d, gd * num._d * lead
+        if cd < 0:
+            cn, cd = -cn, -cd
+        return _rf(_lp_scaled(shift, n, cn, cd),
+                   _LP_ONE if len(d) == 1 else _lp(0, d, lead))
 
     @classmethod
     def from_laurent(cls, p: LaurentPoly) -> "RationalFunctionScalar":
-        return cls(p, LaurentPoly.ONE, _canonical=True)
+        return _rf(p, _LP_ONE)
 
     @classmethod
     def const(cls, a: Fraction | int) -> "RationalFunctionScalar":
-        return cls.from_laurent(LaurentPoly.const(a))
+        return _rf(LaurentPoly.const(a), _LP_ONE)
 
     def __bool__(self) -> bool:
-        return bool(self.num)
-
-    def is_laurent(self) -> bool:
-        return self.den.is_one()
+        return bool(self.num._co)
 
     def as_laurent(self) -> LaurentPoly:
-        if not self.den.is_one():
+        if len(self.den._co) != 1:
             raise ValueError(f"not a Laurent polynomial: {self!r}")
         return self.num
 
@@ -418,15 +609,31 @@ class RationalFunctionScalar:
         other = RationalFunctionScalar._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den == other.den:
-            return RationalFunctionScalar.make(self.num + other.num, self.den)
-        return RationalFunctionScalar.make(
-            self.num * other.den + other.num * self.den, self.den * other.den)
+        a, b = self.num, other.num
+        if not a._co:
+            return other
+        if not b._co:
+            return self
+        da, db = self.den, other.den
+        # L + n/D = (L D + n)/D is in lowest terms, since gcd(n, D) = 1
+        if len(da._co) == 1:
+            if len(db._co) == 1:
+                return _rf(a + b, _LP_ONE)
+            return _rf(a * db + b, db)
+        if len(db._co) == 1:
+            return _rf(a + b * da, da)
+        if da == db:
+            return RationalFunctionScalar.make(a + b, da)
+        num = a * db + b * da
+        if len(_zgcd(da._co, db._co)[0]) == 1:
+            # coprime denominators: num shares no factor with either
+            return _rf(num, da * db)
+        return RationalFunctionScalar.make(num, da * db)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RationalFunctionScalar":
-        return RationalFunctionScalar(-self.num, self.den, _canonical=True)
+        return _rf(-self.num, self.den)
 
     def __sub__(self, other) -> "RationalFunctionScalar":
         other = RationalFunctionScalar._coerce(other)
@@ -441,18 +648,27 @@ class RationalFunctionScalar:
         other = RationalFunctionScalar._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den.is_one() and other.den.is_one():
-            return RationalFunctionScalar(self.num * other.num, LaurentPoly.ONE,
-                                          _canonical=True)
-        # cross-reduce before multiplying to keep degrees down
-        a = RationalFunctionScalar.make(self.num, other.den)
-        b = RationalFunctionScalar.make(other.num, self.den)
-        return RationalFunctionScalar.make(a.num * b.num, a.den * b.den)
+        a, b = self.num, other.num
+        if not a._co or not b._co:
+            return RF_ZERO
+        da, db = self.den, other.den
+        # cross-reduce num against the other den; what is left is coprime
+        # across as well, so the product needs no further gcd
+        if len(da._co) == 1:
+            if len(db._co) == 1:
+                return _rf(a * b, _LP_ONE)
+            x = RationalFunctionScalar.make(a, db)
+            return _rf(x.num * b, x.den)
+        y = RationalFunctionScalar.make(b, da)
+        if len(db._co) == 1:
+            return _rf(a * y.num, y.den)
+        x = RationalFunctionScalar.make(a, db)
+        return _rf(x.num * y.num, x.den * y.den)
 
     __rmul__ = __mul__
 
     def inv(self) -> "RationalFunctionScalar":
-        if not self.num:
+        if not self.num._co:
             raise ZeroDivisionError("inverting zero")
         return RationalFunctionScalar.make(self.den, self.num)
 
@@ -491,38 +707,21 @@ class RationalFunctionScalar:
         return self.num(v0) / d
 
     def __repr__(self) -> str:
-        if self.den.is_one():
+        if len(self.den._co) == 1:
             return repr(self.num)
         num = repr(self.num)
-        if len(self.num.c) > 1:
+        co = self.num._co
+        if len(co) - co.count(0) > 1:
             num = f"({num})"
         return f"{num}/({self.den!r})"
 
 
 RF = RationalFunctionScalar
-RF_ZERO = RF(LaurentPoly.ZERO, LaurentPoly.ONE, _canonical=True)
+RF_ZERO = _rf(_LP_ZERO, _LP_ONE)
 RF.ZERO = RF_ZERO
-RF.ONE = RF.from_laurent(LaurentPoly.ONE)
+RF.ONE = RF.from_laurent(_LP_ONE)
 RF.V = RF.from_laurent(LaurentPoly.V)
 RF.VI = RF.from_laurent(LaurentPoly.monomial(-1))
-
-
-def rf_arith(a: RF, b: RF, op: str) -> RF:
-    """Field arithmetic dispatch; op in {add, sub, mul, div}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def rf_specialize(a: RF, v0: Fraction) -> Fraction:
-    """Evaluate at a nonzero rational v0; poles raise."""
-    return a.specialize(v0)
 
 
 # ---------------------------------------------------------------------------
@@ -548,14 +747,10 @@ def cyclotomic_poly(N: int) -> tuple[int, ...]:
     got = _CYC_POLY_CACHE.get(N)
     if got is not None:
         return got
-    num = [ZERO_F] * (N + 1)
-    num[0] = Fraction(-1)
-    num[N] = ONE_F
-    rem = _ptrim(num)
+    out = (-1,) + (0,) * (N - 1) + (1,)
     for d in range(1, N):
         if N % d == 0:
-            rem = _pdivexact(rem, tuple(Fraction(c) for c in cyclotomic_poly(d)))
-    out = tuple(int(c) for c in rem)
+            out = _zdiv(out, cyclotomic_poly(d))
     _CYC_POLY_CACHE[N] = out
     return out
 

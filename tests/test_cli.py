@@ -34,6 +34,18 @@ def test_dim_json_round_trip(tmp_path):
     assert json.loads(json.dumps(report)) == report
 
 
+
+@pytest.mark.parametrize("mode", ["subset", "aggregation"])
+def test_dim_row_sum_is_checked_against_the_recurrence(mode, monkeypatch,
+                                                        tmp_path):
+    monkeypatch.setattr(cli, "dim_recurrence", lambda n: 21)
+    code, text = run_cli(["dim", "--n", "2", "--mode", mode], tmp_path)
+    report = json.loads(text)
+    assert code == 1 and report["row_sum_matches"] is False
+    assert report["total"] == 20
+    code, text = run_cli(["dim-rank", "--n", "2"], tmp_path)
+    assert code == 1 and json.loads(text)["formula_dimension"] == 21
+
 def test_dim_csv_schema(tmp_path):
     code, text = run_cli(["dim", "--n", "2", "--format", "csv"], tmp_path)
     assert code == 0

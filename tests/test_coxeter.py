@@ -18,6 +18,7 @@ from braidties.coxeter import (
     d_subset,
     d_subset_bruteforce,
     dim_C,
+    dim_recurrence,
     dimension_rows,
     discrete_partition,
     howlett_order,
@@ -223,6 +224,25 @@ def test_dim_known_values():
     assert dim_C(4) == 3364
     assert dim_C(12) == 47875219836485209
 
+
+# the published dimension sequence, n = 0..12
+PUBLISHED_DIMENSIONS = (1, 3, 20, 217, 3364, 71098, 1960867, 67886033,
+                        2871659468, 145498348666, 8683447971439,
+                        601843453126056, 47875219836485209)
+
+
+def test_dim_recurrence_published_values():
+    assert tuple(dim_recurrence(n) for n in range(13)) == PUBLISHED_DIMENSIONS
+    with pytest.raises(ValueError):
+        dim_recurrence(-1)
+
+
+@pytest.mark.parametrize("ns", [range(41), pytest.param(
+    range(41, 51), marks=pytest.mark.slow)], ids=["n0-40", "n41-50"])
+def test_dim_recurrence_matches_dim_C(ns):
+    # together, every n the aggregation mode accepts
+    for n in ns:
+        assert dim_recurrence(n) == dim_C(n), n
 
 def test_canonical_subset():
     assert canonical_subset((2, 1)) == (1, 2, 4)

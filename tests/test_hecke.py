@@ -153,7 +153,7 @@ def test_canonical_bar_invariant_all_s4():
             if y == w:
                 continue
             f = cw.coeff_tilde(y).as_laurent()
-            assert all(e > 0 and c.denominator == 1 for e, c in f.c.items())
+            assert all(e > 0 and c.denominator == 1 for e, c in f.coeffs().items())
 
 
 def test_canonical_formula_matches_bar_oracle_all_s4():

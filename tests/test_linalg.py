@@ -1,16 +1,17 @@
-"""Tests for the sparse-combination core and the exact echelon."""
+"""Tests for the sparse-combination core, the exact echelon and the mod-p
+echelon."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from braidties.btalg import (BTElement, bt_mul, g_element, kl_lift, lmul_g,
-                             to_vector)
+from braidties.btalg import (_SPECIALIZE_PRIMES, BTElement, bt_mul,
+                             g_element, kl_lift, lmul_g, to_vector)
 from braidties.coxeter import all_perms, simple_perm
 from braidties.finite_model import SparseOperator, build_model
 from braidties.hecke import HeckeElement, canonical_basis
-from braidties.linalg import Echelon, solve
+from braidties.linalg import Echelon, ModPEchelon, solve
 from braidties.monodromic import MonodromicElement, pi_L, torus_character
 from braidties.scalars import Cyclotomic, RationalFunctionScalar as RF
 
@@ -149,3 +150,81 @@ def test_solve_rejects_singular_and_inconsistent_systems():
     with pytest.raises(ValueError, match="inconsistent"):
         solve([a, b], {2: F(1), 0: F(1)}, F(1))
     assert solve([a, b], {0: F(2), 1: F(5), 2: F(1)}, F(1)) == [F(2), F(1)]
+
+
+# ---------------------------------------------------------------------------
+# ModPEchelon against a pure-Python elimination over F_p
+# ---------------------------------------------------------------------------
+
+def _rref_mod_p(rows, ncols, p):
+    """(pivot columns, nonzero rows) of the reduced row echelon form of
+    integer rows over F_p, by Gauss-Jordan elimination on Python ints."""
+    rows = [[x % p for x in r] for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        found = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if found is None:
+            continue
+        rows[r], rows[found] = rows[found], rows[r]
+        inv = pow(rows[r][c], p - 2, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return pivots, rows[:len(pivots)]
+
+
+def _planted_rank_rows(rng, nrows, ncols, rank, p):
+    """nrows random rows over F_p spanning a space of dimension at most
+    rank: products of random nrows x rank and rank x ncols factors, with
+    zero columns, repeated rows and zero rows mixed in."""
+    basis = [[rng.randrange(p) if rng.random() < 0.8 else 0
+              for _ in range(ncols)] for _ in range(rank)]
+    rows = []
+    for _ in range(nrows):
+        if rows and rng.random() < 0.1:
+            rows.append(list(rng.choice(rows)))
+            continue
+        coef = [rng.randrange(p) for _ in range(rank)]
+        rows.append([sum(a * b[j] for a, b in zip(coef, basis)) % p
+                     for j in range(ncols)])
+    return rows
+
+
+@pytest.mark.parametrize("p", _SPECIALIZE_PRIMES)
+def test_modp_echelon_matches_integer_elimination(p):
+    import numpy as np
+
+    rng = random.Random(p)
+    for trial in range(12):
+        ncols = rng.randint(1, 30)
+        rank = rng.randint(0, min(ncols, 12))
+        nrows = rng.randint(0, 25)
+        rows = _planted_rank_rows(rng, nrows, ncols, rank, p)
+        ech = ModPEchelon(ncols, p)
+        start, gained = 0, 0
+        while start < nrows:
+            stop = rng.randint(start + 1, nrows)
+            gained += ech.add_batch(np.array(rows[start:stop], dtype=float))
+            start = stop
+        pivots, ref_rows = _rref_mod_p(rows, ncols, p)
+        assert ech.rank == gained == len(pivots), trial
+        assert sorted(ech.pivots) == pivots, trial
+        E = ech.E
+        assert E.shape == (len(pivots), ncols)
+        assert np.array_equal(E[:, ech.pivots], np.eye(len(pivots)))
+        stored = [[int(x) for x in row] for row in E]
+        assert all(0 <= x < p for row in stored for x in row)
+        # the same row space: equal reduced row echelon forms
+        assert _rref_mod_p(stored, ncols, p) == (pivots, ref_rows), trial
+
+
+@pytest.mark.parametrize("p", _SPECIALIZE_PRIMES)
+def test_modp_echelon_refuses_inexact_widths(p):
+    widest = (2 ** 53 - 1) // (p - 1) ** 2
+    assert ModPEchelon(widest, p).ncols == widest
+    with pytest.raises(ValueError):
+        ModPEchelon(widest + 1, p)

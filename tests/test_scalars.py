@@ -1,4 +1,5 @@
-"""Exact-scalar layer: canonical forms, field axioms, cyclotomics."""
+"""Exact-scalar layer: canonical forms, field axioms, cyclotomics, and
+differential tests against Fraction-coefficient references."""
 
 import random
 from fractions import Fraction
@@ -11,8 +12,6 @@ from braidties.scalars import (
     LaurentPoly,
     RationalFunctionScalar as RF,
     cyclotomic_poly,
-    rf_arith,
-    rf_specialize,
 )
 
 V = RF.V
@@ -36,23 +35,23 @@ def rand_rf(rng, zero_ok=True):
 
 def test_laurent_basics():
     p = LaurentPoly.monomial(2) - LaurentPoly.one()
-    assert p.c == {2: Fraction(1), 0: Fraction(-1)}
-    assert p.bar().c == {-2: Fraction(1), 0: Fraction(-1)}
+    assert p.coeffs() == {2: Fraction(1), 0: Fraction(-1)}
+    assert p.bar().coeffs() == {-2: Fraction(1), 0: Fraction(-1)}
     assert p(Fraction(3)) == 8
-    shift, coeffs = (p * LaurentPoly.monomial(-5)).to_ordinary()
-    assert shift == -5 and coeffs == (Fraction(-1), Fraction(0), Fraction(1))
-    assert LaurentPoly.from_ordinary(shift, coeffs) == p * LaurentPoly.monomial(-5)
+    shifted = p * LaurentPoly.monomial(-5)
+    assert shifted.coeffs() == {-5: Fraction(-1), -3: Fraction(1)}
+    assert LaurentPoly(shifted.coeffs()) == shifted
 
 
 def test_rf_arith_examples():
     # multiplicative identity
-    assert rf_arith(V * V - 1, ONE, "mul") == V * V - 1
+    assert (V * V - 1) * ONE == V * V - 1
     # monomial cancellation
-    assert rf_arith(V - V ** 3, V, "div") == 1 - V * V
+    assert (V - V ** 3) / V == 1 - V * V
     # canonicalization collapses (v^2-1)/(v-v^3) to -v^{-1}
-    x = rf_arith(V * V - 1, V - V ** 3, "div")
+    x = (V * V - 1) / (V - V ** 3)
     assert x == -(V ** -1)
-    assert x.den.is_one()
+    assert x.den == LaurentPoly.one()
     for v0 in (Fraction(2), Fraction(3)):
         assert x.specialize(v0) == (v0 * v0 - 1) / (v0 - v0 ** 3)
 
@@ -60,18 +59,19 @@ def test_rf_arith_examples():
 def test_rf_canonical_denominator():
     x = ONE / (V + 1)
     # monic, ordinary, nonzero constant term
-    assert min(x.den.c) == 0 and x.den.c[max(x.den.c)] == 1 and x.den.c.get(0)
+    den = x.den.coeffs()
+    assert min(den) == 0 and den[max(den)] == 1 and den.get(0)
     y = (V ** -1) / (V + 1)  # unit absorbed into numerator
-    assert min(y.den.c) == 0 and y.num == LaurentPoly.monomial(-1)
+    assert min(y.den.coeffs()) == 0 and y.num == LaurentPoly.monomial(-1)
 
 
 def test_rf_specialize_examples():
-    assert rf_specialize(V * V - 1, Fraction(2)) == 3
+    assert (V * V - 1).specialize(Fraction(2)) == 3
     with pytest.raises(ZeroDivisionError):
-        rf_specialize(ONE / (V - 1), Fraction(1))
-    assert rf_specialize((V * V - 1) / (V - V ** 3), Fraction(2)) == Fraction(-1, 2)
+        (ONE / (V - 1)).specialize(Fraction(1))
+    assert ((V * V - 1) / (V - V ** 3)).specialize(Fraction(2)) == Fraction(-1, 2)
     with pytest.raises(ZeroDivisionError):
-        rf_specialize(V ** -1, Fraction(0))
+        (V ** -1).specialize(Fraction(0))
 
 
 def test_rf_field_axioms_sampled():
@@ -90,10 +90,12 @@ def test_rf_association_orders_bit_identical():
         xs = [rand_rf(rng) for _ in range(4)]
         left = ((xs[0] + xs[1]) + xs[2]) + xs[3]
         right = xs[0] + (xs[1] + (xs[2] + xs[3]))
-        assert left.num._key == right.num._key and left.den._key == right.den._key
+        assert (left.num, left.den) == (right.num, right.den)
+        assert repr(left) == repr(right) and hash(left) == hash(right)
         lp = (xs[0] * xs[1]) * (xs[2] * xs[3])
         rp = xs[0] * ((xs[1] * xs[2]) * xs[3])
-        assert lp.num._key == rp.num._key and lp.den._key == rp.den._key
+        assert (lp.num, lp.den) == (rp.num, rp.den)
+        assert repr(lp) == repr(rp) and hash(lp) == hash(rp)
 
 
 def test_rf_bar_involution():
@@ -121,6 +123,313 @@ def test_rf_specialize_is_ring_hom():
             continue
         assert sv == av + bv and pv == av * bv
         done += 1
+
+
+# ---------------------------------------------------------------------------
+# differential test of Q(v) against a Fraction-coefficient reference
+# ---------------------------------------------------------------------------
+
+def _rtrim(coeffs):
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _rdivmod(a, b):
+    """Euclidean division in Q[x] on Fraction tuples, low degree first."""
+    rem = list(a)
+    if len(rem) < len(b):
+        return (), _rtrim(rem)
+    quo = [Fraction(0)] * (len(rem) - len(b) + 1)
+    for k in range(len(quo) - 1, -1, -1):
+        f = rem[k + len(b) - 1] / b[-1]
+        quo[k] = f
+        for j, cb in enumerate(b):
+            rem[k + j] -= f * cb
+    return _rtrim(quo), _rtrim(rem)
+
+
+def _rmonic(a):
+    return tuple(c / a[-1] for c in a) if a else a
+
+
+def _rgcd(a, b):
+    """Monic gcd in Q[x] by the Euclidean algorithm."""
+    while b:
+        a, b = b, _rmonic(_rdivmod(a, b)[1])
+    return _rmonic(a)
+
+
+class RefLaurent:
+    """Q[v, v^-1] as a dict exponent -> nonzero Fraction."""
+
+    def __init__(self, c):
+        self.c = {e: Fraction(x) for e, x in c.items() if x}
+        self.key = tuple(sorted(self.c.items()))
+
+    def __eq__(self, other):
+        return self.key == other.key
+
+    def __hash__(self):
+        return hash(self.key)
+
+    def __bool__(self):
+        return bool(self.c)
+
+    def __add__(self, other):
+        c = dict(self.c)
+        for e, x in other.c.items():
+            c[e] = c.get(e, 0) + x
+        return RefLaurent(c)
+
+    def __neg__(self):
+        return RefLaurent({e: -x for e, x in self.c.items()})
+
+    def __mul__(self, other):
+        c = {}
+        for ea, xa in self.c.items():
+            for eb, xb in other.c.items():
+                c[ea + eb] = c.get(ea + eb, 0) + xa * xb
+        return RefLaurent(c)
+
+    def bar(self):
+        return RefLaurent({-e: x for e, x in self.c.items()})
+
+    def __call__(self, v0):
+        return sum((x * v0 ** e for e, x in self.c.items()), Fraction(0))
+
+    def split(self):
+        """(shift, ordinary Fraction tuple) with self = v^shift * poly."""
+        lo, hi = min(self.c), max(self.c)
+        return lo, tuple(self.c.get(lo + i, Fraction(0)) for i in range(hi - lo + 1))
+
+    def __repr__(self):
+        if not self.c:
+            return "0"
+        parts = []
+        for e in sorted(self.c, reverse=True):
+            x = self.c[e]
+            if e == 0:
+                parts.append(str(x))
+                continue
+            ve = "v" if e == 1 else f"v^{e}"
+            parts.append(ve if x == 1 else "-" + ve if x == -1 else f"{x}*{ve}")
+        out = parts[0]
+        for body in parts[1:]:
+            out += " - " + body[1:] if body.startswith("-") else " + " + body
+        return out
+
+
+REF_ONE = RefLaurent({0: 1})
+
+
+class RefRF:
+    """Q(v) as num/den with den monic with nonzero constant term, coprime
+    to num, reduced by the Euclidean gcd in Q[x] after every operation."""
+
+    def __init__(self, num, den):
+        if not num:
+            self.num, self.den = num, REF_ONE
+            return
+        a, pn = num.split()
+        b, pd = den.split()
+        g = _rgcd(pn, pd)
+        pn, pd = _rdivmod(pn, g)[0], _rdivmod(pd, g)[0]
+        pn, pd = tuple(x / pd[-1] for x in pn), _rmonic(pd)
+        self.num = RefLaurent({a - b + i: x for i, x in enumerate(pn)})
+        self.den = RefLaurent(dict(enumerate(pd)))
+
+    def __eq__(self, other):
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def __add__(self, other):
+        return RefRF(self.num * other.den + other.num * self.den,
+                     self.den * other.den)
+
+    def __neg__(self):
+        return RefRF(-self.num, self.den)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        return RefRF(self.num * other.num, self.den * other.den)
+
+    def inv(self):
+        return RefRF(self.den, self.num)
+
+    def __truediv__(self, other):
+        return self * other.inv()
+
+    def __pow__(self, k):
+        base = self.inv() if k < 0 else self
+        out = RefRF(REF_ONE, REF_ONE)
+        for _ in range(abs(k)):
+            out = out * base
+        return out
+
+    def bar(self):
+        return RefRF(self.num.bar(), self.den.bar())
+
+    def specialize(self, v0):
+        return self.num(v0) / self.den(v0)
+
+    def __repr__(self):
+        if self.den == REF_ONE:
+            return repr(self.num)
+        num = repr(self.num)
+        if len(self.num.c) > 1:
+            num = f"({num})"
+        return f"{num}/({self.den!r})"
+
+
+def _rand_coeffs(rng, lo, hi, share, integral):
+    c = {}
+    for e in range(lo, hi + 1):
+        if rng.random() < share:
+            c[e] = (Fraction(rng.randint(-9, 9)) if integral
+                    else Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+    return c
+
+
+def _mul_coeffs(a, b):
+    out = {}
+    for ea, xa in a.items():
+        for eb, xb in b.items():
+            out[ea + eb] = out.get(ea + eb, 0) + xa * xb
+    return out
+
+
+def _rand_pair(rng, zero_ok=True):
+    """The same random element of Q(v) as (RF, RefRF). Contents are
+    integral or not; the denominator is a monomial or constant, or a
+    polynomial scaled by a random integer (non-primitive, non-monic); a
+    shared factor is planted in numerator and denominator half the time."""
+    integral = rng.random() < 0.5
+    num = _rand_coeffs(rng, -3, 3, 0.5, integral)
+    if not any(num.values()) and not zero_ok:
+        num = {rng.randint(-3, 3): Fraction(rng.randint(1, 5), rng.randint(1, 4))}
+    kind = rng.random()
+    if kind < 0.3:
+        den = {rng.randint(-3, 3): Fraction(rng.choice([1, -1, 2, -3, 6]),
+                                            rng.randint(1, 4))}
+    else:
+        den = {}
+        while not any(den.values()):
+            den = _rand_coeffs(rng, -2, 2, 0.6, integral)
+        m = rng.choice([1, 2, -3, 6])
+        den = {e: x * m for e, x in den.items()}
+        if kind < 0.65:
+            common = {}
+            while not any(common.values()):
+                common = _rand_coeffs(rng, 0, 2, 0.7, True)
+            num, den = _mul_coeffs(num, common), _mul_coeffs(den, common)
+    new = RF(LaurentPoly(num), LaurentPoly(den))
+    ref = RefRF(RefLaurent(num), RefLaurent(den))
+    return new, ref
+
+
+def assert_rf_matches(x, ref):
+    assert x.num.coeffs() == ref.num.c and x.den.coeffs() == ref.den.c
+    assert repr(x) == repr(ref)
+    assert hash(x) == hash(ref)
+    twin = RF(LaurentPoly(ref.num.c), LaurentPoly(ref.den.c))
+    assert x == twin and hash(x) == hash(twin)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rf_matches_fraction_reference(seed):
+    rng = random.Random(3000 + seed)
+    for _ in range(120):
+        (a, ra), (b, rb) = _rand_pair(rng), _rand_pair(rng)
+        assert_rf_matches(a, ra)
+        assert_rf_matches(a + b, ra + rb)
+        assert_rf_matches(a - b, ra - rb)
+        assert_rf_matches(-a, -ra)
+        assert_rf_matches(a * b, ra * rb)
+        assert_rf_matches(a.bar(), ra.bar())
+        k = rng.randint(0, 3)
+        assert_rf_matches(a ** k, ra ** k)
+        assert (a == b) == (ra == rb)
+        assert (a + b == b + a) and (a - a == RF.ZERO)
+        if b:
+            assert_rf_matches(b.inv(), rb.inv())
+            assert_rf_matches(a / b, ra / rb)
+            assert_rf_matches(b ** -2, rb ** -2)
+        v0 = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4))
+        try:
+            expected = ra.specialize(v0)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                a.specialize(v0)
+        else:
+            got = a.specialize(v0)
+            assert type(got) is Fraction and got == expected
+        q = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+        assert_rf_matches(a * q, ra * RefRF(RefLaurent({0: q}), REF_ONE))
+        assert_rf_matches(q + a, ra + RefRF(RefLaurent({0: q}), REF_ONE))
+
+
+def test_laurent_matches_fraction_reference():
+    rng = random.Random(4000)
+    for _ in range(300):
+        ca, cb = (_rand_coeffs(rng, -4, 4, 0.4, rng.random() < 0.5)
+                  for _ in range(2))
+        a, b = LaurentPoly(ca), LaurentPoly(cb)
+        ra, rb = RefLaurent(ca), RefLaurent(cb)
+        for x, rx in ((a, ra), (a + b, ra + rb), (a - b, ra + (-rb)),
+                      (a * b, ra * rb), (a.bar(), ra.bar()), (a ** 2, ra * ra)):
+            assert x.coeffs() == rx.c
+            assert repr(x) == repr(rx) and hash(x) == hash(rx)
+            assert LaurentPoly(rx.c) == x
+        v0 = Fraction(rng.choice([-2, 1, 3]), rng.randint(1, 3))
+        assert a(v0) == ra(v0) and type(a(v0)) is Fraction
+    assert LaurentPoly.zero()(Fraction(0)) == 0
+    with pytest.raises(ZeroDivisionError):
+        LaurentPoly.monomial(-1)(Fraction(0))
+
+
+def test_integer_gcd_matches_fraction_gcd():
+    from braidties.scalars import _zgcd, _zgcd_prs
+
+    rng = random.Random(5000)
+    for _ in range(300):
+        polys = []
+        for deg in (rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 3)):
+            p = [rng.randint(-20, 20) for _ in range(deg)] + [rng.choice([1, -1, 2, 7, -30])]
+            p[0] = p[0] or 1
+            polys.append(p)
+        f, g, common = polys
+        a = _mul_coeffs(dict(enumerate(f)), dict(enumerate(common)))
+        b = _mul_coeffs(dict(enumerate(g)), dict(enumerate(common)))
+        a = tuple(a[i] for i in range(len(a)))
+        b = tuple(b[i] for i in range(len(b)))
+        ca, cb = gcd(*a), gcd(*b)
+        a, b = tuple(x // ca for x in a), tuple(x // cb for x in b)
+        expected = _rgcd(tuple(map(Fraction, a)), tuple(map(Fraction, b)))
+        for h in (_zgcd(a, b)[0], _zgcd_prs(a, b)):
+            assert gcd(*h) == 1 and h[-1] > 0
+            assert _rmonic(tuple(map(Fraction, h))) == expected
+        h, qa, qb = _zgcd(a, b)
+        assert _mul_coeffs(dict(enumerate(h)), dict(enumerate(qa))) \
+            == {i: x for i, x in enumerate(a)}
+        assert _mul_coeffs(dict(enumerate(h)), dict(enumerate(qb))) \
+            == {i: x for i, x in enumerate(b)}
+
+
+def test_rf_repr_pinned():
+    half = RF.const(Fraction(1, 2))
+    assert repr((V + 1) / (2 * V + 3)) == "(1/2*v + 1/2)/(v + 3/2)"
+    assert repr(RF.const(3) / (3 * V * V + V)) == "v^-1/(v + 1/3)"
+    assert repr((V ** -2 - half) * (V - 1) / (4 * V ** 3 - 4)) \
+        == '(-1/8 + 1/4*v^-2)/(v^2 + v + 1)'
+    assert repr((6 * V ** 2 + 4) / (9 * V ** 4 - 4)) == '2/3/(v^2 - 2/3)'
+    assert repr(((V + 2) / (3 * V - 1)).bar()) == '(-2*v - 1)/(v - 3)'
+    assert repr((half * V ** -3 - 2 * V) / (-4 * V ** 2)) == '1/2*v^-1 - 1/8*v^-5'
+    assert repr(RF.ZERO) == "0" and repr(-V ** -1) == "-v^-1"
 
 
 def test_cyclotomic_poly_examples():
