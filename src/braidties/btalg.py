@@ -15,10 +15,17 @@ all hold in the model (`verify_presentation` evaluates every one), and
 multiplication is computed from them by peeling reduced words:
 $g_s\,g_u = g_{su}$ when $l(su) > l(u)$, else
 $g_s\,g_u = g_{su} + (v^2-1)e_s g_{su} + (v^2-1)e_s g_u$.
+That rule lives in one cached table per rank and generator, `_action`:
+for each basis pair $(P, w)$ the moved pair $(s(P), sw)$, the join
+$s(P) \vee \{i, i+1\}$, and whether $l(sw) < l(w)$.  `lmul_g` (for $g_s$
+and, with the $v^{-2}-1$ weight on length-up terms, $g_s^{-1}$) and the
+mod-p index arrays of `_structure_tables` both read it.
 
 The braid-image subalgebra $\mathcal{C}(v)$ is generated by the $g_s$
 alone; `c_dimension` computes its dimension by closing $\mathrm{span}\{1\}$
-under left multiplication by the generators and running exact Gaussian
+under left multiplication by the generators (one breadth-first walk,
+`_closure`, whose tagged form also expresses elements as generator words
+for the monodromic images) and running exact Gaussian
 elimination (mode ``exact``), or elimination over $\mathbb{F}_p$ at
 rational specializations of $v$ (mode ``specialized``, a lower-bound
 certificate reported per point).  `jr_span` builds the summands
@@ -132,37 +139,45 @@ def lmul_e(P: SetPartition, x: BTElement) -> BTElement:
     return x._like(out)
 
 
-def lmul_g(i: int, x: BTElement) -> BTElement:
-    """g_{s_i} * x, resolved term by term through the quadratic relation."""
-    s = simple_perm(i, x.m)
-    pair = pair_partition(i, i + 1, x.m)
-    out: dict[BasisPair, RF] = {}
-    for (P, w), c in x.terms.items():
-        sP = w_action(s, P)
-        sw = perm_mul(s, w)
-        _acc(out, (sP, sw), c)
-        if perm_length(sw) < perm_length(w):
-            joined = partition_join(sP, pair)
-            cc = c * _QM1
-            _acc(out, (joined, sw), cc)
-            _acc(out, (joined, w), cc)
-    return x._like(out)
+@lru_cache(maxsize=None)
+def basis_pairs(m: int) -> tuple[BasisPair, ...]:
+    """All (P, w) pairs, sorted; the sort order fixes elimination pivots."""
+    return tuple(sorted((P, w) for P in all_set_partitions(m)
+                        for w in all_perms(m)))
 
 
-def lmul_g_inv(i: int, x: BTElement) -> BTElement:
-    """g_{s_i}^{-1} * x, the mirror rule with v^{-2} - 1 weights."""
-    s = simple_perm(i, x.m)
-    pair = pair_partition(i, i + 1, x.m)
+@lru_cache(maxsize=None)
+def _action(m: int, i: int) -> dict[BasisPair, tuple]:
+    """How g_{s_i} acts on each basis pair (P, w), in `basis_pairs` order:
+    (moved, down, joined_sw, joined_w) with moved = (s(P), s w), down
+    whether l(s w) < l(w), and joined_* the pairs (s(P) v {i, i+1}, s w)
+    and (s(P) v {i, i+1}, w) that the quadratic relation adds."""
+    s = simple_perm(i, m)
+    pair = pair_partition(i, i + 1, m)
+    # s(P) and the join depend on P alone, s w and the descent on w alone
+    sP = {P: w_action(s, P) for P in all_set_partitions(m)}
+    joined = {P: partition_join(Q, pair) for P, Q in sP.items()}
+    sw = {w: perm_mul(s, w) for w in all_perms(m)}
+    down = {w: perm_length(u) < perm_length(w) for w, u in sw.items()}
+    return {(P, w): ((sP[P], sw[w]), down[w], (joined[P], sw[w]),
+                     (joined[P], w))
+            for P, w in basis_pairs(m)}
+
+
+def lmul_g(i: int, x: BTElement, inverse: bool = False) -> BTElement:
+    """g_{s_i} * x, or g_{s_i}^{-1} * x when inverse.  Every term moves to
+    (s(P), s w); a length-down term (length-up for the inverse) also adds
+    (v^2 - 1), resp. (v^{-2} - 1), times e_{s(P) v s} (g_{sw} + g_w)."""
+    weight = _QIM1 if inverse else _QM1
+    act = _action(x.m, i)
     out: dict[BasisPair, RF] = {}
-    for (P, w), c in x.terms.items():
-        sP = w_action(s, P)
-        sw = perm_mul(s, w)
-        _acc(out, (sP, sw), c)
-        if perm_length(sw) > perm_length(w):
-            joined = partition_join(sP, pair)
-            cc = c * _QIM1
-            _acc(out, (joined, sw), cc)
-            _acc(out, (joined, w), cc)
+    for key, c in x.terms.items():
+        moved, down, joined_sw, joined_w = act[key]
+        _acc(out, moved, c)
+        if down != inverse:
+            cc = c * weight
+            _acc(out, joined_sw, cc)
+            _acc(out, joined_w, cc)
     return x._like(out)
 
 
@@ -199,7 +214,7 @@ def g_word_inverse(w: Perm) -> BTElement:
     """g_w^{-1}, as the reversed product of simple inverses."""
     x = BTElement.unit(len(w))
     for i in reduced_word(w):
-        x = lmul_g_inv(i, x)
+        x = lmul_g(i, x, inverse=True)
     return x
 
 
@@ -212,7 +227,7 @@ def _bar_g(w: Perm) -> BTElement:
     if got is None:
         got = BTElement.unit(len(w))
         for i in reversed(reduced_word(w)):
-            got = lmul_g_inv(i, got)
+            got = lmul_g(i, got, inverse=True)
         _BAR_G[w] = got
     return got
 
@@ -321,13 +336,6 @@ def verify_presentation(n: int) -> list[tuple[str, bool]]:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def basis_pairs(m: int) -> tuple[BasisPair, ...]:
-    """All (P, w) pairs, sorted; the sort order fixes elimination pivots."""
-    return tuple(sorted((P, w) for P in all_set_partitions(m)
-                        for w in all_perms(m)))
-
-
-@lru_cache(maxsize=None)
 def _pair_index(m: int) -> dict[BasisPair, int]:
     return {k: j for j, k in enumerate(basis_pairs(m))}
 
@@ -337,31 +345,31 @@ def to_vector(x: BTElement) -> dict[int, RF]:
     return {idx[k]: c for k, c in x.terms.items()}
 
 
-_CLOSURE_CACHE: dict[int, Echelon] = {}
-
-
-def closure_echelon(n: int) -> Echelon:
+@lru_cache(maxsize=None)
+def _closure(n: int, tagged: bool) -> Echelon:
     """Exact echelon basis of C(v): close span{1} under left multiplication
-    by the g_s, eliminating over Q(v)."""
-    got = _CLOSURE_CACHE.get(n)
-    if got is not None:
-        return got
+    by the g_s, breadth first, eliminating over Q(v).  When tagged, every
+    row carries the signed generator word that produced it (letter i
+    stands for a_i = -g_i, so the tag of g_i * x is the tag of x prefixed
+    with i and negated), for `word_combo`."""
     if n > 3:
         raise ValueError("exact closure bounded at n <= 3")
     m = n + 1
     ech = Echelon()
     unit = BTElement.unit(m)
-    ech.insert(to_vector(unit))
-    frontier = [unit]
+    tag = {(): RF.ONE} if tagged else None
+    ech.insert(to_vector(unit), tag)
+    frontier = [(unit, tag)]
     while frontier:
-        new: list[BTElement] = []
-        for x in frontier:
+        new = []
+        for x, combo in frontier:
             for i in range(1, m):
                 y = lmul_g(i, x)
-                if ech.insert(to_vector(y)) is not None:
-                    new.append(y)
+                ycombo = None if combo is None else {
+                    (i,) + word: -c for word, c in combo.items()}
+                if ech.insert(to_vector(y), ycombo) is not None:
+                    new.append((y, ycombo))
         frontier = new
-    _CLOSURE_CACHE[n] = ech
     return ech
 
 
@@ -372,23 +380,17 @@ def closure_echelon(n: int) -> Echelon:
 def _structure_tables(m: int):
     import numpy as np
 
-    pairs = basis_pairs(m)
     idx = _pair_index(m)
     tables = []
     for i in range(1, m):
-        s = simple_perm(i, m)
-        pair = pair_partition(i, i + 1, m)
-        t1 = np.empty(len(pairs), dtype=np.int64)
+        act = _action(m, i).values()
+        t1 = np.array([idx[moved] for moved, _, _, _ in act], dtype=np.int64)
         src2: list[int] = []
         tgt2: list[int] = []
-        for b, (P, w) in enumerate(pairs):
-            sP = w_action(s, P)
-            sw = perm_mul(s, w)
-            t1[b] = idx[(sP, sw)]
-            if perm_length(sw) < perm_length(w):
-                joined = partition_join(sP, pair)
+        for b, (_, down, joined_sw, joined_w) in enumerate(act):
+            if down:
                 src2.extend((b, b))
-                tgt2.extend((idx[(joined, sw)], idx[(joined, w)]))
+                tgt2.extend((idx[joined_sw], idx[joined_w]))
         tables.append((t1, np.array(src2, dtype=np.int64),
                        np.array(tgt2, dtype=np.int64)))
     return tables
@@ -443,7 +445,7 @@ def c_dimension_report(n: int, mode: str = "exact", seed: int = 0,
                        points: int = 3) -> dict:
     """Dimension of C(v) with per-point detail in specialized mode."""
     if mode == "exact":
-        rank = closure_echelon(n).rank
+        rank = _closure(n, False).rank
         return {"n": n, "mode": mode, "dimension": rank, "agree": True}
     if mode != "specialized":
         raise ValueError(f"unknown mode: {mode!r}")
@@ -630,7 +632,7 @@ def jr_decomposition(n: int) -> dict:
                 inserted += 1
     dims = {R: sp.dim for R, sp in spans.items()}
     dim_sum = sum(dims.values())
-    closure_rank = closure_echelon(n).rank
+    closure_rank = _closure(n, False).rank
     return {
         "n": n,
         "dims": dims,
@@ -666,11 +668,7 @@ def word_element(word: tuple[int, ...], m: int) -> BTElement:
     a_i, letter -i is a_i^{-1}."""
     x = BTElement.unit(m)
     for letter in reversed(word):
-        if letter > 0:
-            x = lmul_g(letter, x)
-        else:
-            x = lmul_g_inv(-letter, x)
-        x = x.scale(-RF.ONE)
+        x = lmul_g(abs(letter), x, inverse=letter < 0).scale(-RF.ONE)
     return x
 
 
@@ -724,33 +722,11 @@ def kl_lift(w: Perm) -> BTElement:
     return x.scale(sign * V ** (-lw))
 
 
-@lru_cache(maxsize=None)
-def _tracked_closure(n: int) -> Echelon:
-    """Closure of span{1} under the g_s, with every row tagged by the
-    signed generator word that produced it (letter i stands for a_i = -g_i,
-    so the tag of g_i * x is the tag of x prefixed with i and negated)."""
-    m = n + 1
-    ech = Echelon()
-    unit = BTElement.unit(m)
-    ech.insert(to_vector(unit), {(): RF.ONE})
-    frontier = [(unit, {(): RF.ONE})]
-    while frontier:
-        new = []
-        for x, combo in frontier:
-            for i in range(1, m):
-                y = lmul_g(i, x)
-                ycombo = {(i,) + word: -c for word, c in combo.items()}
-                if ech.insert(to_vector(y), ycombo) is not None:
-                    new.append((y, ycombo))
-        frontier = new
-    return ech
-
-
 def word_combo(x: BTElement) -> WordCombo:
     """Express x in C(v) as a Q(v)-combination of signed generator words
     (for mapping through the monodromic surjections); raises ValueError
     when x is not in the braid-image subalgebra."""
-    combo = _tracked_closure(x.m - 1).combination(to_vector(x))
+    combo = _closure(x.m - 1, True).combination(to_vector(x))
     if combo is None:
         raise ValueError("element is not in C(v)")
     return combo

@@ -45,8 +45,6 @@ from fractions import Fraction
 from .coxeter import (all_perms, dim_C, dim_recurrence, dimension_rows,
                       perm_length, perm_mul, simple_perm)
 
-MAX_THREADS = 64
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -60,7 +58,6 @@ class RunConfig:
     seed: int = 0
     fmt: str = "json"
     out: str = ""
-    threads: int = 1
 
     def public(self) -> dict:
         d = asdict(self)
@@ -367,10 +364,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", dest="fmt", choices=("json", "csv"),
                        default="json", help="output format")
         p.add_argument("--out", default="", help="write output to PATH")
-        p.add_argument("--threads", type=int, default=1,
-                       help="cap on dispatcher parallelism (all "
-                            "computations are exact and single-threaded; "
-                            "values above 1 are accepted and capped)")
 
     p = sub.add_parser("dim", help="per-class dimension table and total")
     common(p)
@@ -424,10 +417,6 @@ def _validate(parser: argparse.ArgumentParser, args) -> RunConfig:
     n = args.n
     if n < 0:
         parser.error("--n must be nonnegative")
-    threads = args.threads
-    if threads < 1:
-        parser.error("--threads must be at least 1")
-    threads = min(threads, MAX_THREADS)
     mode = getattr(args, "mode", "")
     if args.command == "dim":
         if not mode:
@@ -463,7 +452,7 @@ def _validate(parser: argparse.ArgumentParser, args) -> RunConfig:
             parser.error(f"--out: {args.out!r} is a directory")
     return RunConfig(command=args.command, n=n, q=q, k=k, mode=mode,
                      suite=getattr(args, "suite", ""), seed=args.seed,
-                     fmt=args.fmt, out=args.out, threads=threads)
+                     fmt=args.fmt, out=args.out)
 
 
 _DISPATCH = {"dim": cmd_dim, "dim-rank": cmd_dim_rank, "verify": cmd_verify,

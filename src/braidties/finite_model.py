@@ -185,20 +185,12 @@ class SmallField:
         if poly[0] == 0:
             return False
         full = poly + [1]
-        if m <= 3:
-            return all(self._peval(full, a) % p != 0 for a in range(p))
         for d in range(1, m // 2 + 1):
             for tail in itertools.product(range(p), repeat=d):
                 div = list(tail) + [1]
                 if self._pdivisible(full, div):
                     return False
         return True
-
-    def _peval(self, poly, a) -> int:
-        acc = 0
-        for c in reversed(poly):
-            acc = (acc * a + c) % self.p
-        return acc
 
     def _pdivisible(self, num, den) -> bool:
         p = self.p

@@ -57,7 +57,6 @@ from fractions import Fraction
 from math import gcd as int_gcd, isqrt, lcm
 
 ZERO_F = Fraction(0)
-ONE_F = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -175,72 +174,6 @@ def _zgcd(a: tuple[int, ...], b: tuple[int, ...]
         xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
     g = _zgcd_prs(a, b)
     return g, _zdiv(a, g), _zdiv(b, g)
-
-
-# ---------------------------------------------------------------------------
-# ordinary polynomials over Q: tuples of Fractions, low degree first, no
-# trailing zero (the extended gcd behind Cyclotomic.inv)
-# ---------------------------------------------------------------------------
-
-def _ptrim(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
-def _pmul(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    if not a or not b:
-        return ()
-    out = [ZERO_F] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] += ca * cb
-    return _ptrim(out)
-
-
-def _pdivmod(a: tuple[Fraction, ...], b: tuple[Fraction, ...]
-             ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Euclidean division in Q[x]: a = q*b + r with deg r < deg b."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    if len(rem) < len(b):
-        return (), _ptrim(rem)
-    quo = [ZERO_F] * (len(rem) - len(b) + 1)
-    lead = b[-1]
-    for k in range(len(quo) - 1, -1, -1):
-        top = rem[k + len(b) - 1]
-        if top:
-            f = top / lead
-            quo[k] = f
-            for j, cb in enumerate(b):
-                if cb:
-                    rem[k + j] -= f * cb
-    return _ptrim(quo), _ptrim(rem)
-
-
-def _psub(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    n = max(len(a), len(b))
-    return _ptrim([(a[i] if i < len(a) else ZERO_F) - (b[i] if i < len(b) else ZERO_F)
-                   for i in range(n)])
-
-
-def _pxgcd(a: tuple[Fraction, ...], b: tuple[Fraction, ...]
-           ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """(g, s) with s*a = g mod b and g the monic gcd of a and b."""
-    r0, r1 = a, b
-    s0: tuple[Fraction, ...] = (ONE_F,)
-    s1: tuple[Fraction, ...] = ()
-    while r1:
-        q, r = _pdivmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _psub(s0, _pmul(q, s1))
-    if not r0:
-        raise ZeroDivisionError("xgcd of zero polynomials")
-    lead = r0[-1]
-    return tuple(c / lead for c in r0), tuple(c / lead for c in s0)
 
 
 # ---------------------------------------------------------------------------
@@ -943,17 +876,16 @@ class Cyclotomic:
         return _from_conv(f, conv, self.den * other.den)
 
     def inv(self) -> "Cyclotomic":
+        """a^-1 = (product of the other Galois conjugates of a) / N(a),
+        with the norm N(a), the product of all conjugates, rational."""
         if self.is_zero():
             raise ZeroDivisionError("inverting zero cyclotomic")
-        f = _cyc_field(self.order)
-        # (num/den)^-1 = den * num^-1, with num^-1 from the extended gcd in Q[x]
-        g, s = _pxgcd(_ptrim([Fraction(x) for x in self.num]),
-                      tuple(Fraction(c) for c in f.poly))
-        if len(g) != 1:
-            raise ArithmeticError("cyclotomic inverse failed (non-unit gcd)")
-        factor = self.den / g[0]
-        return Cyclotomic(self.order, [x * factor for x in s]
-                          + [ZERO_F] * (f.phi - len(s)))
+        N = self.order
+        rest = Cyclotomic.one(N)
+        for j in range(2, N):
+            if int_gcd(j, N) == 1:
+                rest = rest * self.galois(j)
+        return rest.scale(1 / (self * rest).rational_value())
 
     def __truediv__(self, other: "Cyclotomic") -> "Cyclotomic":
         return self * other.inv()

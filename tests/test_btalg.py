@@ -6,6 +6,7 @@ from math import factorial
 
 import pytest
 
+from braidties import btalg
 from braidties.btalg import (
     BTElement,
     bar,
@@ -25,6 +26,7 @@ from braidties.btalg import (
     kl_lift,
     kl_lift_combo,
     kl_lift_via,
+    lmul_g,
     membership_in_jr_sum,
     verify_presentation,
     word_element,
@@ -40,10 +42,13 @@ from braidties.coxeter import (
     partition_join,
     perm_inv,
     perm_length,
+    perm_mul,
     right_descents,
     simple_perm,
     transposition_perm,
+    w_action,
 )
+from braidties.linalg import _acc
 from braidties.scalars import RationalFunctionScalar as RF
 
 V = RF.V
@@ -63,6 +68,84 @@ def random_element(m, rng, nterms=2):
 # ---------------------------------------------------------------------------
 # model size and defining relations
 # ---------------------------------------------------------------------------
+
+# The g_s action written out per term, without the cached table: the
+# reference for the table-driven `lmul_g` and `_structure_tables`.
+
+def _ref_lmul_g(i, x):
+    s = simple_perm(i, x.m)
+    pair = pair_partition(i, i + 1, x.m)
+    out = {}
+    for (P, w), c in x.terms.items():
+        sP = w_action(s, P)
+        sw = perm_mul(s, w)
+        _acc(out, (sP, sw), c)
+        if perm_length(sw) < perm_length(w):
+            joined = partition_join(sP, pair)
+            cc = c * (Q - 1)
+            _acc(out, (joined, sw), cc)
+            _acc(out, (joined, w), cc)
+    return BTElement(x.m, out)
+
+
+def _ref_lmul_g_inv(i, x):
+    s = simple_perm(i, x.m)
+    pair = pair_partition(i, i + 1, x.m)
+    out = {}
+    for (P, w), c in x.terms.items():
+        sP = w_action(s, P)
+        sw = perm_mul(s, w)
+        _acc(out, (sP, sw), c)
+        if perm_length(sw) > perm_length(w):
+            joined = partition_join(sP, pair)
+            cc = c * (RF.VI * RF.VI - 1)
+            _acc(out, (joined, sw), cc)
+            _acc(out, (joined, w), cc)
+    return BTElement(x.m, out)
+
+
+def _ref_structure_tables(m, np):
+    pairs = basis_pairs(m)
+    idx = {k: j for j, k in enumerate(pairs)}
+    tables = []
+    for i in range(1, m):
+        s = simple_perm(i, m)
+        pair = pair_partition(i, i + 1, m)
+        t1 = np.empty(len(pairs), dtype=np.int64)
+        src2, tgt2 = [], []
+        for b, (P, w) in enumerate(pairs):
+            sP = w_action(s, P)
+            sw = perm_mul(s, w)
+            t1[b] = idx[(sP, sw)]
+            if perm_length(sw) < perm_length(w):
+                joined = partition_join(sP, pair)
+                src2.extend((b, b))
+                tgt2.extend((idx[(joined, sw)], idx[(joined, w)]))
+        tables.append((t1, np.array(src2, dtype=np.int64),
+                       np.array(tgt2, dtype=np.int64)))
+    return tables
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_lmul_g_matches_reference_rule(m):
+    rng = random.Random(m)
+    for _ in range(20):
+        x = random_element(m, rng, nterms=4)
+        for i in range(1, m):
+            assert lmul_g(i, x) == _ref_lmul_g(i, x)
+            assert lmul_g(i, x, inverse=True) == _ref_lmul_g_inv(i, x)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_structure_tables_match_reference_rule(m):
+    np = pytest.importorskip("numpy")
+    got = btalg._structure_tables(m)
+    ref = _ref_structure_tables(m, np)
+    assert len(got) == len(ref) == m - 1
+    for arrays, ref_arrays in zip(got, ref):
+        for a, b in zip(arrays, ref_arrays):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
 
 def test_model_dimension_formula():
     for m in (2, 3, 4):

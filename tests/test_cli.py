@@ -116,12 +116,13 @@ def test_serialize_pinned():
 
 @pytest.mark.parametrize("args, digest", [
     (["dim", "--n", "22", "--mode", "aggregation", "--format", "json"],
-     "63baad5c83e208942a76994deac970544a25744a2b7249f5f3093c92a41e9ba6"),
+     "8acf39cda1a2233e147fc827440d57f96b3a587062a9792f085df36c8811a6c4"),
     (["dim", "--n", "20", "--mode", "subset", "--format", "csv"],
      "ff36030c3354661b166f404e06ef006d8413a9f730e6ad170320b5c986a68612"),
 ], ids=["aggregation n22 json", "subset n20 csv"])
 def test_dim_output_digest(args, digest, tmp_path):
-    # sha256 of the output file as written at commit 31984ce
+    # sha256 of the output file as written at commit 31984ce, the JSON
+    # one without the "threads" config entry, which has since been removed
     code, text = run_cli(args, tmp_path)
     assert code == 0
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
@@ -133,7 +134,6 @@ def test_usage_errors_exit_2(tmp_path):
                  ["kl-lift", "--n", "5"],
                  ["dim-rank", "--n", "9"],
                  ["verify", "--suite", "monodromic", "--n", "4"],
-                 ["dim", "--n", "2", "--threads", "0"],
                  ["dim", "--n", "-1"],
                  ["nonsense"],
                  ["verify", "--badflag"],
@@ -254,13 +254,12 @@ def test_finite_model_command(tmp_path):
     assert json.loads(text)["crosschecks"] == []
 
 
-def test_threads_capped_and_recorded(tmp_path):
-    code, text = run_cli(["dim", "--n", "2", "--threads", "5"], tmp_path)
-    assert code == 0
-    assert json.loads(text)["config"]["threads"] == 5
-    code, text = run_cli(["dim", "--n", "2", "--threads", "9999"], tmp_path)
-    assert code == 0
-    assert json.loads(text)["config"]["threads"] == cli.MAX_THREADS
+def test_threads_option_is_refused(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["dim", "--n", "2", "--threads", "1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 def test_bad_out_path_is_usage_error_before_computing(monkeypatch, tmp_path):

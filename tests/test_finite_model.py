@@ -54,6 +54,17 @@ def test_small_field_gf9():
     assert all(F.trace[a] in (0, 1, 2) for a in range(9))
 
 
+@pytest.mark.parametrize("p, m, tail", [
+    (2, 2, [1, 1]), (2, 3, [1, 0, 1]), (3, 2, [1, 0]), (2, 4, [1, 0, 0, 1]),
+])
+def test_field_modulus_is_pinned(p, m, tail):
+    # the first monic irreducible x^m + tail, as chosen at commit 3702aad
+    # (low degree first); it fixes the encoding of every field element
+    F = SmallField.__new__(SmallField)
+    F.p, F.m = p, m
+    assert F._find_irreducible() == tail
+
+
 def test_matrix_helpers():
     F = SmallField(2, 1)
     I = mat_identity(2)
