@@ -17,9 +17,11 @@ $g_s\,g_u = g_{su}$ when $l(su) > l(u)$, else
 $g_s\,g_u = g_{su} + (v^2-1)e_s g_{su} + (v^2-1)e_s g_u$.
 That rule lives in one cached table per rank and generator, `_action`:
 for each basis pair $(P, w)$ the moved pair $(s(P), sw)$, the join
-$s(P) \vee \{i, i+1\}$, and whether $l(sw) < l(w)$.  `lmul_g` (for $g_s$
-and, with the $v^{-2}-1$ weight on length-up terms, $g_s^{-1}$) and the
-mod-p index arrays of `_structure_tables` both read it.
+$s(P) \vee \{i, i+1\}$, and whether $l(sw) < l(w)$ (the last, with $sw$,
+read from `coxeter.left_action`).  `lmul_g` (for $g_s$ and, with the
+$v^{-2}-1$ weight on length-up terms, $g_s^{-1}$) and the mod-p index
+arrays of `_structure_tables` both read it; `lmul_e` reads the cached
+`coxeter.partition_join`.
 
 The braid-image subalgebra $\mathcal{C}(v)$ is generated by the $g_s$
 alone; `c_dimension` computes its dimension by closing $\mathrm{span}\{1\}$
@@ -67,7 +69,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import hecke
 from .coxeter import (
     Perm,
     SetPartition,
@@ -75,9 +76,11 @@ from .coxeter import (
     all_set_partitions,
     discrete_partition,
     identity_perm,
+    left_action,
     pair_partition,
     partition_from_blocks,
     partition_join,
+    perm_inv,
     perm_length,
     perm_mul,
     reduced_word,
@@ -157,11 +160,12 @@ def _action(m: int, i: int) -> dict[BasisPair, tuple]:
     # s(P) and the join depend on P alone, s w and the descent on w alone
     sP = {P: w_action(s, P) for P in all_set_partitions(m)}
     joined = {P: partition_join(Q, pair) for P, Q in sP.items()}
-    sw = {w: perm_mul(s, w) for w in all_perms(m)}
-    down = {w: perm_length(u) < perm_length(w) for w, u in sw.items()}
-    return {(P, w): ((sP[P], sw[w]), down[w], (joined[P], sw[w]),
-                     (joined[P], w))
-            for P, w in basis_pairs(m)}
+    left = left_action(m, i)
+    out = {}
+    for P, w in basis_pairs(m):
+        sw, down = left[w]
+        out[(P, w)] = ((sP[P], sw), down, (joined[P], sw), (joined[P], w))
+    return out
 
 
 def lmul_g(i: int, x: BTElement, inverse: bool = False) -> BTElement:
@@ -210,26 +214,14 @@ def g_inverse(i: int, m: int) -> BTElement:
     })
 
 
-def g_word_inverse(w: Perm) -> BTElement:
-    """g_w^{-1}, as the reversed product of simple inverses."""
+@lru_cache(maxsize=None)
+def _bar_g(w: Perm) -> BTElement:
+    """bar(g_w) = g_{s_{i_1}}^{-1} ... g_{s_{i_k}}^{-1} along a reduced word;
+    so g_y^{-1} is bar(g_{y^{-1}})."""
     x = BTElement.unit(len(w))
-    for i in reduced_word(w):
+    for i in reversed(reduced_word(w)):
         x = lmul_g(i, x, inverse=True)
     return x
-
-
-_BAR_G: dict[Perm, BTElement] = {}
-
-
-def _bar_g(w: Perm) -> BTElement:
-    """bar(g_w) = g_{s_{i_1}}^{-1} ... g_{s_{i_k}}^{-1} along a reduced word."""
-    got = _BAR_G.get(w)
-    if got is None:
-        got = BTElement.unit(len(w))
-        for i in reversed(reduced_word(w)):
-            got = lmul_g(i, got, inverse=True)
-        _BAR_G[w] = got
-    return got
 
 
 def bar(x: BTElement) -> BTElement:
@@ -544,7 +536,7 @@ def _jr_spanning_elements(n: int, R: SetPartition,
         P0 = _canonical_interval_partition(R, m)
         y = _canonical_conjugator(P0, R, m)
     pre = () if y is None else reduced_word(y)
-    post = None if y is None else g_word_inverse(y)
+    post = None if y is None else _bar_g(perm_inv(y))
     out = []
     for x in _partition_products(P0, m):
         for w in all_perms(m):
@@ -709,6 +701,8 @@ def kl_lift(w: Perm) -> BTElement:
     >>> kl_lift((2, 1)) == c_simple_bt(1, 2)
     True
     """
+    from . import hecke
+
     m = len(w)
     table = hecke.kl_table(m)
     P = support_partition(w)
@@ -748,12 +742,14 @@ def kl_lift_via(w: Perm, s: int) -> BTElement:
     `kl_lift(w)` plus a bar-invariant element of ker pi that varies with
     s (and vanishes whenever l(w) <= 2, where no correction can arise).
     """
+    from . import hecke
+
     m = len(w)
-    if perm_length(perm_mul(simple_perm(s, m), w)) >= perm_length(w):
+    sw, down = left_action(m, s)[w]
+    if not down:
         raise ValueError(f"{s} is not a left descent")
     if perm_length(w) <= 1:
         return kl_lift(w)
-    sw = perm_mul(simple_perm(s, m), w)
     elem = bt_mul(c_simple_bt(s, m), kl_lift(sw))
     for y, gamma in hecke.c_expansion(s, sw).items():
         if y == w or not gamma:

@@ -43,7 +43,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .coxeter import (all_perms, dim_C, dim_recurrence, dimension_rows,
-                      perm_length, perm_mul, simple_perm)
+                      left_action, perm_length)
 
 
 @dataclass(frozen=True)
@@ -146,9 +146,8 @@ def suite_hecke(n: int) -> list[tuple[str, bool]]:
         if hecke.canonical_by_bar(w) != cw:
             ok_rec = False
     for s in range(1, m):
-        sp = simple_perm(s, m)
-        for u in perms:
-            if perm_length(perm_mul(sp, u)) <= perm_length(u):
+        for u, (_, down) in left_action(m, s).items():
+            if down:
                 continue
             try:
                 hecke.c_expansion(s, u, table)
@@ -187,10 +186,9 @@ def _kl_lift_records(n: int) -> list[dict]:
         descent_ok = True
         if perm_length(w) >= 2:
             for s in range(1, m):
-                if perm_length(perm_mul(simple_perm(s, m), w)) \
-                        < perm_length(w):
-                    if _pi_image(btalg.kl_lift_via(w, s)) != target:
-                        descent_ok = False
+                _, down = left_action(m, s)[w]
+                if down and _pi_image(btalg.kl_lift_via(w, s)) != target:
+                    descent_ok = False
         terms = [{"blocks": [list(b) for b in P], "perm": list(u),
                   "coeff": repr(cw.terms[(P, u)])}
                  for P, u in sorted(cw.terms)]

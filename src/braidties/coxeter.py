@@ -4,11 +4,15 @@ Permutations of $\{1,\dots,m\}$ are stored in one-line notation as tuples
 `w = (w(1), ..., w(m))`, with composition `(w*u)(i) = w(u(i))`.  The simple
 reflection $s_i$ swaps $i$ and $i+1$; right multiplication by $s_i$ swaps
 the entries in positions $i, i+1$, so $i$ is a right descent of $w$ exactly
-when $w(i) > w(i+1)$.
+when $w(i) > w(i+1)$.  Left multiplication by $s_i$ swaps the values $i$
+and $i+1$.  `left_action(m, i)` tabulates it once per rank and generator,
+with whether the length drops; the algebra modules and the command line
+read every left descent from that table.
 
 Set partitions of $\{1,\dots,m\}$ (canonical form: blocks sorted, ordered by
 their minima) index both the tie idempotents $e_R$ and the reflection
-subgroups of $S_m$.
+subgroups of $S_m$.  `partition_join` is cached, since the tie
+products join the same few pairs of partitions over and over.
 
 Subsets $I \subseteq \{1,\dots,n\}$ of simple reflections decompose into
 maximal runs of consecutive entries ("contiguous blocks"); the run lengths,
@@ -107,6 +111,20 @@ def simple_perm(i: int, m: int) -> Perm:
     w = list(range(1, m + 1))
     w[i - 1], w[i] = w[i], w[i - 1]
     return tuple(w)
+
+@lru_cache(maxsize=None)
+def left_action(m: int, i: int) -> dict[Perm, tuple[Perm, bool]]:
+    """For every w in S_m: (s_i w, l(s_i w) < l(w)).
+
+    >>> left_action(3, 1)[(2, 3, 1)]
+    ((1, 3, 2), True)
+    """
+    s = simple_perm(i, m)
+    out = {}
+    for w in all_perms(m):
+        sw = perm_mul(s, w)
+        out[w] = (sw, perm_length(sw) < perm_length(w))
+    return out
 
 def transposition_perm(i: int, j: int, m: int) -> Perm:
     w = list(range(1, m + 1))
@@ -208,6 +226,7 @@ def pair_partition(i: int, j: int, m: int) -> SetPartition:
     return partition_from_blocks([(i, j)] + [(x,) for x in range(1, m + 1)
                                              if x != i and x != j])
 
+@lru_cache(maxsize=None)
 def partition_join(p: SetPartition, q: SetPartition) -> SetPartition:
     """Finest common coarsening (join in the partition lattice).
 

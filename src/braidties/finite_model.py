@@ -68,8 +68,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import monodromic
-from .coxeter import (Perm, all_perms, identity_perm, perm_length, perm_mul,
-                      simple_perm)
+from .coxeter import (Perm, all_perms, identity_perm, left_action,
+                      perm_length, simple_perm)
 from .linalg import SparseVector, _acc, _axpy, solve
 from .monodromic import TorusCharacter, torus_character
 from .scalars import Cyclotomic
@@ -598,15 +598,12 @@ class FiniteModel:
         return tuple(self.coset_index[mat_mul(self.F, gi, rep)]
                      for rep in self.x_reps)
 
-    def s_cell_targets(self, i: int, inverse: bool = False) -> tuple:
-        """For each x, the q^k points of xUsU/U (of xUs^{-1}U/U when
-        inverse is set; the two differ by the h_s(-1) translate in odd
-        characteristic)."""
+    def s_cell_targets(self, i: int) -> tuple:
+        """For each x, the q^k points of xUs^{-1}U/U (xUsU/U differs from
+        it by the h_s(-1) translate in odd characteristic)."""
         def build():
             F = self.F
-            ns = self.simple_n(i)
-            if inverse:
-                ns = self.group_inverse(ns)
+            ns = self.group_inverse(self.simple_n(i))
             out = []
             for g in self.x_reps:
                 targets = frozenset(
@@ -616,7 +613,7 @@ class FiniteModel:
                     raise ArithmeticError("unexpected s-cell fiber size")
                 out.append(targets)
             return tuple(out)
-        return self._cached(("cell_targets", i, inverse), build)
+        return self._cached(("cell_targets", i), build)
 
     def R_s(self, i: int) -> SparseOperator:
         """The operator delta_g -> sum of delta_x over x in gUsU/U; on
@@ -624,7 +621,7 @@ class FiniteModel:
         (R_s f)(x) = sum of f(y) over y in xUs^{-1}U/U."""
         def build():
             one = Cyclotomic.one(self.N)
-            sources = self.s_cell_targets(i, inverse=True)
+            sources = self.s_cell_targets(i)
             return SparseOperator(self.N,
                                   {x: {y: one for y in sources[x]}
                                    for x in range(self.size_x)})
@@ -635,12 +632,7 @@ class FiniteModel:
                             lambda: self.right_translation(self.h_s(i, r)))
 
     def E_s(self, i: int) -> SparseOperator:
-        def build():
-            out = SparseOperator.zero(self.N)
-            for r in range(1, self.F.size):
-                out = out + self.H_s(i, r)
-            return out
-        return self._cached(("E_s", i), build)
+        return self.E_reflection(i, i + 1)
 
     def Psi_s(self, i: int) -> SparseOperator:
         def build():
@@ -786,7 +778,7 @@ def verify_yokonuma_relations(model: FiniteModel,
     for i in range(1, model.m):
         ns = model.simple_n(i)
         nsi = model.group_inverse(ns)
-        sources = model.s_cell_targets(i, inverse=True)
+        sources = model.s_cell_targets(i)
         for t in model.T_list:
             tp = mat_mul(F, mat_mul(F, ns, t), nsi)
             pt = model.translation_perm(t)
@@ -1023,14 +1015,13 @@ def verify_word_independence(model: FiniteModel) -> list:
 
 
 def _all_reduced_words(w: Perm) -> list[tuple[int, ...]]:
-    l = perm_length(w)
-    if l == 0:
+    if perm_length(w) == 0:
         return [()]
     out = []
     m = len(w)
     for i in range(1, m):
-        sw = perm_mul(simple_perm(i, m), w)
-        if perm_length(sw) < l:
+        sw, down = left_action(m, i)[w]
+        if down:
             out.extend((i,) + rest for rest in _all_reduced_words(sw))
     return out
 

@@ -42,11 +42,14 @@ v^2 - 1
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .coxeter import (
     Perm,
     all_perms,
     bruhat_leq,
     identity_perm,
+    left_action,
     perm_inv,
     perm_length,
     perm_mul,
@@ -58,6 +61,8 @@ from .linalg import SparseVector, _acc
 from .scalars import LaurentPoly, RationalFunctionScalar as RF
 
 V = RF.V
+_Q = V * V
+_QM1 = _Q - 1
 QPoly = dict[int, int]  # polynomial in q = v^2, exponent -> integer coefficient
 
 
@@ -92,21 +97,15 @@ class HeckeElement(SparseVector):
 
 def _lmul_simple(i: int, x: HeckeElement) -> HeckeElement:
     """A_{s_i} * x via the quadratic relation."""
+    left = left_action(x.m, i)
     out: dict[Perm, RF] = {}
-    q = V * V
-    qm1 = q - 1
     for w, c in x.terms.items():
-        # left multiplication by s_i swaps the values i, i+1 in w
-        pos_i = w.index(i)
-        pos_i1 = w.index(i + 1)
-        sw = list(w)
-        sw[pos_i], sw[pos_i1] = i + 1, i
-        sw = tuple(sw)
-        if pos_i < pos_i1:  # l(s_i w) > l(w)
-            _acc(out, sw, c)
+        sw, down = left[w]
+        if down:
+            _acc(out, w, c * _QM1)
+            _acc(out, sw, c * _Q)
         else:
-            _acc(out, w, c * qm1)
-            _acc(out, sw, c * q)
+            _acc(out, sw, c)
     return x._like(out)
 
 
@@ -127,33 +126,22 @@ def a_tilde(w: Perm) -> HeckeElement:
     return HeckeElement.basis(w, RF.from_laurent(LaurentPoly.monomial(-perm_length(w))))
 
 
-_SIMPLE_INV_CACHE: dict[tuple[int, int], HeckeElement] = {}
-
-
+@lru_cache(maxsize=None)
 def _simple_inverse(i: int, m: int) -> HeckeElement:
     """A_{s_i}^{-1} = v^{-2} A_{s_i} - (1 - v^{-2}) A_e."""
-    got = _SIMPLE_INV_CACHE.get((i, m))
-    if got is None:
-        vi2 = RF.from_laurent(LaurentPoly.monomial(-2))
-        got = HeckeElement(m, {simple_perm(i, m): vi2,
-                               identity_perm(m): vi2 - 1})
-        _SIMPLE_INV_CACHE[(i, m)] = got
-    return got
+    vi2 = RF.from_laurent(LaurentPoly.monomial(-2))
+    return HeckeElement(m, {simple_perm(i, m): vi2,
+                            identity_perm(m): vi2 - 1})
 
 
-_BASIS_INV_CACHE: dict[Perm, HeckeElement] = {}
-
-
+@lru_cache(maxsize=None)
 def basis_inverse(w: Perm) -> HeckeElement:
     """A_w^{-1}, as the product of simple inverses along the reversed word."""
-    got = _BASIS_INV_CACHE.get(w)
-    if got is None:
-        m = len(w)
-        got = HeckeElement.unit(m)
-        for i in reversed(reduced_word(w)):
-            got = hecke_mul(got, _simple_inverse(i, m))
-        _BASIS_INV_CACHE[w] = got
-    return got
+    m = len(w)
+    out = HeckeElement.unit(m)
+    for i in reversed(reduced_word(w)):
+        out = hecke_mul(out, _simple_inverse(i, m))
+    return out
 
 
 def tilde_inverse(w: Perm) -> HeckeElement:
@@ -232,7 +220,7 @@ def kl_polynomials(n: int) -> KLTable:
         sp = simple_perm(s, m)
         w1 = perm_mul(w, sp)
         mu_w1 = [(z, mu) for z, mu in table._mu_lists[w1]
-                 if perm_length(perm_mul(z, sp)) < perm_length(z)]
+                 if s in right_descents(z)]
         for x in perms:
             if perm_length(x) > lw:
                 break
@@ -259,15 +247,9 @@ def kl_polynomials(n: int) -> KLTable:
     return table
 
 
-_KL_CACHE: dict[int, KLTable] = {}
-
-
+@lru_cache(maxsize=None)
 def kl_table(m: int) -> KLTable:
-    t = _KL_CACHE.get(m)
-    if t is None:
-        t = kl_polynomials(m - 1)
-        _KL_CACHE[m] = t
-    return t
+    return kl_polynomials(m - 1)
 
 
 def _qpoly_to_rf(p: QPoly) -> RF:
@@ -306,17 +288,12 @@ def c_simple(i: int, m: int) -> HeckeElement:
 
 # --- independent oracle -----------------------------------------------------
 
-_BAR_CANONICAL_CACHE: dict[Perm, HeckeElement] = {}
-
-
+@lru_cache(maxsize=None)
 def canonical_by_bar(w: Perm) -> HeckeElement:
     """Recursion-free construction of C_w from bar-invariance alone: build
     the bar-invariant product of C_s along a reduced word, then subtract
     bar-invariant multiples g * C_y until every coefficient below the top
     lies in v*Z[v].  Never consults the KL recursion."""
-    got = _BAR_CANONICAL_CACHE.get(w)
-    if got is not None:
-        return got
     m = len(w)
     elem = HeckeElement.unit(m)
     for i in reduced_word(w):
@@ -345,7 +322,6 @@ def canonical_by_bar(w: Perm) -> HeckeElement:
             break
         elem = elem - canonical_by_bar(defect_y).scale(RF.from_laurent(defect_g))
     assert elem.coeff_tilde(w) == RF.ONE, w
-    _BAR_CANONICAL_CACHE[w] = elem
     return elem
 
 
@@ -377,9 +353,8 @@ def c_expansion(s: int, u: Perm, table: KLTable | None = None
     {(2, 3, 1): 1}
     """
     m = len(u)
-    sp = simple_perm(s, m)
-    su = perm_mul(sp, u)
-    if perm_length(su) <= perm_length(u):
+    su, down = left_action(m, s)[u]
+    if down:
         raise ValueError("need l(su) > l(u)")
     table = table or kl_table(m)
     rem = hecke_mul(c_simple(s, m), canonical_basis(u, table))

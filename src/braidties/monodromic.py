@@ -25,6 +25,10 @@ all of which `verify_ho_relations` evaluates on the normal form computed
 by `ho_mul`.  A one-character orbit with $N = 1$ is the plain Hecke
 algebra, and `ho_mul` then agrees with `hecke.hecke_mul`.
 
+Left multiplication by $A_s$, and by the images of the letters below, is
+one loop, `_lmul`, over `coxeter.left_action`, weighted from three
+constant tables keyed by ($s \in W^\circ_{w\mathcal{L}}$, $l(sw) < l(w)$).
+
 The map $\pi_{\mathcal{L}}$ is defined on signed generator words (letter
 $i$ is $\mathsf{a}_{s_i}$, letter $-i$ its inverse), one corner at a time:
 at a corner whose character $\theta$ has $s \in W^\circ_\theta$ the letter
@@ -50,12 +54,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
-from . import hecke
 from .coxeter import (
     Perm,
     all_perms,
     identity_perm,
+    left_action,
     perm_inv,
     perm_length,
     perm_mul,
@@ -66,8 +71,10 @@ from .linalg import Echelon, SparseVector, _acc
 from .scalars import RationalFunctionScalar as RF
 
 V = RF.V
+_ONE = RF.ONE
 _Q = V * V
-_QM1 = V * V - RF.ONE
+_QM1 = _Q - _ONE
+_VI2 = RF.VI * RF.VI
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +107,7 @@ def trivial_character(m: int, modulus: int = 1) -> TorusCharacter:
     return torus_character(modulus, (0,) * m)
 
 
+@lru_cache(maxsize=None)
 def w_act(w: Perm, theta: TorusCharacter) -> TorusCharacter:
     """(w theta)_j = b_{w^{-1}(j)}: the torus coordinates move by w."""
     wi = perm_inv(w)
@@ -154,6 +162,18 @@ def all_characters(m: int, modulus: int) -> tuple[TorusCharacter, ...]:
     return tuple(sorted(out, key=lambda t: t.exponents))
 
 
+def all_orbits(m: int, modulus: int) -> list[tuple[TorusCharacter, ...]]:
+    """The W-orbits of all characters, in the order of their first member."""
+    seen: set[TorusCharacter] = set()
+    orbits = []
+    for t in all_characters(m, modulus):
+        if t not in seen:
+            orb = orbit_of(t)
+            orbits.append(orb)
+            seen.update(orb)
+    return orbits
+
+
 # ---------------------------------------------------------------------------
 # elements of the orbit algebra
 # ---------------------------------------------------------------------------
@@ -199,24 +219,43 @@ def full_element(w: Perm, orbit) -> MonodromicElement:
     return MonodromicElement(len(w), {(w, L): RF.ONE for L in orbit})
 
 
-def lmul_As(i: int, x: MonodromicElement) -> MonodromicElement:
-    """Left multiplication by A_{s_i}.
+# Left multiplication of a term A_w 1_L by A_s, or by the pi-image of the
+# letter a_s or a_s^{-1}, gives a A_{sw} 1_L + b A_w 1_L.  The weights
+# (a, b) depend only on (s in W^circ_theta for the left character
+# theta = w L, l(sw) < l(w)); b is None where no A_w 1_L term arises.
+# Per corner:
+# - A_s: A_{sw} when the length goes up; when it goes down the quadratic
+#   relation gives v^2 A_{sw}, plus (v^2-1) A_w inside W^circ;
+# - a_s: inside W^circ it acts by v Atilde_s^{-1} = A_s + (1 - v^2) (the
+#   two A_w terms cancel when the length goes down), outside by
+#   Atilde_s = v^{-1} A_s;
+# - a_s^{-1}: inside by v^{-2} A_s, outside by v^{-1} A_s (there
+#   Atilde_s^2 1_theta = 1_theta).
+_A_S = {(False, False): (_ONE, None), (False, True): (_Q, None),
+        (True, False): (_ONE, None), (True, True): (_Q, _QM1)}
+_LETTER = {(False, False): (RF.VI, None), (False, True): (V, None),
+           (True, False): (_ONE, _ONE - _Q), (True, True): (_Q, None)}
+_LETTER_INV = {(False, False): (RF.VI, None), (False, True): (V, None),
+               (True, False): (_VI2, None), (True, True): (_ONE, _ONE - _VI2)}
 
-    On a term A_w 1_L it gives A_{s_i w} 1_L when the length goes up; when
-    it goes down the quadratic relation yields v^2 A_{s_i w} 1_L plus
-    (v^2-1) A_w 1_L whenever s_i fixes the left character w L.
-    """
-    s = simple_perm(i, x.m)
+
+def _lmul(weights: dict, i: int,
+          x: MonodromicElement) -> MonodromicElement:
+    """Left multiplication by A_{s_i} or by one letter, per `weights`."""
+    left = left_action(x.m, i)
     out: dict[tuple[Perm, TorusCharacter], RF] = {}
     for (w, L), c in x.terms.items():
-        sw = perm_mul(s, w)
-        if perm_length(sw) > perm_length(w):
-            _acc(out, (sw, L), c)
-        else:
-            _acc(out, (sw, L), c * _Q)
-            if simple_in_circle(i, w_act(w, L)):
-                _acc(out, (w, L), c * _QM1)
+        sw, down = left[w]
+        a, b = weights[simple_in_circle(i, w_act(w, L)), down]
+        _acc(out, (sw, L), c if a is _ONE else c * a)
+        if b is not None:
+            _acc(out, (w, L), c * b)
     return x._like(out)
+
+
+def lmul_As(i: int, x: MonodromicElement) -> MonodromicElement:
+    """Left multiplication by A_{s_i}."""
+    return _lmul(_A_S, i, x)
 
 
 def lmul_Aw(w: Perm, x: MonodromicElement) -> MonodromicElement:
@@ -251,32 +290,6 @@ def ho_mul(a: MonodromicElement, b: MonodromicElement) -> MonodromicElement:
 # the surjections pi_L on signed generator words
 # ---------------------------------------------------------------------------
 
-def _letter_action(i: int, inverse: bool,
-                   x: MonodromicElement) -> MonodromicElement:
-    """Left multiplication by the pi-image of one signed letter.
-
-    Per corner with left character theta: the letter a_{s_i} acts by
-    v Atilde_s^{-1} = A_s + (1 - v^2) when s_i is in W_theta^circ and by
-    Atilde_s = v^{-1} A_s otherwise; its inverse acts by v^{-2} A_s resp.
-    v^{-1} A_s (there Atilde_s^2 1_theta = 1_theta).
-    """
-    inside: dict[tuple[Perm, TorusCharacter], RF] = {}
-    outside: dict[tuple[Perm, TorusCharacter], RF] = {}
-    for (w, L), c in x.terms.items():
-        if simple_in_circle(i, w_act(w, L)):
-            inside[(w, L)] = c
-        else:
-            outside[(w, L)] = c
-    xin = x._like(inside)
-    xout = x._like(outside)
-    if inverse:
-        part_in = lmul_As(i, xin).scale(V ** -2)
-    else:
-        part_in = lmul_As(i, xin) + xin.scale(RF.ONE - _Q)
-    part_out = lmul_As(i, xout).scale(V ** -1)
-    return part_in + part_out
-
-
 def pi_L(word: tuple[int, ...], L: TorusCharacter) -> MonodromicElement:
     """Image of a signed generator word under pi_L, as an element of the
     L-corner column of the orbit algebra: the word is read left to right
@@ -288,7 +301,7 @@ def pi_L(word: tuple[int, ...], L: TorusCharacter) -> MonodromicElement:
     """
     x = corner_unit(L)
     for letter in reversed(word):
-        x = _letter_action(abs(letter), letter < 0, x)
+        x = _lmul(_LETTER_INV if letter < 0 else _LETTER, abs(letter), x)
     return x
 
 
@@ -303,6 +316,8 @@ def pi_of_combo(combo, L: TorusCharacter) -> MonodromicElement:
 
 def hecke_image(x: MonodromicElement) -> "hecke.HeckeElement":
     """Read an element over a one-character orbit as a Hecke element."""
+    from . import hecke
+
     out = hecke.HeckeElement.zero(x.m)
     for (w, L), c in x.terms.items():
         out = out + hecke.HeckeElement.basis(w, c)
@@ -318,15 +333,7 @@ def verify_ho_relations(n: int, modulus: int) -> list[tuple[str, bool]]:
     orbits of characters with the given modulus, for W = S_{n+1}."""
     m = n + 1
     checks: list[tuple[str, bool]] = []
-    chars = all_characters(m, modulus)
-    seen: set[TorusCharacter] = set()
-    orbits = []
-    for t in chars:
-        if t not in seen:
-            orb = orbit_of(t)
-            orbits.append(orb)
-            seen.update(orb)
-    for orb in orbits:
+    for orb in all_orbits(m, modulus):
         tag = f"orbit{orb[0].exponents}"
         unit = ho_unit(orb)
         ok = True
@@ -338,9 +345,10 @@ def verify_ho_relations(n: int, modulus: int) -> list[tuple[str, bool]]:
         ok = True
         for w in all_perms(m):
             for u in all_perms(m):
-                if perm_length(perm_mul(w, u)) == perm_length(w) + perm_length(u):
+                wu = perm_mul(w, u)
+                if perm_length(wu) == perm_length(w) + perm_length(u):
                     lhs = ho_mul(full_element(w, orb), full_element(u, orb))
-                    ok = ok and lhs == full_element(perm_mul(w, u), orb)
+                    ok = ok and lhs == full_element(wu, orb)
         checks.append((f"{tag}: lengths-add products", ok))
         ok = True
         for i in range(1, m):
@@ -372,6 +380,8 @@ def verify_ho_relations(n: int, modulus: int) -> list[tuple[str, bool]]:
 def verify_hecke_comparison(n: int) -> bool:
     """Over the one-character trivial orbit, A_w 1 -> A_w intertwines
     ho_mul with hecke.hecke_mul on all products in S_{n+1}."""
+    from . import hecke
+
     m = n + 1
     triv = trivial_character(m)
     orb = (triv,)

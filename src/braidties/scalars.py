@@ -54,6 +54,7 @@ True
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd as int_gcd, isqrt, lcm
 
 ZERO_F = Fraction(0)
@@ -661,9 +662,7 @@ RF.VI = RF.from_laurent(LaurentPoly.monomial(-1))
 # cyclotomic fields Q(zeta_N)
 # ---------------------------------------------------------------------------
 
-_CYC_POLY_CACHE: dict[int, tuple[int, ...]] = {}
-
-
+@lru_cache(maxsize=None)
 def cyclotomic_poly(N: int) -> tuple[int, ...]:
     """Integer coefficients of the N-th cyclotomic polynomial, low degree
     first, computed by Phi_N = (x^N - 1) / prod_{d | N, d < N} Phi_d.
@@ -677,14 +676,10 @@ def cyclotomic_poly(N: int) -> tuple[int, ...]:
     """
     if N < 1:
         raise ValueError("N must be positive")
-    got = _CYC_POLY_CACHE.get(N)
-    if got is not None:
-        return got
     out = (-1,) + (0,) * (N - 1) + (1,)
     for d in range(1, N):
         if N % d == 0:
             out = _zdiv(out, cyclotomic_poly(d))
-    _CYC_POLY_CACHE[N] = out
     return out
 
 
@@ -712,15 +707,7 @@ class _CycField:
         self.red_rows = powers[phi:2 * phi - 1]
 
 
-_CYC_FIELD_CACHE: dict[int, _CycField] = {}
-
-
-def _cyc_field(N: int) -> _CycField:
-    f = _CYC_FIELD_CACHE.get(N)
-    if f is None:
-        f = _CycField(N)
-        _CYC_FIELD_CACHE[N] = f
-    return f
+_cyc_field = lru_cache(maxsize=None)(_CycField)
 
 
 def _cyc(order: int, num, den: int) -> "Cyclotomic":

@@ -358,6 +358,8 @@ def test_jobs_run_without_numpy(args, tmp_path):
         assert probe["modules"] == ["braidties.cli", "braidties.coxeter"]
     if args[0] == "finite-model":
         assert "braidties.btalg" not in probe["modules"]
+    if args[0] in ("finite-model", "dim-rank") or "presentation" in args:
+        assert "braidties.hecke" not in probe["modules"]
 
 
 def test_specialized_rank_loads_numpy(tmp_path):
@@ -365,3 +367,4 @@ def test_specialized_rank_loads_numpy(tmp_path):
                            tmp_path, numpy="allow")
     assert probe["code"] == 0
     assert probe["numpy"]
+    assert "braidties.hecke" not in probe["modules"]

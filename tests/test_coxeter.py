@@ -23,6 +23,7 @@ from braidties.coxeter import (
     discrete_partition,
     howlett_order,
     identity_perm,
+    left_action,
     length_descents,
     normalizer_bruteforce,
     pair_partition,
@@ -66,6 +67,16 @@ def test_perm_group_structure():
     # right multiplication by s_i swaps entries i, i+1
     w = (2, 3, 1, 4)
     assert perm_mul(w, simple_perm(1, 4)) == (3, 2, 1, 4)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_left_action_table(m):
+    for i in range(1, m):
+        table = left_action(m, i)
+        assert list(table) == all_perms(m)
+        for w in all_perms(m):
+            sw = perm_mul(simple_perm(i, m), w)
+            assert table[w] == (sw, perm_length(sw) < perm_length(w))
 
 
 def test_bruhat_matches_subword_oracle():

@@ -3,14 +3,17 @@ surjections out of the braid-image subalgebra."""
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from braidties import btalg, hecke, monodromic as mono
-from braidties.coxeter import all_perms, perm_mul, simple_perm
+from braidties.coxeter import all_perms, perm_length, perm_mul, simple_perm
+from braidties.linalg import _acc
 from braidties.scalars import RationalFunctionScalar as RF
 
 V = RF.V
+Q = V * V
 
 
 # --- characters and their orbit ---------------------------------------
@@ -69,6 +72,9 @@ def test_orbits_partition_all_characters():
         assert not seen.intersection(orb)
         seen.update(orb)
     assert len(seen) == 9
+    orbits = mono.all_orbits(3, 3)
+    assert sum(len(orb) for orb in orbits) == 9
+    assert {t for orb in orbits for t in orb} == set(chars)
 
 
 # --- orbit algebra relations ------------------------------------------
@@ -97,6 +103,59 @@ def test_quadratic_outside_circle_squares_to_scalar():
 
 def test_trivial_orbit_matches_hecke():
     assert mono.verify_hecke_comparison(2)
+
+
+# A_s and the letters written out per term, without the weight tables:
+# the reference for the one table-driven loop `_lmul`.
+
+def _ref_lmul_As(i, x):
+    s = simple_perm(i, x.m)
+    out = {}
+    for (w, L), c in x.terms.items():
+        sw = perm_mul(s, w)
+        if perm_length(sw) > perm_length(w):
+            _acc(out, (sw, L), c)
+        else:
+            _acc(out, (sw, L), c * Q)
+            if mono.simple_in_circle(i, mono.w_act(w, L)):
+                _acc(out, (w, L), c * (Q - 1))
+    return mono.MonodromicElement(x.m, out)
+
+
+def _ref_letter_action(i, inverse, x):
+    inside, outside = {}, {}
+    for (w, L), c in x.terms.items():
+        if mono.simple_in_circle(i, mono.w_act(w, L)):
+            inside[(w, L)] = c
+        else:
+            outside[(w, L)] = c
+    xin = mono.MonodromicElement(x.m, inside)
+    xout = mono.MonodromicElement(x.m, outside)
+    if inverse:
+        part_in = _ref_lmul_As(i, xin).scale(V ** -2)
+    else:
+        part_in = _ref_lmul_As(i, xin) + xin.scale(RF.ONE - Q)
+    part_out = _ref_lmul_As(i, xout).scale(V ** -1)
+    return part_in + part_out
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_lmul_matches_reference_rule(m):
+    rng = random.Random(11 + m)
+    perms = all_perms(m)
+    for orb in mono.all_orbits(m, 3):
+        for _ in range(6):
+            x = mono.MonodromicElement(m, {
+                (rng.choice(perms), rng.choice(orb)):
+                    RF.const(Fraction(rng.randint(-3, 3)))
+                    * V ** rng.randint(-2, 2)
+                for _ in range(4)})
+            for i in range(1, m):
+                assert mono.lmul_As(i, x) == _ref_lmul_As(i, x)
+                assert mono._lmul(mono._LETTER, i, x) == \
+                    _ref_letter_action(i, False, x)
+                assert mono._lmul(mono._LETTER_INV, i, x) == \
+                    _ref_letter_action(i, True, x)
 
 
 # --- pi_L on signed generator words ------------------------------------
