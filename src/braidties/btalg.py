@@ -30,9 +30,10 @@ under left multiplication by the generators (one breadth-first walk,
 for the monodromic images) and running exact Gaussian
 elimination (mode ``exact``), or elimination over $\mathbb{F}_p$ at
 rational specializations of $v$ (mode ``specialized``, a lower-bound
-certificate reported per point).  `jr_span` builds the summands
-$J_R e_R$ of the direct-sum decomposition of $\mathcal{C}(v)$.  When every
-block of $R$ is an interval, $J_R$ is spanned by
+certificate reported per point).  `jr_span` picks, by exact
+elimination, independent elements spanning the summands $J_R e_R$ of
+the direct-sum decomposition of $\mathcal{C}(v)$.  When every block of
+$R$ is an interval, $J_R$ is spanned by
 $g_w(1+g_{r_1})\cdots(1+g_{r_\ell})$ with one reflection $r_j$ from each
 nontrivial block of $R$; for other partitions that literal span is
 strictly larger than the summand (dimension 6 instead of 3 already for
@@ -65,7 +66,6 @@ True
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -112,8 +112,8 @@ class BTElement(SparseVector):
         return cls(m, {(discrete_partition(m), identity_perm(m)): RF.ONE})
 
     @classmethod
-    def basis(cls, P: SetPartition, w: Perm, coeff: RF = RF.ONE) -> "BTElement":
-        return cls(len(w), {(P, w): coeff})
+    def basis(cls, P: SetPartition, w: Perm) -> "BTElement":
+        return cls(len(w), {(P, w): RF.ONE})
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -433,8 +433,7 @@ def _specialization_points(seed: int, count: int
     return points
 
 
-def c_dimension_report(n: int, mode: str = "exact", seed: int = 0,
-                       points: int = 3) -> dict:
+def c_dimension_report(n: int, mode: str = "exact", seed: int = 0) -> dict:
     """Dimension of C(v) with per-point detail in specialized mode."""
     if mode == "exact":
         rank = _closure(n, False).rank
@@ -444,8 +443,7 @@ def c_dimension_report(n: int, mode: str = "exact", seed: int = 0,
     if n > 4:
         raise ValueError("specialized closure bounded at n <= 4")
     ranks = []
-    pts = _specialization_points(seed, max(points, 3))
-    for v0, p in pts:
+    for v0, p in _specialization_points(seed, 3):
         ranks.append({"v": str(v0), "prime": p,
                       "rank": _closure_rank_modp(n + 1, v0, p)})
     values = [r["rank"] for r in ranks]
@@ -453,31 +451,19 @@ def c_dimension_report(n: int, mode: str = "exact", seed: int = 0,
             "agree": len(set(values)) == 1, "points": ranks}
 
 
-def c_dimension(n: int, mode: str = "exact", seed: int = 0) -> int:
+def c_dimension(n: int, mode: str = "exact") -> int:
     """dim C(v), by exact elimination (n <= 3) or as the maximal rank over
-    >= 3 rational specializations of v (n <= 4).
+    3 rational specializations of v (n <= 4).
 
     >>> c_dimension(1)
     3
     """
-    return c_dimension_report(n, mode, seed)["dimension"]
+    return c_dimension_report(n, mode)["dimension"]
 
 
 # ---------------------------------------------------------------------------
 # the J_R e_R decomposition
 # ---------------------------------------------------------------------------
-
-@dataclass
-class SpanBasis:
-    """Echelonized basis of a subspace of the (P, w) model."""
-    vectors: list[BTElement]
-    echelon: Echelon
-    pivots: list[BasisPair]
-
-    @property
-    def dim(self) -> int:
-        return len(self.vectors)
-
 
 def _is_interval_partition(R: SetPartition) -> bool:
     return all(b[-1] - b[0] + 1 == len(b) for b in R)
@@ -547,9 +533,8 @@ def _jr_spanning_elements(n: int, R: SetPartition,
     return out
 
 
-def jr_span(n: int, R: SetPartition, mode: str = "exact",
-            seed: int = 0) -> SpanBasis:
-    """Basis of the summand J_R e_R of C(v).
+def jr_span(n: int, R: SetPartition) -> list[BTElement]:
+    """Linearly independent elements spanning the summand J_R e_R of C(v).
 
     For an interval partition this is the span of the literal products
     g_w (1+g_{r_1})...(1+g_{r_l}) e_R with one reflection r_j inside each
@@ -559,48 +544,19 @@ def jr_span(n: int, R: SetPartition, mode: str = "exact",
     g_y X g_y^{-1} over the interval-partition spanning set X, with y the
     minimal-length relabelling onto R.  Transport preserves dimension, and
     `jr_decomposition` checks the resulting sum is direct.
-
-    In specialized mode (needed at n = 4) independence is certified over
-    F_p at a rational value of v; the returned vectors are exact.
     """
-    elements = _jr_spanning_elements(n, R)
-    pairs = basis_pairs(n + 1)
-    if mode == "exact":
-        if n > 3:
-            raise ValueError("exact span bounded at n <= 3")
-        ech = Echelon()
-        vectors, pivots = [], []
-        for x in elements:
-            piv = ech.insert(to_vector(x))
-            if piv is not None:
-                vectors.append(x)
-                pivots.append(pairs[piv])
-        return SpanBasis(vectors, ech, pivots)
-    if mode != "specialized":
-        raise ValueError(f"unknown mode: {mode!r}")
-    import numpy as np
-
-    (v0, p), = _specialization_points(seed, 1)
-    ech = ModPEchelon(len(pairs), p)
-    vectors, pivots = [], []
-    for x in elements:
-        row = np.zeros((1, len(pairs)))
-        for j, c in to_vector(x).items():
-            val = c.specialize(v0)
-            row[0, j] = (val.numerator % p
-                         * pow(val.denominator % p, p - 2, p)) % p
-        before = ech.rank
-        if ech.add_batch(row):
-            vectors.append(x)
-            pivots.append(pairs[ech.pivots[before]])
-    return SpanBasis(vectors, ech, pivots)
+    if n > 3:
+        raise ValueError("exact span bounded at n <= 3")
+    ech = Echelon()
+    return [x for x in _jr_spanning_elements(n, R)
+            if ech.insert(to_vector(x)) is not None]
 
 
 def jr_literal_dimension(n: int, R: SetPartition) -> int:
     """Dimension of the literal span of g_w (1+g_{r_1})...(1+g_{r_l}) e_R
     with the reflections r_j drawn from the blocks of R itself.
 
-    Agrees with `jr_span(n, R).dim` exactly when R is an interval
+    Agrees with `len(jr_span(n, R))` exactly when R is an interval
     partition; otherwise it is strictly larger (6 against 3 for the
     blocks {1,3},{2}), which is why `jr_span` transports by conjugation.
     """
@@ -619,10 +575,10 @@ def jr_decomposition(n: int) -> dict:
     total = Echelon()
     inserted = 0
     for R in sorted(spans):
-        for x in spans[R].vectors:
+        for x in spans[R]:
             if total.insert(to_vector(x)) is not None:
                 inserted += 1
-    dims = {R: sp.dim for R, sp in spans.items()}
+    dims = {R: len(sp) for R, sp in spans.items()}
     dim_sum = sum(dims.values())
     closure_rank = _closure(n, False).rank
     return {
@@ -646,7 +602,7 @@ def membership_in_jr_sum(n: int, x: BTElement) -> bool:
 def _jr_total_echelon(n: int) -> Echelon:
     total = Echelon()
     for R in all_set_partitions(n + 1):
-        for x in jr_span(n, R).vectors:
+        for x in jr_span(n, R):
             total.insert(to_vector(x))
     return total
 

@@ -212,14 +212,13 @@ def suite_kl_lift(n: int) -> list[tuple[str, bool]]:
             for label, key in _KL_LIFT_CHECKS]
 
 
-def suite_monodromic(n: int, seed: int,
-                     trials: int = 120) -> list[tuple[str, bool]]:
+def suite_monodromic(n: int, seed: int) -> list[tuple[str, bool]]:
     from . import monodromic
 
     checks = list(monodromic.verify_ho_relations(n, 3))
     checks.append(("trivial orbit matches the Hecke algebra",
                    monodromic.verify_hecke_comparison(n)))
-    rep = monodromic.pi_consistency(n, trials, seed=seed, modulus=3)
+    rep = monodromic.pi_consistency(n, 120, seed=seed, modulus=3)
     checks.append((f"rewrite consistency over {rep['trials']} word pairs",
                    rep["failures"] == 0))
     return checks

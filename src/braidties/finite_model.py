@@ -22,6 +22,16 @@ enumeration.  The operators realized here:
   $\Psi_s = \sum_r \psi(r^{-1}) H_s(r)$, and the Juyumaya generator
   $L_s = q^{-k}(E_s + R_s\Psi_s)$.
 
+All of them read one table, `translation_perm(g)`: the map $x \mapsto
+xg$ on the indices of the canonical representatives, for any $g$.  A
+gather $(Af)(x) = \sum c\, f(xg)$ puts $c$ at $(x, xg)$ and builds
+`op_ks` (over $Q_s/U$), `op_es` (over $h_s(r)$) and `pi_s_projector`
+(over $T$); a scatter $\sum c\, R_g$ puts $c$ at $(xg, x)$ and builds
+$H_s(r)$, $E_s$, `E_reflection` and $\Psi_s$, so "op_es equals E_s"
+compares two constructions.  $R_s$ reads the table for $un_s^{-1}$,
+$u \in U$, as a set of targets per point.  Every table and operator of
+a model is built once, in its one cache (`_cached`).
+
 The central identity, verified entrywise over $\mathbb{Q}(\zeta_N)$, is
 $\mathsf{k}_s = L_s$, together with the Yokonuma presentation
 ($R_s^2 = q^k H_s(-1) + R_sE_s$, braid, torus relations), the Juyumaya
@@ -113,15 +123,11 @@ class SmallField:
     def __init__(self, p: int, m: int):
         self.p, self.m, self.size = p, m, p ** m
         digits = [self._digits(e) for e in range(self.size)]
-        if m == 1:
-            add = [[(a + b) % p for b in range(p)] for a in range(p)]
-            mul = [[(a * b) % p for b in range(p)] for a in range(p)]
-        else:
-            mod = self._find_irreducible()
-            add = [[self._undigits([(x + y) % p for x, y in zip(da, db)])
-                    for db in digits] for da in digits]
-            mul = [[self._undigits(self._pmulmod(da, db, mod))
-                    for db in digits] for da in digits]
+        mod = self._find_irreducible()
+        add = [[self._undigits([(x + y) % p for x, y in zip(da, db)])
+                for db in digits] for da in digits]
+        mul = [[self._undigits(self._pmulmod(da, db, mod))
+                for db in digits] for da in digits]
         self.add_t, self.mul_t = add, mul
         self.neg_t = [add[a].index(0) for a in range(self.size)]
         self.inv_t = [None] + [mul[a].index(1) for a in range(1, self.size)]
@@ -269,7 +275,7 @@ def mat_det(F: SmallField, A) -> int:
     return total
 
 
-def _diag(F: SmallField, entries):
+def _diag(entries):
     m = len(entries)
     return tuple(tuple(entries[i] if i == j else 0 for j in range(m))
                  for i in range(m))
@@ -392,25 +398,33 @@ def expected_size_x(n: int, qk: int) -> int:
     return out
 
 
+def _refuse_oversized(n: int, q: int, k: int) -> None:
+    """Refuse |X| = prod_{i=2}^{n+1} (q^{ki} - 1) > SIZE_CEILING from n, q
+    and k alone: 2^{b/4} <= |X| <= 2^b for the b below."""
+    bits = k * q.bit_length() * ((n + 1) * (n + 2) // 2 - 1)
+    if bits > 4096:
+        raise ValueError(f"size ceiling exceeded: |X| > {SIZE_CEILING}")
+    size = expected_size_x(n, q ** k)
+    if size > SIZE_CEILING:
+        raise ValueError(
+            f"size ceiling exceeded: |X| = {size} > {SIZE_CEILING}")
+
+
 class FiniteModel:
     """SL_{n+1} over F_{q^k} acting on functions on G/U."""
 
     def __init__(self, n: int, q: int, k: int):
-        p, a = _factor_prime_power(q)
         if k < 1:
             raise ValueError("k must be >= 1")
+        _refuse_oversized(n, q, k)
+        p, a = _factor_prime_power(q)
         self.n, self.q, self.k = n, q, k
         self.m = n + 1
         self.F = SmallField(p, a * k)
         F = self.F
         self.qk = F.size
         self.size_x = expected_size_x(n, self.qk)
-        if self.size_x > SIZE_CEILING:
-            raise ValueError(
-                f"size ceiling exceeded: |X| = {self.size_x} > {SIZE_CEILING}")
         self.N = (self.qk - 1) * (p if p % 2 else 1)
-        if self.N < 1:
-            self.N = 1
         m = self.m
         self.group = [M for M in
                       (tuple(tuple(row) for row in
@@ -441,10 +455,7 @@ class FiniteModel:
         self.torus_of: dict[int, tuple] = {}
         for t in self.T_list:
             self.torus_of[self.coset_index[t]] = t
-        self._cell_of: dict[int, dict[int, tuple]] = {}
-        self._qs_reps: dict[int, list] = {}
-        self._ops: dict = {}
-        self._psi = None
+        self._tables: dict = {}
 
     # -- group-element constructors ------------------------------------
 
@@ -464,7 +475,7 @@ class FiniteModel:
         entries = [1] * self.m
         entries[i - 1] = r
         entries[j - 1] = self.F.inv_t[r]
-        return _diag(self.F, entries)
+        return _diag(entries)
 
     def h_s(self, i: int, r: int):
         return self.coroot_torus(i, i + 1, r)
@@ -476,30 +487,24 @@ class FiniteModel:
 
     def psi(self, a: int) -> Cyclotomic:
         """Additive character of the field through the trace."""
-        if self._psi is None:
-            p = self.F.p
-            if p == 2:
-                vals = [Cyclotomic.from_rational(self.N, (-1) ** self.F.trace[x])
-                        for x in range(self.F.size)]
-            else:
-                step = self.N // p
-                vals = [self._root(step * self.F.trace[x])
-                        for x in range(self.F.size)]
-            self._psi = vals
-        return self._psi[a]
+        def build():
+            F = self.F
+            if F.p == 2:
+                return [Cyclotomic.from_rational(self.N, (-1) ** tr)
+                        for tr in F.trace]
+            return [self._root(self.N // F.p * tr) for tr in F.trace]
+        return self._cached(("psi",), build)[a]
 
     def chi(self, a: int, power: int = 1) -> Cyclotomic:
         """Multiplicative character: the fixed generator of the dual of
         the multiplicative group, raised to the given power."""
         if a == 0:
             raise ValueError("chi at zero")
-        if self.qk == 2:
-            return Cyclotomic.one(self.N)
         step = self.N // (self.qk - 1)
         return self._root(step * power * self.F.log[a])
 
     def theta_value(self, theta: TorusCharacter, t) -> Cyclotomic:
-        if theta.modulus != max(self.qk - 1, 1):
+        if theta.modulus != self.qk - 1:
             raise ValueError("character modulus does not match the field")
         out = Cyclotomic.one(self.N)
         for i, b in enumerate(theta.exponents):
@@ -508,7 +513,7 @@ class FiniteModel:
         return out
 
     def all_characters(self) -> tuple[TorusCharacter, ...]:
-        return monodromic.all_characters(self.m, max(self.qk - 1, 1))
+        return monodromic.all_characters(self.m, self.qk - 1)
 
     def eps_theta(self, theta: TorusCharacter) -> dict[int, Cyclotomic]:
         return {self.coset_index[t]: self.theta_value(theta, t)
@@ -518,7 +523,7 @@ class FiniteModel:
 
     def cell_of(self, i: int) -> dict[int, tuple]:
         """The s_i Bruhat cell of X: index -> the torus part t of tus."""
-        if i not in self._cell_of:
+        def build():
             F = self.F
             ns = self.simple_n(i)
             found: dict[int, tuple] = {}
@@ -530,44 +535,35 @@ class FiniteModel:
                         found[x] = t
                     elif prev != t:
                         raise ArithmeticError("cell torus part not unique")
-            self._cell_of[i] = found
-        return self._cell_of[i]
+            return found
+        return self._cached(("cell_of", i), build)
 
     def qs_reps(self, i: int) -> list[tuple[tuple, int]]:
-        """Coset representatives of Q_s/U with their symplectic
-        coordinate: the lower-left entry of the Levi SL_2 block."""
-        if i not in self._qs_reps:
-            m = self.m
-            seen: set[int] = set()
+        """Coset representatives of Q_s/U = SL_2/U_2 with their symplectic
+        coordinate: one Levi SL_2 block per nonzero first column (a, c),
+        whose lower-left entry c is the coordinate."""
+        def build():
+            F = self.F
             reps = []
-            for g in self.group:
-                ok = all(g[r][c] == 0 for r in range(m) for c in range(r)
-                         if not (r == i and c == i - 1))
-                if not ok:
+            for a, c in itertools.product(range(F.size), repeat=2):
+                if not (a or c):
                     continue
-                if any(g[r][r] != 1 for r in range(m) if r not in (i - 1, i)):
-                    continue
-                levi_det = self.F.add_t[
-                    self.F.mul_t[g[i - 1][i - 1]][g[i][i]]][
-                    self.F.neg_t[self.F.mul_t[g[i - 1][i]][g[i][i - 1]]]]
-                if levi_det != 1:
-                    continue
-                x = self.coset_index[g]
-                if x in seen:
-                    continue
-                seen.add(x)
-                reps.append((g, g[i][i - 1]))
-            if len(reps) != self.qk ** 2 - 1:
-                raise ArithmeticError("unexpected symplectic fiber size")
-            self._qs_reps[i] = reps
-        return self._qs_reps[i]
+                # the block [[a, b], [c, d]] with ad - bc = 1
+                b, d = (0, F.inv_t[a]) if a else (F.neg_t[F.inv_t[c]], 0)
+                M = [list(row) for row in mat_identity(self.m)]
+                M[i - 1][i - 1:i + 1] = a, b
+                M[i][i - 1:i + 1] = c, d
+                reps.append((tuple(map(tuple, M)), c))
+            return reps
+        return self._cached(("qs_reps", i), build)
 
     # -- operators -------------------------------------------------------
 
     def _cached(self, key, build):
-        if key not in self._ops:
-            self._ops[key] = build()
-        return self._ops[key]
+        """The model's one cache: every table and operator, built once."""
+        if key not in self._tables:
+            self._tables[key] = build()
+        return self._tables[key]
 
     def identity_op(self) -> SparseOperator:
         return self._cached(("id",), lambda: SparseOperator.identity(
@@ -577,21 +573,11 @@ class FiniteModel:
         ident = mat_identity(self.m)
         return next(h for h in self.group if mat_mul(self.F, g, h) == ident)
 
-    def translation_perm(self, t) -> tuple[int, ...]:
-        """Index permutation of right translation by t: x -> xt."""
-        key = ("tperm", t)
-        if key not in self._ops:
-            self._ops[key] = tuple(
-                self.coset_index[mat_mul(self.F, g, t)] for g in self.x_reps)
-        return self._ops[key]
-
-    def right_translation(self, t) -> SparseOperator:
-        """The operator delta_g -> delta_{gt}; on function values this
-        reads (R_t f)(x) = f(x t^{-1})."""
-        one = Cyclotomic.one(self.N)
-        perm = self.translation_perm(t)
-        return SparseOperator(self.N,
-                              {perm[x]: {x: one} for x in range(self.size_x)})
+    def translation_perm(self, g) -> tuple[int, ...]:
+        """The map x -> xg on point indices, for any g in the group: the
+        one table every translation operator and cell reads."""
+        return self._cached(("perm", g), lambda: tuple(
+            self.coset_index[mat_mul(self.F, rep, g)] for rep in self.x_reps))
 
     def left_translation_perm(self, g) -> tuple[int, ...]:
         gi = self.group_inverse(g)
@@ -599,21 +585,35 @@ class FiniteModel:
                      for rep in self.x_reps)
 
     def s_cell_targets(self, i: int) -> tuple:
-        """For each x, the q^k points of xUs^{-1}U/U (xUsU/U differs from
-        it by the h_s(-1) translate in odd characteristic)."""
+        """For each x, the set of the q^k points of xUs^{-1}U/U (xUsU/U
+        differs from it by the h_s(-1) translate in odd characteristic);
+        in SL_3 each is reached by q^{2k} elements u."""
         def build():
-            F = self.F
-            ns = self.group_inverse(self.simple_n(i))
-            out = []
-            for g in self.x_reps:
-                targets = frozenset(
-                    self.coset_index[mat_mul(F, mat_mul(F, g, u), ns)]
-                    for u in self.U_list)
-                if len(targets) != self.qk:
-                    raise ArithmeticError("unexpected s-cell fiber size")
-                out.append(targets)
-            return tuple(out)
+            nsi = self.group_inverse(self.simple_n(i))
+            perms = [self.translation_perm(mat_mul(self.F, u, nsi))
+                     for u in self.U_list]
+            out = tuple(frozenset(perm[x] for perm in perms)
+                        for x in range(self.size_x))
+            if any(len(targets) != self.qk for targets in out):
+                raise ArithmeticError("unexpected s-cell fiber size")
+            return out
         return self._cached(("cell_targets", i), build)
+
+    def _gather(self, terms) -> SparseOperator:
+        """(A f)(x) = sum of c f(xg) over the pairs (g, c) of terms."""
+        rows: list[dict] = [{} for _ in range(self.size_x)]
+        for g, c in terms:
+            for row, y in zip(rows, self.translation_perm(g)):
+                _acc(row, y, c)
+        return SparseOperator(self.N, dict(enumerate(rows)))
+
+    def _scatter(self, terms) -> SparseOperator:
+        """The sum of c R_g over the pairs (g, c) of terms."""
+        rows: list[dict] = [{} for _ in range(self.size_x)]
+        for g, c in terms:
+            for x, y in enumerate(self.translation_perm(g)):
+                _acc(rows[y], x, c)
+        return SparseOperator(self.N, dict(enumerate(rows)))
 
     def R_s(self, i: int) -> SparseOperator:
         """The operator delta_g -> sum of delta_x over x in gUsU/U; on
@@ -628,19 +628,16 @@ class FiniteModel:
         return self._cached(("R_s", i), build)
 
     def H_s(self, i: int, r: int) -> SparseOperator:
-        return self._cached(("H_s", i, r),
-                            lambda: self.right_translation(self.h_s(i, r)))
+        return self._cached(("H_s", i, r), lambda: self._scatter(
+            [(self.h_s(i, r), Cyclotomic.one(self.N))]))
 
     def E_s(self, i: int) -> SparseOperator:
         return self.E_reflection(i, i + 1)
 
     def Psi_s(self, i: int) -> SparseOperator:
-        def build():
-            out = SparseOperator.zero(self.N)
-            for r in range(1, self.F.size):
-                out = out + self.H_s(i, r).scale(self.psi(self.F.inv_t[r]))
-            return out
-        return self._cached(("Psi_s", i), build)
+        return self._cached(("Psi_s", i), lambda: self._scatter(
+            [(self.h_s(i, r), self.psi(self.F.inv_t[r]))
+             for r in range(1, self.F.size)]))
 
     def L_s(self, i: int) -> SparseOperator:
         def build():
@@ -657,44 +654,22 @@ class FiniteModel:
         return self._cached(("L_s_inv", i), build)
 
     def op_ks(self, i: int) -> SparseOperator:
-        def build():
-            F = self.F
-            w = Fraction(1, self.qk)
-            rows = {}
-            for x, g in enumerate(self.x_reps):
-                row = {}
-                for qmat, c in self.qs_reps(i):
-                    y = self.coset_index[mat_mul(F, g, qmat)]
-                    row[y] = self.psi(c).scale(w)
-                rows[x] = row
-            return SparseOperator(self.N, rows)
-        return self._cached(("op_ks", i), build)
+        w = Fraction(1, self.qk)
+        return self._cached(("op_ks", i), lambda: self._gather(
+            [(g, self.psi(c).scale(w)) for g, c in self.qs_reps(i)]))
 
-    def op_es(self, i: int, normalized: bool = False) -> SparseOperator:
-        def build():
-            one = Cyclotomic.one(self.N)
-            rows = {}
-            for x, g in enumerate(self.x_reps):
-                row = {}
-                for r in range(1, self.F.size):
-                    y = self.coset_index[mat_mul(self.F, g, self.h_s(i, r))]
-                    _acc(row, y, one)
-                rows[x] = row
-            return SparseOperator(self.N, rows)
-        out = self._cached(("op_es", i), build)
-        if normalized:
-            return out.scale(Fraction(1, self.qk - 1))
-        return out
+    def op_es(self, i: int) -> SparseOperator:
+        one = Cyclotomic.one(self.N)
+        return self._cached(("op_es", i), lambda: self._gather(
+            [(self.h_s(i, r), one) for r in range(1, self.F.size)]))
 
     def E_reflection(self, i: int, j: int) -> SparseOperator:
-        """Tie operator of a general reflection (i, j): translation sum
+        """Tie operator of a general reflection (i, j): the sum of R_t
         over the coroot subtorus through coordinates i and j."""
-        def build():
-            out = SparseOperator.zero(self.N)
-            for r in range(1, self.F.size):
-                out = out + self.right_translation(self.coroot_torus(i, j, r))
-            return out
-        return self._cached(("E_refl", i, j), build)
+        one = Cyclotomic.one(self.N)
+        return self._cached(("E_refl", i, j), lambda: self._scatter(
+            [(self.coroot_torus(i, j, r), one)
+             for r in range(1, self.F.size)]))
 
     def pi_s_projector(self, i: int) -> SparseOperator:
         """Projection onto the isotypic pieces whose character kills the
@@ -704,18 +679,14 @@ class FiniteModel:
             inside = [theta for theta in self.all_characters()
                       if monodromic.simple_in_circle(i, theta)]
             scale = Fraction(1, len(self.T_list))
-            rows: dict[int, dict[int, Cyclotomic]] = {}
+            terms = []
             for t in self.T_list:
                 coeff = Cyclotomic.zero(self.N)
                 for theta in inside:
                     coeff = coeff + self.theta_value(theta, t).inv()
-                if not coeff:
-                    continue
-                coeff = coeff.scale(scale)
-                perm = self.translation_perm(t)
-                for x in range(self.size_x):
-                    _acc(rows.setdefault(x, {}), perm[x], coeff)
-            return SparseOperator(self.N, rows)
+                if coeff:
+                    terms.append((t, coeff.scale(scale)))
+            return self._gather(terms)
         return self._cached(("pi_s", i), build)
 
     def gauss_sum(self, i: int, theta: TorusCharacter) -> Cyclotomic:
@@ -760,14 +731,21 @@ def op_es_equals_E(model: FiniteModel) -> bool:
     return all(model.op_es(i) == model.E_s(i) for i in range(1, model.m))
 
 
-def verify_yokonuma_relations(model: FiniteModel,
-                              max_torus_pairs: int = 2500) -> list:
+def _torus_conjugation_perms(model: FiniteModel, i: int) -> list:
+    """The pairs of maps x -> xt and x -> x t' over t in T, with
+    t' = n_s t n_s^{-1} for the simple reflection s_i."""
+    F, ns = model.F, model.simple_n(i)
+    nsi = model.group_inverse(ns)
+    return [(model.translation_perm(t),
+             model.translation_perm(mat_mul(F, mat_mul(F, ns, t), nsi)))
+            for t in model.T_list]
+
+
+def verify_yokonuma_relations(model: FiniteModel) -> list:
     F = model.F
     checks = []
     ok = True
-    pairs = itertools.islice(itertools.product(model.T_list, model.T_list),
-                             max_torus_pairs)
-    for t1, t2 in pairs:
+    for t1, t2 in itertools.product(model.T_list, model.T_list):
         p1 = model.translation_perm(t1)
         p2 = model.translation_perm(t2)
         p12 = model.translation_perm(mat_mul(F, t1, t2))
@@ -776,13 +754,8 @@ def verify_yokonuma_relations(model: FiniteModel,
     checks.append(("torus multiplicativity R_t1 R_t2 = R_t1t2", ok))
     ok = True
     for i in range(1, model.m):
-        ns = model.simple_n(i)
-        nsi = model.group_inverse(ns)
         sources = model.s_cell_targets(i)
-        for t in model.T_list:
-            tp = mat_mul(F, mat_mul(F, ns, t), nsi)
-            pt = model.translation_perm(t)
-            ptp = model.translation_perm(tp)
+        for pt, ptp in _torus_conjugation_perms(model, i):
             if any(sources[pt[x]] != frozenset(ptp[y] for y in sources[x])
                    for x in range(model.size_x)):
                 ok = False
@@ -806,7 +779,6 @@ def verify_yokonuma_relations(model: FiniteModel,
 
 
 def verify_juyumaya_relations(model: FiniteModel) -> list:
-    F = model.F
     checks = []
     ok = True
     one = model.identity_op()
@@ -825,14 +797,9 @@ def verify_juyumaya_relations(model: FiniteModel) -> list:
         checks.append(("braid relation for L_s", ok))
     ok = True
     for i in range(1, model.m):
-        ns = model.simple_n(i)
-        nsi = model.group_inverse(ns)
         L = model.L_s(i)
-        for t in model.T_list:
-            tp = mat_mul(F, mat_mul(F, ns, t), nsi)
-            lhs = perm_then_op(model.translation_perm(t), L)
-            rhs = op_then_perm(L, model.translation_perm(tp))
-            if lhs != rhs:
+        for pt, ptp in _torus_conjugation_perms(model, i):
+            if perm_then_op(pt, L) != op_then_perm(L, ptp):
                 ok = False
     checks.append(("torus conjugation R_t L_s = L_s R_t'", ok))
     ok = True
@@ -854,10 +821,10 @@ def verify_tie_dictionary(model: FiniteModel) -> list:
     checks = []
     one = model.identity_op()
     qk = model.qk
-    norm = Fraction(1, qk - 1) if qk > 1 else Fraction(0)
+    norm = Fraction(1, qk - 1)
 
     def tie(i):
-        return model.E_s(i).scale(norm) if qk > 1 else one
+        return model.E_s(i).scale(norm)
 
     for label, g_of, v2 in (
             ("primary dictionary at v^2 = q^-k",
@@ -975,7 +942,7 @@ def verify_projection_lemma(model: FiniteModel) -> list:
         rhs = model.pi_s_projector(i).scale(Fraction(model.qk - 1))
         if lhs != rhs:
             ok = False
-        norm = model.op_es(i, normalized=True)
+        norm = model.op_es(i).scale(Fraction(1, model.qk - 1))
         if norm * norm != norm:
             ok = False
     return [("tie operator is (q^k-1) times an exact projection", ok)]
@@ -1106,7 +1073,7 @@ def monodromic_crosscheck(n: int, q: int, k: int,
     if root is None:
         raise ValueError("crosscheck requires q^k to be a perfect square")
     v0 = Fraction(1, root)
-    theta = torus_character(max(qk - 1, 1), exponents)
+    theta = torus_character(qk - 1, exponents)
     eps = model.eps_theta(theta)
     per_letter = []
     ok = True

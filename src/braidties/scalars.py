@@ -53,6 +53,7 @@ True
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd as int_gcd, isqrt, lcm
@@ -465,11 +466,7 @@ class RationalFunctionScalar:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: LaurentPoly, den: LaurentPoly, _canonical: bool = False):
-        if _canonical:
-            self.num = num
-            self.den = den
-            return
+    def __init__(self, num: LaurentPoly, den: LaurentPoly):
         made = RationalFunctionScalar.make(num, den)
         self.num = made.num
         self.den = made.den

@@ -93,7 +93,7 @@ def test_criterion_3_rank_crosscheck_exact():
 @pytest.mark.slow
 def test_criterion_3_rank_crosscheck_specialized():
     t0 = time.perf_counter()
-    rep = btalg.c_dimension_report(4, "specialized", seed=0, points=3)
+    rep = btalg.c_dimension_report(4, "specialized", seed=0)
     elapsed = time.perf_counter() - t0
     ok = (rep["dimension"] == 3364 == dim_C(4) and rep["agree"]
           and len(rep["points"]) >= 3 and elapsed < 1800.0)

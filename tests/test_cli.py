@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -150,6 +151,25 @@ def test_usage_errors_exit_2(tmp_path):
         assert exc.value.code == 2, args
     # model size ceiling surfaces as a usage error, not a traceback
     assert cli.main(["finite-model", "--n", "3", "--q", "2", "--k", "2"]) == 2
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--n", "1", "--q", "2", "--k", "10"], "|X| = 1048575 > 1000"),
+    (["--n", "1", "--q", "2", "--k", "11"], "|X| = 4194303 > 1000"),
+    (["--n", "1", "--q", "2", "--k", "12"], "|X| = 16777215 > 1000"),
+    (["--n", "100000", "--q", "2"], "|X| > 1000"),
+], ids=lambda x: " ".join(x) if isinstance(x, list) else "")
+def test_oversized_model_is_refused_before_building(args, message, tmp_path,
+                                                     capsys):
+    out = tmp_path / "out.json"
+    t0 = time.perf_counter()
+    code = cli.main(["finite-model", *args, "--out", str(out)])
+    elapsed = time.perf_counter() - t0
+    assert code == 2 and elapsed < 1.0
+    captured = capsys.readouterr()
+    assert captured.err == f"error: size ceiling exceeded: {message}\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_fills_left_out_options_with_the_defaults():

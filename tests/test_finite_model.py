@@ -237,6 +237,154 @@ def test_gauss_sum_trivial_character():
             assert m.gauss_sum(i, theta) == Cyclotomic.from_rational(m.N, -1)
 
 
+# Reference builders that do not read the model's cached translation table:
+# each computes coset_index[rep * g] on its own, the Q_s/U representatives
+# come from a scan of the whole group, and the scatter sums add whole
+# operators one at a time.  The model's tables and operators must equal them.
+
+def _ref_perm(model, g):
+    return tuple(model.coset_index[mat_mul(model.F, rep, g)]
+                 for rep in model.x_reps)
+
+
+def _ref_psi(model):
+    F = model.F
+    if F.p == 2:
+        return [Cyclotomic.from_rational(model.N, (-1) ** F.trace[x])
+                for x in range(F.size)]
+    step = model.N // F.p
+    return [Cyclotomic.root(model.N, step * F.trace[x] % model.N)
+            for x in range(F.size)]
+
+
+def _ref_qs_reps(model, i):
+    F, m = model.F, model.m
+    seen, reps = set(), []
+    for g in model.group:
+        ok = all(g[r][c] == 0 for r in range(m) for c in range(r)
+                 if not (r == i and c == i - 1))
+        if not ok:
+            continue
+        if any(g[r][r] != 1 for r in range(m) if r not in (i - 1, i)):
+            continue
+        levi_det = F.add_t[F.mul_t[g[i - 1][i - 1]][g[i][i]]][
+            F.neg_t[F.mul_t[g[i - 1][i]][g[i][i - 1]]]]
+        if levi_det != 1:
+            continue
+        x = model.coset_index[g]
+        if x in seen:
+            continue
+        seen.add(x)
+        reps.append((g, g[i][i - 1]))
+    return reps
+
+
+def _ref_cell_of(model, i):
+    F, ns = model.F, model.simple_n(i)
+    found = {}
+    for t in model.T_list:
+        for u in model.U_list:
+            found.setdefault(
+                model.coset_index[mat_mul(F, mat_mul(F, t, u), ns)], t)
+    return found
+
+
+def _ref_s_cell_targets(model, i):
+    F = model.F
+    ns = model.group_inverse(model.simple_n(i))
+    return tuple(frozenset(model.coset_index[mat_mul(F, mat_mul(F, g, u), ns)]
+                           for u in model.U_list)
+                 for g in model.x_reps)
+
+
+def _ref_right_translation(model, t):
+    one = Cyclotomic.one(model.N)
+    perm = _ref_perm(model, t)
+    return FM.SparseOperator(model.N,
+                             {perm[x]: {x: one} for x in range(model.size_x)})
+
+
+def _ref_E_reflection(model, i, j):
+    out = FM.SparseOperator.zero(model.N)
+    for r in range(1, model.F.size):
+        out = out + _ref_right_translation(model, model.coroot_torus(i, j, r))
+    return out
+
+
+def _ref_Psi_s(model, i):
+    psi = _ref_psi(model)
+    out = FM.SparseOperator.zero(model.N)
+    for r in range(1, model.F.size):
+        out = out + _ref_right_translation(model, model.h_s(i, r)).scale(
+            psi[model.F.inv_t[r]])
+    return out
+
+
+def _ref_op_ks(model, i):
+    psi, w = _ref_psi(model), Fraction(1, model.qk)
+    rows = {}
+    for x, g in enumerate(model.x_reps):
+        rows[x] = {model.coset_index[mat_mul(model.F, g, qmat)]:
+                   psi[c].scale(w) for qmat, c in _ref_qs_reps(model, i)}
+    return FM.SparseOperator(model.N, rows)
+
+
+def _ref_op_es(model, i):
+    one = Cyclotomic.one(model.N)
+    rows = {}
+    for x, g in enumerate(model.x_reps):
+        row = {}
+        for r in range(1, model.F.size):
+            y = model.coset_index[mat_mul(model.F, g, model.h_s(i, r))]
+            row[y] = row[y] + one if y in row else one
+        rows[x] = row
+    return FM.SparseOperator(model.N, rows)
+
+
+def _ref_pi_s_projector(model, i):
+    from braidties import monodromic
+
+    inside = [theta for theta in model.all_characters()
+              if monodromic.simple_in_circle(i, theta)]
+    scale = Fraction(1, len(model.T_list))
+    out = FM.SparseOperator.zero(model.N)
+    for t in model.T_list:
+        coeff = Cyclotomic.zero(model.N)
+        for theta in inside:
+            coeff = coeff + model.theta_value(theta, t).inv()
+        perm = _ref_perm(model, t)
+        out = out + FM.SparseOperator(
+            model.N, {x: {perm[x]: coeff.scale(scale)}
+                      for x in range(model.size_x)})
+    return out
+
+
+@pytest.mark.parametrize("cfg", [
+    (1, 2, 1), (1, 3, 1), (1, 4, 1), (1, 2, 2), (1, 5, 1), (1, 7, 1),
+    (1, 8, 1), (1, 9, 1), (2, 2, 1),
+    pytest.param((2, 3, 1), marks=pytest.mark.slow),
+], ids=lambda cfg: "SL%d(F%d^%d)" % (cfg[0] + 1, cfg[1], cfg[2]))
+def test_operators_match_reference_builders(cfg):
+    model = build_model(*cfg)
+    assert [model.psi(a) for a in range(model.qk)] == _ref_psi(model)
+    for i in range(1, model.m):
+        reps, ref = model.qs_reps(i), _ref_qs_reps(model, i)
+        assert len(reps) == len(ref) == model.qk ** 2 - 1
+        assert ({(model.coset_index[g], c) for g, c in reps}
+                == {(model.coset_index[g], c) for g, c in ref})
+        assert model.cell_of(i) == _ref_cell_of(model, i)
+        assert model.s_cell_targets(i) == _ref_s_cell_targets(model, i)
+        assert model.op_ks(i) == _ref_op_ks(model, i)
+        assert model.op_es(i) == _ref_op_es(model, i)
+        assert model.Psi_s(i) == _ref_Psi_s(model, i)
+        assert model.pi_s_projector(i) == _ref_pi_s_projector(model, i)
+        for r in range(1, model.qk):
+            assert model.H_s(i, r) == _ref_right_translation(
+                model, model.h_s(i, r))
+        for j in range(i + 1, model.m + 1):
+            assert model.E_reflection(i, j) == _ref_E_reflection(model, i, j)
+
+
 @pytest.mark.slow
 def test_main_identity_sl2_f8():
     _assert_report_ok(verify_main_identity(1, 2, 3))

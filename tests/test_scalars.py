@@ -670,3 +670,12 @@ def test_cyclotomic_repr_pinned():
     assert repr(Cyclotomic.root(2, 1)) == "-1"
     assert repr(Cyclotomic.from_rational(4, Fraction(-7, 3))) == "-7/3"
     assert repr(Cyclotomic.zero(8)) == "0"
+
+
+def test_constructor_annotations_resolve():
+    from collections.abc import Iterable
+    from typing import get_type_hints
+
+    assert get_type_hints(Cyclotomic.__init__)["coords"] == Iterable[Fraction]
+    assert get_type_hints(RF.__init__) == {"num": LaurentPoly,
+                                           "den": LaurentPoly}
