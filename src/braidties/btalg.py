@@ -365,9 +365,13 @@ def _closure(n: int, tagged: bool) -> Echelon:
     return ech
 
 
-# mod-p closure: per generator, the action on basis indices decomposes into
-# a permutation edge (coefficient 1) and, for length-down sources, two
-# extra edges of coefficient v^2 - 1
+# mod-p closure: per generator, the action on basis indices is a
+# permutation edge (coefficient 1) into every target plus, from each
+# length-down source, two edges of coefficient v^2 - 1.  Each generator's
+# table gathers: the permutation source of every target, the targets of
+# weighted edges (by falling in-degree), and per round r the r-th weighted
+# source of each target with more than r of them, so that round r adds
+# into a prefix of those targets
 @lru_cache(maxsize=None)
 def _structure_tables(m: int):
     import numpy as np
@@ -376,16 +380,40 @@ def _structure_tables(m: int):
     tables = []
     for i in range(1, m):
         act = _action(m, i).values()
-        t1 = np.array([idx[moved] for moved, _, _, _ in act], dtype=np.int64)
-        src2: list[int] = []
-        tgt2: list[int] = []
-        for b, (_, down, joined_sw, joined_w) in enumerate(act):
+        perm = np.empty(len(idx), dtype=np.int64)
+        into: dict[int, list[int]] = {}
+        for b, (moved, down, joined_sw, joined_w) in enumerate(act):
+            perm[idx[moved]] = b
             if down:
-                src2.extend((b, b))
-                tgt2.extend((idx[joined_sw], idx[joined_w]))
-        tables.append((t1, np.array(src2, dtype=np.int64),
-                       np.array(tgt2, dtype=np.int64)))
+                into.setdefault(idx[joined_sw], []).append(b)
+                into.setdefault(idx[joined_w], []).append(b)
+        targets = sorted(into, key=lambda t: -len(into[t]))
+        rounds = [np.array([into[t][r] for t in targets if len(into[t]) > r],
+                           dtype=np.int64)
+                  for r in range(len(into[targets[0]]))]
+        tables.append((perm, np.array(targets, dtype=np.int64), rounds))
     return tables
+
+
+def _candidates(f, tables, c2: int):
+    """The rows g_s x, unreduced mod p, for every generator s (in table
+    order) and every row x of f, with v^2 - 1 specialized to c2."""
+    import numpy as np
+
+    out = np.empty((len(tables),) + f.shape)
+    for o, (perm, targets, rounds) in zip(out, tables):
+        np.take(f, perm, axis=1, out=o)
+        acc = f[:, rounds[0]]
+        for src in rounds[1:]:
+            acc[:, :src.size] += f[:, src]
+        acc *= c2
+        o[:, targets] += acc
+    return out.reshape(-1, f.shape[1])
+
+
+# candidate cells per add_batch: at n = 4 a frontier is cut into blocks of
+# 8 MB, which keeps the temporaries of a batch small (n <= 3 is never cut)
+_CANDIDATE_CELLS = 1 << 20
 
 
 def _closure_rank_modp(m: int, v0: Fraction, p: int) -> int:
@@ -401,16 +429,11 @@ def _closure_rank_modp(m: int, v0: Fraction, p: int) -> int:
                              identity_perm(m))]] = 1.0
     ech.add_batch(start)
     frontier = ech.E[-1:].copy()
+    step = max(1, _CANDIDATE_CELLS // (len(tables) * B))
     while frontier.shape[0]:
-        cands = []
-        for t1, s2, t2 in tables:
-            ft = frontier.T
-            out = np.zeros_like(ft)
-            out[t1] = ft
-            if s2.size:
-                np.add.at(out, t2, c2 * ft[s2] % p)
-            cands.append(out.T % p)
-        k = ech.add_batch(np.vstack(cands))
+        k = 0
+        for lo in range(0, frontier.shape[0], step):
+            k += ech.add_batch(_candidates(frontier[lo:lo + step], tables, c2))
         if not k:
             break
         frontier = ech.E[-k:].copy()

@@ -1,28 +1,13 @@
 r"""Exact linear algebra shared by the algebra modules.
 
-Three pieces:
-
-- `SparseVector`: a finitely supported combination, a dict from basis key
-  to scalar.  It is the one arithmetic core under `btalg.BTElement`,
-  `hecke.HeckeElement`, `monodromic.MonodromicElement` and
-  `finite_model.SparseOperator`.  The scalar ring is whatever the
-  coefficients are (rational functions of v, cyclotomic numbers, the rows
-  of an operator): anything with `+`, unary `-`, `*` by a scalar and
-  truthiness as the zero test.  A stored coefficient is never zero, so
-  `==` on the dicts decides equality.
-
-- `Echelon`: sparse reduced row echelon over any exact field scalar
-  (Fraction, rational function, cyclotomic).  Vectors are dicts
-  column -> scalar.  The pivot of a new row is its minimal column, so a
-  fixed basis ordering makes the echelon form, and therefore every rank,
-  bit-reproducible.  An insert may carry a tag (a dict of scalars) on
-  which every row operation is mirrored, so that `combination` can
-  express a vector over the inserted ones; `solve` is built on it.
-
-- `ModPEchelon`: dense batched row echelon over a prime field F_p with
-  p < 2^20, carried by numpy float64 matmuls.  All intermediate values stay
-  below (p-1)^2 * ncols < 2^53, so every float operation is exact integer
-  arithmetic; this is a certificate-grade computation, not an approximation.
+- `SparseVector`: a dict from basis key to never-zero scalar (`+`, `-`,
+  `*`, truthiness as the zero test), the one arithmetic core under
+  `btalg.BTElement`, `hecke.HeckeElement`, `monodromic.MonodromicElement`
+  and `finite_model.SparseOperator`.
+- `Echelon`: sparse reduced row echelon over any exact field, pivoting on
+  the minimal column, so that every rank is bit-reproducible.  Inserts
+  may carry tags, mirrored by every row operation; `solve` uses them.
+- `ModPEchelon`: dense batched row echelon over F_p on exact float64.
 
 >>> from fractions import Fraction
 >>> e = Echelon()
@@ -38,6 +23,11 @@ True
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
+
 
 def _acc(dst: dict, key, c) -> None:
     """dst[key] += c, keeping no zero: the key goes when the sum vanishes."""
@@ -51,8 +41,7 @@ def _acc(dst: dict, key, c) -> None:
 
 
 def _axpy(dst: dict, src: dict, a=None) -> dict:
-    """dst += a * src term by term (dst += src when a is None); returns
-    dst.  a must be nonzero."""
+    """dst += a * src (dst += src when a is None), a nonzero; returns dst."""
     if a is None:
         for k, c in src.items():
             _acc(dst, k, c)
@@ -65,9 +54,8 @@ def _axpy(dst: dict, src: dict, a=None) -> dict:
 class SparseVector:
     """Sparse combination key -> nonzero scalar in a fixed ambient space.
 
-    A subclass names the attribute that fixes its space (`_ambient`, for
-    example the rank ``m``), the zero of its scalars (`ZERO`), and adds
-    its basis constructors and `repr`.
+    A subclass names the attribute that fixes its space (`_ambient`, such
+    as the rank ``m``) and the zero of its scalars (`ZERO`).
 
     >>> from fractions import Fraction
     >>> class Vec(SparseVector):
@@ -92,8 +80,7 @@ class SparseVector:
         self.terms = {k: c for k, c in (terms or {}).items() if c}
 
     def _like(self, terms: dict):
-        """An element of the same space holding terms, which must already
-        be free of zeros (no filtering pass)."""
+        """An element of the same space holding terms, already zero-free."""
         out = object.__new__(type(self))
         setattr(out, self._ambient, getattr(self, self._ambient))
         out.terms = terms
@@ -134,13 +121,10 @@ class SparseVector:
 
 
 class Echelon:
-    """Reduced row echelon accumulator; rows indexed by pivot column.
-
-    A row is stored without its pivot entry, which is 1.  Inserts may
-    carry a tag (any dict of scalars), and every row operation is then
-    mirrored on the tags: if each inserted vector comes with a tag
-    describing how it was produced, `combination(vec)` reports vec as the
-    same kind of combination, or None when vec is outside the span.
+    """Reduced row echelon accumulator; rows indexed by pivot column and
+    stored without their pivot entry 1.  If each insert is tagged with how
+    it was produced (any dict of scalars), `combination(vec)` reports vec
+    as the same kind of combination, or None when vec is outside the span.
 
     >>> from fractions import Fraction
     >>> t = Echelon()
@@ -163,13 +147,9 @@ class Echelon:
         return len(self.rows)
 
     def _reduce(self, vec: dict, tag: dict | None) -> tuple[dict, dict | None]:
-        """Residual of vec after eliminating all current pivots, and tag
-        (changed in place, when given) after the same row operations.
-
-        Stored rows are fully reduced (zero at every other pivot column),
-        so one pass over the pivot entries of vec suffices.  Zero entries
-        of vec are ignored.
-        """
+        """Residual of vec (zero entries ignored), and tag changed in place,
+        after eliminating every pivot: stored rows vanish at the other
+        pivots, so one pass will do."""
         out = {c: x for c, x in vec.items() if x}
         for c in [c for c in out if c in self.rows]:
             a = -out.pop(c)
@@ -179,8 +159,8 @@ class Echelon:
         return out, tag
 
     def insert(self, vec: dict, tag: dict | None = None):
-        """Insert a vector, with an optional tag; returns its pivot
-        column, or None if it is dependent."""
+        """Insert a vector, with an optional tag; returns its pivot, or None
+        if it is dependent."""
         res, tag = self._reduce(vec, None if tag is None else dict(tag))
         if not res:
             return None
@@ -204,9 +184,8 @@ class Echelon:
         return not self._reduce(vec, None)[0]
 
     def combination(self, vec: dict):
-        """Tag-combination expressing vec over the inserted vectors, or
-        None if vec is not in their span (every insert must have been
-        tagged)."""
+        """Tag-combination expressing vec over the (tagged) inserted
+        vectors, or None if vec is not in their span."""
         res, tag = self._reduce(vec, {})
         if res:
             return None
@@ -215,11 +194,8 @@ class Echelon:
 
 def solve(columns: list[dict], b: dict, one) -> list:
     """The unique x with sum_j x_j columns[j] = b, over any exact field
-    with unit `one`.  Column j goes into a tagged `Echelon` with the tag
-    {j: one}, and b is read off as a tag combination.
-
-    Raises ValueError when the columns are dependent (no unique solution)
-    or b is outside their span (no solution).
+    with unit `one`, read off a tagged `Echelon`.  Raises ValueError when
+    the columns are dependent or b is outside their span.
 
     >>> from fractions import Fraction as Fr
     >>> solve([{0: Fr(1), 1: Fr(1)}, {0: Fr(1), 1: Fr(-1)}], {0: Fr(2)}, Fr(1))
@@ -237,70 +213,94 @@ def solve(columns: list[dict], b: dict, one) -> list:
 
 
 class ModPEchelon:
-    """Batched reduced row echelon over F_p via exact float64 arithmetic.
-
-    p must satisfy (p-1)^2 * ncols < 2^53; asserted on construction.
-    """
+    """Batched reduced row echelon over F_p, exact in float64: entries stay
+    in [0, p), so a product of inner dimension k is exact while
+    (p-1)^2 * k <= 2^53 - 2p, checked at each one.  An x with
+    |x| <= 2^53 - 2p (candidates too) is reduced as x - p*floor(x*(1/p)):
+    two roundings move x/p by under 2/p < 1, so the quotient is off by at
+    most one, p*q and the difference are exact, and one +p or -p lands in
+    [0, p).  A batch is reduced against E by one product, then echelonized
+    by recursive row splitting.  E is the first `rank` rows (in `pivots`
+    order) of a buffer of ncols rows allocated once."""
 
     def __init__(self, ncols: int, p: int):
         import numpy as np
 
-        if (p - 1) ** 2 * ncols >= 2 ** 53:
+        self.p, self.ncols, self.pivots = p, ncols, []
+        self._check(ncols)
+        self._buf = np.empty((ncols, ncols))
+        self._tmp = np.empty((256, ncols))  # rows per product
+
+    def _check(self, k: int) -> None:
+        if (self.p - 1) ** 2 * k > 2 ** 53 - 2 * self.p:
             raise ValueError("p too large for exact float64 accumulation")
-        self.p = p
-        self.ncols = ncols
-        self.E = np.zeros((0, ncols))
-        self.pivots: list[int] = []
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def add_batch(self, C: np.ndarray) -> int:
-        """Reduce the rows of C against the echelon and absorb the
-        independent ones; returns the number of new pivots. C is consumed."""
+    @property
+    def E(self) -> np.ndarray:
+        return self._buf[:self.rank]
+
+    def _update(self, A, X=None, Y=None) -> None:
+        """A <- (A - X @ Y) mod p, or A <- A mod p, in place by row blocks."""
         import numpy as np
 
-        p = self.p
-        C = np.mod(C, p)
-        if self.pivots:
-            C = np.mod(C - C[:, self.pivots] @ self.E, p)
-        new_rows: list[np.ndarray] = []
-        new_pivs: list[int] = []
-        for idx in range(C.shape[0]):
-            row = C[idx]
-            nz = np.nonzero(row)[0]
-            if nz.size == 0:
-                continue
-            c = int(nz[0])
-            inv = pow(int(row[c]), p - 2, p)
-            row = np.mod(row * inv, p)
-            rest = C[idx + 1:]
-            if rest.shape[0]:
-                col = rest[:, c]
-                mask = col != 0
-                if mask.any():
-                    rest[mask] = np.mod(rest[mask] - np.outer(col[mask], row), p)
-            new_rows.append(row)
-            new_pivs.append(c)
-        if not new_rows:
-            return 0
-        N = np.vstack(new_rows)
-        # make the new block internally reduced (clear earlier rows at
-        # later pivots), then clear the new pivots from the old rows
-        for j in range(1, len(new_pivs)):
-            cj = new_pivs[j]
-            col = N[:j, cj]
-            mask = col != 0
-            if mask.any():
-                N[:j][mask] = np.mod(N[:j][mask] - np.outer(col[mask], N[j]), p)
-        if self.pivots:
-            coef = self.E[:, new_pivs]
-            if np.any(coef):
-                self.E = np.mod(self.E - coef @ N, p)
-        self.E = np.vstack([self.E, N])
-        self.pivots.extend(new_pivs)
-        return len(new_pivs)
+        p, n = self.p, len(self._tmp)
+        if X is not None:
+            self._check(X.shape[1])
+        for lo in range(0, A.shape[0], n):
+            a, t = A[lo:lo + n], self._tmp[:min(n, A.shape[0] - lo)]
+            if X is not None:
+                a -= np.matmul(X[lo:lo + n], Y, out=t)
+            np.floor(np.multiply(a, 1.0 / p, out=t), out=t)
+            a -= np.multiply(t, p, out=t)
+            np.add(a, p, out=a, where=a < 0)
+            np.subtract(a, p, out=a, where=a >= p)
+
+    def _echelon(self, R) -> list[int]:
+        """Echelonize R (nonzero reduced rows) in place: returns the pivots
+        in the order found, with their rows at the top of R."""
+        import numpy as np
+
+        if R.shape[0] == 1:
+            c = int(np.flatnonzero(R[0])[0])
+            R *= pow(int(R[0, c]), self.p - 2, self.p)
+            self._update(R)
+            return [c]
+        h = R.shape[0] // 2
+        top = self._echelon(R[:h])
+        kt, low = len(top), R[h:]
+        self._update(low, low[:, top], R[:kt])
+        keep = np.flatnonzero(low.any(axis=1))
+        if not keep.size:
+            return top
+        R[kt:kt + keep.size] = low[keep]
+        new = self._echelon(R[kt:kt + keep.size])
+        self._update(R[:kt], R[:kt, new], R[kt:kt + len(new)])
+        return top + new
+
+    def add_batch(self, C: np.ndarray) -> int:
+        """Reduce the rows of C, float64 integers at most 2^53 - 2p in
+        absolute value, against the echelon and absorb the independent
+        ones; returns the number of new pivots.  C is consumed."""
+        import numpy as np
+
+        if C.size and max(C.max(), -C.min()) > 2 ** 53 - 2 * self.p:
+            raise ValueError("entry too large for exact float64 reduction")
+        self._update(C)
+        self._update(C, C[:, self.pivots], self.E)
+        R = C[C.any(axis=1)]
+        new = self._echelon(R) if R.shape[0] else []
+        k, coef = len(new), self.E[:, new]
+        old = np.flatnonzero(coef.any(axis=1))  # old rows to clear
+        rows = self._buf[old]
+        self._update(rows, coef[old], R[:k])
+        self._buf[old] = rows
+        self._buf[self.rank:self.rank + k] = R[:k]
+        self.pivots += new
+        return k
 
 
 if __name__ == "__main__":

@@ -55,6 +55,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from .coxeter import (
     Perm,
@@ -69,6 +70,9 @@ from .coxeter import (
 )
 from .linalg import Echelon, SparseVector, _acc
 from .scalars import RationalFunctionScalar as RF
+
+if TYPE_CHECKING:
+    from . import hecke
 
 V = RF.V
 _ONE = RF.ONE
@@ -314,7 +318,7 @@ def pi_of_combo(combo, L: TorusCharacter) -> MonodromicElement:
     return out
 
 
-def hecke_image(x: MonodromicElement) -> "hecke.HeckeElement":
+def hecke_image(x: MonodromicElement) -> hecke.HeckeElement:
     """Read an element over a one-character orbit as a Hecke element."""
     from . import hecke
 

@@ -138,13 +138,43 @@ def test_lmul_g_matches_reference_rule(m):
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_structure_tables_match_reference_rule(m):
+    """The gather tables hold the reference edges: the permutation source
+    of each target, and each weighted edge once, round r pairing its
+    sources with a prefix of the distinct targets."""
     np = pytest.importorskip("numpy")
     got = btalg._structure_tables(m)
     ref = _ref_structure_tables(m, np)
     assert len(got) == len(ref) == m - 1
-    for arrays, ref_arrays in zip(got, ref):
-        for a, b in zip(arrays, ref_arrays):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+    for (perm, targets, rounds), (t1, src2, tgt2) in zip(got, ref):
+        assert perm.dtype == targets.dtype == t1.dtype
+        assert np.array_equal(perm[t1], np.arange(t1.size))
+        assert len(set(targets.tolist())) == targets.size
+        sizes = [r.size for r in rounds]
+        assert sizes == sorted(sizes, reverse=True)
+        assert sizes[0] == targets.size
+        edges = sorted((int(s), int(t)) for r in rounds
+                       for s, t in zip(r, targets))
+        assert edges == sorted(zip(src2.tolist(), tgt2.tolist()))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_modp_candidates_match_reference_rule(m):
+    """The gathered candidate rows equal the rows times the dense matrix of
+    each generator's reference edges, with v^2 - 1 specialized to c2."""
+    np = pytest.importorskip("numpy")
+    p = 1048573
+    rng = np.random.default_rng(m)
+    B = len(basis_pairs(m))
+    f = rng.integers(0, p, (5, B)).astype(float)
+    c2 = int(rng.integers(2, p))
+    want = []
+    for t1, src2, tgt2 in _ref_structure_tables(m, np):
+        M = np.zeros((B, B))
+        M[np.arange(B), t1] = 1
+        np.add.at(M, (src2, tgt2), c2)
+        want.append(f @ M)
+    got = btalg._candidates(f, btalg._structure_tables(m), c2)
+    assert np.array_equal(got, np.vstack(want))
 
 
 def test_model_dimension_formula():

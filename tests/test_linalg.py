@@ -1,5 +1,5 @@
 """Tests for the sparse-combination core, the exact echelon and the mod-p
-echelon."""
+echelon, with the row-at-a-time mod-p engine kept here as its oracle."""
 
 import random
 from fractions import Fraction
@@ -228,3 +228,199 @@ def test_modp_echelon_refuses_inexact_widths(p):
     assert ModPEchelon(widest, p).ncols == widest
     with pytest.raises(ValueError):
         ModPEchelon(widest + 1, p)
+
+
+# ---------------------------------------------------------------------------
+# the exact float64 reduction mod p, and the bounds that keep it exact
+# ---------------------------------------------------------------------------
+
+# With 1/p rounded as it is for 1048571, the float quotient can come out one
+# too small, which no tried input does at the specialization primes: this
+# prime exercises the second correction of the reduction.
+_REDUCTION_PRIMES = _SPECIALIZE_PRIMES + (1048571,)
+
+
+def _reduction_inputs(p):
+    """Every k*p + {-1, 0, 1} of either sign within the bound
+    |x| <= 2^53 - 2p, for the 200 smallest and the 200 largest k and for
+    20 000 random k, plus 20 000 random integers and the bound itself.
+    (Past the bound the reduction is not exact: at p = 1048573 it takes
+    -(2^53 - 1) to 974845, not 974846.)"""
+    rng = random.Random(p)
+    top = 2 ** 53 - 2 * p
+    kmax = top // p
+    ks = [*range(200), *range(kmax - 200, kmax + 1),
+          *(rng.randint(1, kmax) for _ in range(20000))]
+    vals = {s * (k * p + d) for k in ks for d in (-1, 0, 1) for s in (1, -1)}
+    vals.update(rng.randint(-top, top) for _ in range(20000))
+    vals.update((top, -top))
+    return sorted(v for v in vals if abs(v) <= top)
+
+
+def _as_rows(vals):
+    import numpy as np
+
+    vals = vals + [0] * (-len(vals) % 512)
+    A = np.array(vals, dtype=float).reshape(-1, 512)
+    assert [int(x) for x in A.ravel()] == vals  # every input exact in float
+    return A, vals
+
+
+@pytest.mark.parametrize("p", _REDUCTION_PRIMES)
+def test_float_reduction_matches_integer_mod(p):
+    A, vals = _as_rows(_reduction_inputs(p))
+    ModPEchelon(512, p)._update(A)
+    assert [int(x) for x in A.ravel()] == [v % p for v in vals]
+
+
+def test_float_reduction_inputs_need_both_corrections():
+    """The raw x - p * floor(x * (1/p)) falls below 0 for some inputs and
+    reaches p for others, so each correction step is tested."""
+    import numpy as np
+
+    low = high = False
+    for p in _REDUCTION_PRIMES:
+        A, _ = _as_rows(_reduction_inputs(p))
+        raw = A - np.floor(A * (1.0 / p)) * p
+        low, high = low or bool((raw < 0).any()), high or bool((raw >= p).any())
+    assert low and high
+
+
+@pytest.mark.parametrize("p", _SPECIALIZE_PRIMES)
+def test_modp_echelon_refuses_entries_past_the_float_bound(p):
+    import numpy as np
+
+    bound = 2 ** 53 - 2 * p
+    ech = ModPEchelon(3, p)
+    assert ech.add_batch(np.array([[bound, 1.0, -bound]])) == 1
+    a = bound % p
+    row = [1, pow(a, p - 2, p), (-bound) * pow(a, p - 2, p) % p]
+    assert ech.pivots == [0] and ech.E.tolist() == [row]
+    for bad in (bound + 1, -bound - 1, 2.0 ** 53, -2.0 ** 53, 2.0 ** 60):
+        with pytest.raises(ValueError):
+            ech.add_batch(np.array([[0.0, 0.0, float(bad)]]))
+        assert ech.pivots == [0] and ech.E.tolist() == [row]
+    # an inner dimension past (p-1)^2 * k <= 2^53 - 2p
+    k = bound // (p - 1) ** 2 + 1
+    with pytest.raises(ValueError):
+        ech._update(np.zeros((1, 3)), np.ones((1, k)), np.ones((k, 3)))
+
+
+# ---------------------------------------------------------------------------
+# ModPEchelon against the row-at-a-time engine it replaced
+# ---------------------------------------------------------------------------
+
+class _RowAtATimeEchelon:
+    """The former `ModPEchelon.add_batch`: each candidate row is reduced
+    against E by one product and then, in order, against the rows found
+    before it by one masked outer update per row.  A row space has one
+    reduced echelon form, and both engines list pivots in the order the
+    rows reveal them, so the blocked engine must match it exactly."""
+
+    def __init__(self, ncols, p):
+        import numpy as np
+
+        self.p, self.E, self.pivots = p, np.zeros((0, ncols)), []
+
+    def add_batch(self, C):
+        import numpy as np
+
+        p = self.p
+        C = np.mod(C, p)
+        if self.pivots:
+            C = np.mod(C - C[:, self.pivots] @ self.E, p)
+        new_rows, new_pivs = [], []
+        for idx in range(C.shape[0]):
+            row = C[idx]
+            nz = np.nonzero(row)[0]
+            if nz.size == 0:
+                continue
+            c = int(nz[0])
+            row = np.mod(row * pow(int(row[c]), p - 2, p), p)
+            rest = C[idx + 1:]
+            if rest.shape[0]:
+                col = rest[:, c]
+                mask = col != 0
+                if mask.any():
+                    rest[mask] = np.mod(rest[mask] - np.outer(col[mask], row), p)
+            new_rows.append(row)
+            new_pivs.append(c)
+        if not new_rows:
+            return 0
+        N = np.vstack(new_rows)
+        for j in range(1, len(new_pivs)):
+            col = N[:j, new_pivs[j]]
+            mask = col != 0
+            if mask.any():
+                N[:j][mask] = np.mod(N[:j][mask] - np.outer(col[mask], N[j]), p)
+        if self.pivots:
+            coef = self.E[:, new_pivs]
+            if np.any(coef):
+                self.E = np.mod(self.E - coef @ N, p)
+        self.E = np.vstack([self.E, N])
+        self.pivots.extend(new_pivs)
+        return len(new_pivs)
+
+
+def _planted_rank_array(rng, nrows, ncols, rank, p):
+    """`_planted_rank_rows` in numpy, for batches too large for Python
+    loops: a random nrows x rank times rank x ncols product over F_p, with
+    zero columns, repeated rows and zero rows mixed in."""
+    import numpy as np
+
+    basis = rng.integers(0, p, (rank, ncols)) * (rng.random((rank, ncols)) < 0.8)
+    rows = rng.integers(0, p, (nrows, rank)) @ basis % p
+    rows[rng.random(nrows) < 0.05] = 0
+    repeat = np.flatnonzero(rng.random(nrows) < 0.1)
+    rows[repeat] = rows[rng.integers(0, nrows, repeat.size)]
+    return rows.astype(float)
+
+
+@pytest.mark.parametrize("p", _SPECIALIZE_PRIMES)
+def test_blocked_echelon_matches_row_at_a_time(p):
+    """Planted ranks 40..100 in 60..150 columns, the first batch at least
+    64 rows so that the row splitting recurses six levels or more."""
+    import numpy as np
+
+    rng = np.random.default_rng(p)
+    for trial in range(6):
+        ncols = int(rng.integers(60, 151))
+        rank = int(rng.integers(40, min(ncols, 100) + 1))
+        nrows = int(rng.integers(100, 241))
+        rows = _planted_rank_array(rng, nrows, ncols, rank, p)
+        ech, ref = ModPEchelon(ncols, p), _RowAtATimeEchelon(ncols, p)
+        cuts = [0, int(rng.integers(64, nrows)), nrows]
+        cuts[2:2] = sorted(rng.integers(cuts[1], nrows, 3).tolist())
+        for lo, hi in zip(cuts, cuts[1:]):
+            want = ref.add_batch(rows[lo:hi].copy())
+            assert ech.add_batch(rows[lo:hi].copy()) == want, trial
+            assert ech.pivots == ref.pivots, trial
+            assert np.array_equal(ech.E, ref.E), trial
+        assert ech.rank >= 40, trial
+
+
+@pytest.mark.parametrize("n, rank", [(1, 3), (2, 20), (3, 217)])
+def test_closure_batches_match_row_at_a_time(n, rank, monkeypatch):
+    """Every batch the mod-p closure submits, at the three points of seed
+    0 (one per specialization prime), against the row-at-a-time engine;
+    the ranks are the paper's dim C(v)."""
+    import numpy as np
+
+    from braidties.btalg import _closure_rank_modp, _specialization_points
+
+    blocked = ModPEchelon.add_batch
+    refs = {}
+
+    def checked(self, C):
+        ref = refs.setdefault(self, _RowAtATimeEchelon(self.ncols, self.p))
+        want = ref.add_batch(C.copy())
+        assert blocked(self, C) == want
+        assert self.pivots == ref.pivots and np.array_equal(self.E, ref.E)
+        return want
+
+    monkeypatch.setattr(ModPEchelon, "add_batch", checked)
+    points = _specialization_points(0, 3)
+    assert sorted(p for _, p in points) == sorted(_SPECIALIZE_PRIMES)
+    for v0, p in points:
+        assert _closure_rank_modp(n + 1, v0, p) == rank
+    assert len(refs) == 3

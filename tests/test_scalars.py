@@ -679,3 +679,44 @@ def test_constructor_annotations_resolve():
     assert get_type_hints(Cyclotomic.__init__)["coords"] == Iterable[Fraction]
     assert get_type_hints(RF.__init__) == {"num": LaurentPoly,
                                            "den": LaurentPoly}
+
+
+def _type_checking_namespace(module):
+    """The module's globals plus what it imports under `if TYPE_CHECKING:`
+    (names that annotations may use without a runtime import)."""
+    import ast
+    import inspect
+
+    ns = dict(vars(module))
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if (isinstance(node, ast.If) and isinstance(node.test, ast.Name)
+                and node.test.id == "TYPE_CHECKING"):
+            exec(compile(ast.Module(node.body, []), module.__file__, "exec"), ns)
+    return ns
+
+
+def test_every_annotation_resolves():
+    """typing.get_type_hints on every function and method defined in the
+    eight modules, classes included, with their TYPE_CHECKING imports."""
+    import importlib
+    import inspect
+    from typing import get_type_hints
+
+    names = ("btalg", "cli", "coxeter", "finite_model", "hecke", "linalg",
+             "monodromic", "scalars")
+    checked = 0
+    for name in names:
+        module = importlib.import_module(f"braidties.{name}")
+        ns = _type_checking_namespace(module)
+        objs = [obj for obj in vars(module).values()
+                if getattr(obj, "__module__", None) == module.__name__]
+        for cls in [obj for obj in objs if inspect.isclass(obj)]:
+            for attr in vars(cls).values():
+                objs.append(getattr(attr, "fget", None)
+                            or getattr(attr, "__func__", attr))
+        for obj in objs:
+            fn = inspect.unwrap(obj) if callable(obj) else None
+            if inspect.isfunction(fn):
+                get_type_hints(fn, globalns=ns)
+                checked += 1
+    assert checked > 300
