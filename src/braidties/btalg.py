@@ -73,11 +73,13 @@ from .coxeter import (
     Perm,
     SetPartition,
     all_perms,
+    all_reflections,
     all_set_partitions,
     discrete_partition,
     identity_perm,
     left_action,
     pair_partition,
+    partition_block_sizes,
     partition_from_blocks,
     partition_join,
     perm_inv,
@@ -250,7 +252,7 @@ def verify_presentation(n: int) -> list[tuple[str, bool]]:
     one = BTElement.unit(m)
     checks: list[tuple[str, bool]] = []
     simples = range(1, m)
-    reflections = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
+    reflections = all_reflections(m)
 
     def E(r):
         return e_element(pair_partition(r[0], r[1], m))
@@ -494,9 +496,8 @@ def _is_interval_partition(R: SetPartition) -> bool:
 
 def _canonical_interval_partition(R: SetPartition, m: int) -> SetPartition:
     """Interval partition with the same block sizes, largest first."""
-    sizes = sorted((len(b) for b in R if len(b) > 1), reverse=True)
     blocks, start = [], 1
-    for size in sizes:
+    for size in partition_block_sizes(R):
         blocks.append(tuple(range(start, start + size)))
         start += size
     blocks.extend((i,) for i in range(start, m + 1))
@@ -615,21 +616,6 @@ def jr_decomposition(n: int) -> dict:
     }
 
 
-def membership_in_jr_sum(n: int, x: BTElement) -> bool:
-    """Whether x lies in the (exact) span of all J_R e_R."""
-    total = _jr_total_echelon(n)
-    return total.contains(to_vector(x))
-
-
-@lru_cache(maxsize=None)
-def _jr_total_echelon(n: int) -> Echelon:
-    total = Echelon()
-    for R in all_set_partitions(n + 1):
-        for x in jr_span(n, R):
-            total.insert(to_vector(x))
-    return total
-
-
 # ---------------------------------------------------------------------------
 # word evaluation and the Kazhdan-Lusztig lift
 # ---------------------------------------------------------------------------
@@ -703,12 +689,6 @@ def word_combo(x: BTElement) -> WordCombo:
     if combo is None:
         raise ValueError("element is not in C(v)")
     return combo
-
-
-@lru_cache(maxsize=None)
-def kl_lift_combo(w: Perm) -> WordCombo:
-    """`kl_lift(w)` as a combination of signed generator words."""
-    return word_combo(kl_lift(w))
 
 
 def kl_lift_via(w: Perm, s: int) -> BTElement:

@@ -48,7 +48,7 @@ run-length states.  `dim_recurrence` computes the same number by the
 exponential formula over set partitions and shares no code with `dim_C`;
 the command line checks its row sums against it.
 
->>> length_descents((3, 2, 1))
+>>> perm_length((3, 2, 1)), right_descents((3, 2, 1))
 (3, frozenset({1, 2}))
 >>> dim_C(3, "subset-enumeration")
 217
@@ -95,14 +95,6 @@ def perm_length(w: Perm) -> int:
 
 def right_descents(w: Perm) -> frozenset[int]:
     return frozenset(i + 1 for i in range(len(w) - 1) if w[i] > w[i + 1])
-
-def length_descents(w: Perm) -> tuple[int, frozenset[int]]:
-    """(l(w), { i : l(w s_i) < l(w) }).
-
-    >>> length_descents((2, 1, 4, 3))
-    (2, frozenset({1, 3}))
-    """
-    return perm_length(w), right_descents(w)
 
 def simple_perm(i: int, m: int) -> Perm:
     """The adjacent transposition s_i = (i, i+1) in S_m."""
@@ -155,11 +147,6 @@ def reduced_word(w: Perm) -> Word:
             break
     return tuple(reversed(word))
 
-def perm_from_word(word: Word, m: int) -> Perm:
-    w = identity_perm(m)
-    for i in word:
-        w = perm_mul(w, simple_perm(i, m))
-    return w
 
 
 # ---------------------------------------------------------------------------
@@ -191,19 +178,6 @@ def bruhat_leq(x: Perm, w: Perm) -> bool:
                 return False
     return True
 
-def bruhat_leq_bruteforce(x: Perm, w: Perm) -> bool:
-    """Subword-property oracle: x <= w iff x is a product of some
-    subsequence of one fixed reduced word of w. Exponential; tests only."""
-    m = len(x)
-    word = reduced_word(w)
-    seen = set()
-    for mask in range(1 << len(word)):
-        u = identity_perm(m)
-        for pos, i in enumerate(word):
-            if mask >> pos & 1:
-                u = perm_mul(u, simple_perm(i, m))
-        seen.add(u)
-    return x in seen
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +274,6 @@ def all_set_partitions(m: int) -> tuple[SetPartition, ...]:
             out.append(partition_from_blocks(blocks))
     return tuple(sorted(out))
 
-def bell_number(m: int) -> int:
-    return len(all_set_partitions(m))
-
 def partition_block_sizes(p: SetPartition) -> tuple[int, ...]:
     """Non-singleton block sizes, decreasing."""
     return tuple(sorted((len(b) for b in p if len(b) > 1), reverse=True))
@@ -365,10 +336,6 @@ def _howlett_order_lambda(n: int, lam: tuple[int, ...]) -> int:
         out *= factorial(ni) * factorial(i + 1) ** ni
     return out
 
-def r_subset(n: int, I) -> int:
-    """(n+1)!/N_I: the number of reflection subgroups conjugate to W_I."""
-    return factorial(n + 1) // howlett_order(n, I)
-
 def d_subset(n: int, I) -> int:
     """Number of w in S_{n+1} with a right descent in every contiguous
     block of I, by the factorized product form
@@ -413,54 +380,6 @@ def _d_value_lambda(n: int, lam: tuple[int, ...]) -> int:
         assert acc == value, (n, lam, acc, value)
     return value
 
-def d_subset_bruteforce(n: int, I) -> int:
-    """Direct enumeration of S_{n+1}; n <= 9."""
-    if n > 9:
-        raise ValueError("enumeration bound n <= 9 exceeded")
-    blocks = subset_blocks(I)
-    count = 0
-    for w in itertools.permutations(range(1, n + 2)):
-        if all(any(w[s - 1] > w[s] for s in b) for b in blocks):
-            count += 1
-    return count
-
-def normalizer_bruteforce(n: int, I) -> int:
-    """|{w : w W_I w^{-1} = W_I}| by enumeration; n <= 6.
-
-    Conjugating the generators into W_I suffices: conjugation by a fixed w
-    is an automorphism, so w W_I w^{-1} is a subgroup of W_I of the same
-    order, hence equal.  Membership in the Young subgroup W_I is the
-    interval test: w moves points only within the intervals spanned by the
-    contiguous blocks of I.
-
-    >>> normalizer_bruteforce(2, {1})
-    2
-    >>> normalizer_bruteforce(3, {1, 3})
-    8
-    """
-    if n > 6:
-        raise ValueError("enumeration bound n <= 6 exceeded")
-    m = n + 1
-    intervals = [set(b) | {b[-1] + 1} for b in subset_blocks(I)]
-    covered = set().union(*intervals) if intervals else set()
-
-    def in_young(u: Perm) -> bool:
-        for x in range(1, m + 1):
-            ux = u[x - 1]
-            if x in covered:
-                if not any(x in iv and ux in iv for iv in intervals):
-                    return False
-            elif ux != x:
-                return False
-        return True
-
-    gens = [simple_perm(i, m) for i in sorted(I)]
-    count = 0
-    for w in itertools.permutations(range(1, m + 1)):
-        wi = perm_inv(w)
-        if all(in_young(perm_mul(perm_mul(w, g), wi)) for g in gens):
-            count += 1
-    return count
 
 
 # ---------------------------------------------------------------------------

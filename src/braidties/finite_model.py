@@ -426,23 +426,22 @@ class FiniteModel:
         self.size_x = expected_size_x(n, self.qk)
         self.N = (self.qk - 1) * (p if p % 2 else 1)
         m = self.m
-        self.group = [M for M in
-                      (tuple(tuple(row) for row in
-                             zip(*[iter(flat)] * m))
-                       for flat in itertools.product(range(F.size),
-                                                     repeat=m * m))
-                      if mat_det(F, M) == 1]
-        self.U_list = [M for M in self.group
-                       if all(M[i][i] == 1 for i in range(m))
-                       and all(M[i][j] == 0 for i in range(m)
-                               for j in range(i))]
-        self.T_list = [M for M in self.group
-                       if all(M[i][j] == 0 for i in range(m)
-                              for j in range(m) if i != j)]
+        # U and T in the lexicographic order of their flattened matrices
+        above = [(i, j) for i in range(m) for j in range(i + 1, m)]
+        self.U_list = []
+        for entries in itertools.product(range(F.size), repeat=len(above)):
+            M = [list(row) for row in mat_identity(m)]
+            for (i, j), x in zip(above, entries):
+                M[i][j] = x
+            self.U_list.append(tuple(map(tuple, M)))
+        self.T_list = [t for t in map(_diag, itertools.product(
+            range(1, F.size), repeat=m)) if mat_det(F, t) == 1]
+        # the group is held once, as the keys of coset_index
         self.coset_index: dict = {}
         self.x_reps: list = []
-        for g in self.group:
-            if g in self.coset_index:
+        for flat in itertools.product(range(F.size), repeat=m * m):
+            g = tuple(tuple(row) for row in zip(*[iter(flat)] * m))
+            if g in self.coset_index or mat_det(F, g) != 1:
                 continue
             coset = {mat_mul(F, g, u) for u in self.U_list}
             rep = min(coset)
@@ -570,8 +569,12 @@ class FiniteModel:
             self.N, self.size_x))
 
     def group_inverse(self, g):
+        """g^(ord(g) - 1), by powers of g."""
         ident = mat_identity(self.m)
-        return next(h for h in self.group if mat_mul(self.F, g, h) == ident)
+        h = g
+        while (gh := mat_mul(self.F, g, h)) != ident:
+            h = gh
+        return h
 
     def translation_perm(self, g) -> tuple[int, ...]:
         """The map x -> xg on point indices, for any g in the group: the

@@ -68,7 +68,7 @@ from .coxeter import (
     reduced_word,
     simple_perm,
 )
-from .linalg import Echelon, SparseVector, _acc
+from .linalg import SparseVector, _acc
 from .scalars import RationalFunctionScalar as RF
 
 if TYPE_CHECKING:
@@ -107,8 +107,8 @@ def torus_character(modulus: int, exponents) -> TorusCharacter:
     return TorusCharacter(modulus, tuple((b - last) % modulus for b in exps))
 
 
-def trivial_character(m: int, modulus: int = 1) -> TorusCharacter:
-    return torus_character(modulus, (0,) * m)
+def trivial_character(m: int) -> TorusCharacter:
+    return torus_character(1, (0,) * m)
 
 
 @lru_cache(maxsize=None)
@@ -474,24 +474,6 @@ def pi_consistency(n: int, trials: int, seed: int = 0,
                 failures += 1
     return {"n": n, "trials": trials, "failures": failures,
             "modulus": modulus, "seed": seed}
-
-
-def pi_image_rank(theta: TorusCharacter, max_length: int = 6) -> int:
-    """Measured rank of the span of pi_L images of all positive words up
-    to the given length (an observation about how much of the orbit
-    algebra the braid generators reach; not asserted anywhere)."""
-    m = len(theta.exponents)
-    orbit = orbit_of(theta)
-    index = {(w, L): k for k, (w, L) in enumerate(
-        (w, L) for w in all_perms(m) for L in orbit)}
-    ech = Echelon()
-    words = [()]
-    for _ in range(max_length):
-        words = [wd + (i,) for wd in words for i in range(1, m)]
-        for wd in words:
-            vec = {index[k]: c for k, c in pi_L(wd, theta).terms.items()}
-            ech.insert(vec)
-    return ech.rank
 
 
 if __name__ == "__main__":

@@ -899,10 +899,6 @@ class Cyclotomic:
                     out[k] += x * r
         return _cyc(N, out, self.den)
 
-    def conjugate(self) -> "Cyclotomic":
-        """Complex conjugation zeta -> zeta^{-1}."""
-        return self.galois(self.order - 1) if self.order > 1 else self
-
     def __repr__(self) -> str:
         if self.is_zero():
             return "0"

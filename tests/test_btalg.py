@@ -23,17 +23,16 @@ from braidties.btalg import (
     jr_literal_dimension,
     jr_span,
     kl_lift,
-    kl_lift_combo,
     kl_lift_via,
     lmul_g,
-    membership_in_jr_sum,
+    to_vector,
     verify_presentation,
+    word_combo,
     word_element,
 )
 from braidties.coxeter import (
     all_perms,
     all_set_partitions,
-    bell_number,
     discrete_partition,
     identity_perm,
     pair_partition,
@@ -48,7 +47,7 @@ from braidties.coxeter import (
     transposition_perm,
     w_action,
 )
-from braidties.linalg import _acc
+from braidties.linalg import Echelon, _acc
 from braidties.scalars import RationalFunctionScalar as RF
 
 V = RF.V
@@ -179,7 +178,7 @@ def test_modp_candidates_match_reference_rule(m):
 
 def test_model_dimension_formula():
     for m in (2, 3, 4):
-        assert len(basis_pairs(m)) == factorial(m) * bell_number(m)
+        assert len(basis_pairs(m)) == factorial(m) * len(all_set_partitions(m))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -336,14 +335,33 @@ def test_jr_decomposition_direct_and_spanning(n):
     assert dec["sum"] == dec["closure_dimension"] == c_dimension(n)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_jr_summands_lie_in_c(n):
+    # J_R e_R is inside C(v): jr_decomposition compares dimensions only
+    closure = btalg._closure(n, False)
+    for R in all_set_partitions(n + 1):
+        for x in jr_span(n, R):
+            assert closure.contains(to_vector(x)), (n, R)
+
+
+def _jr_sum(n: int) -> Echelon:
+    """Echelon of the span of every J_R e_R."""
+    total = Echelon()
+    for R in all_set_partitions(n + 1):
+        for x in jr_span(n, R):
+            total.insert(to_vector(x))
+    return total
+
+
 def test_membership_of_braid_words():
     rng = random.Random(3)
     for n in (1, 2):
         m = n + 1
+        total = _jr_sum(n)
         for _ in range(10):
             word = tuple(rng.choice([1, -1]) * rng.randint(1, n) for _ in range(4))
             x = word_element(word, m)
-            assert membership_in_jr_sum(n, x)
+            assert total.contains(to_vector(x))
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +396,6 @@ def test_kl_lift_bar_invariant_s4():
 
 
 def test_kl_lift_linearly_independent_s4():
-    from braidties.btalg import to_vector
-    from braidties.linalg import Echelon
-
     ech = Echelon()
     for w in all_perms(4):
         assert ech.insert(to_vector(kl_lift(w))) is not None
@@ -420,7 +435,7 @@ def test_kl_lift_recursion_is_descent_dependent():
 
 def test_kl_lift_combo_reproduces_element():
     for w in all_perms(3):
-        combo = kl_lift_combo(w)
+        combo = word_combo(kl_lift(w))
         m = len(w)
         acc = BTElement.zero(m)
         for word, coeff in combo.items():
@@ -429,12 +444,11 @@ def test_kl_lift_combo_reproduces_element():
 
 
 def test_word_combo_rejects_elements_outside_c():
-    from braidties.btalg import word_combo
-
     with pytest.raises(ValueError):
         word_combo(e_element(pair_partition(1, 2, 2)))
 
 
 def test_kl_lift_words_land_in_c_subalgebra():
+    total = _jr_sum(2)
     for w in all_perms(3):
-        assert membership_in_jr_sum(2, kl_lift(w))
+        assert total.contains(to_vector(kl_lift(w)))

@@ -7,16 +7,14 @@ from math import factorial
 import pytest
 
 from braidties.coxeter import (
+    Perm,
     _distinct_lambdas_by_prefix,
     all_perms,
     all_reflections,
     all_set_partitions,
-    bell_number,
     bruhat_leq,
-    bruhat_leq_bruteforce,
     canonical_subset,
     d_subset,
-    d_subset_bruteforce,
     dim_C,
     dim_recurrence,
     dimension_rows,
@@ -24,19 +22,16 @@ from braidties.coxeter import (
     howlett_order,
     identity_perm,
     left_action,
-    length_descents,
-    normalizer_bruteforce,
     pair_partition,
     partition_block_sizes,
     partition_from_blocks,
     partition_join,
     partitions_P,
-    perm_from_word,
     perm_inv,
     perm_length,
     perm_mul,
-    r_subset,
     reduced_word,
+    right_descents,
     simple_perm,
     subset_blocks,
     subset_lambda,
@@ -50,10 +45,74 @@ def all_subsets(n):
         yield frozenset(i + 1 for i in range(n) if mask >> i & 1)
 
 
+# brute-force oracles for the closed forms and the rank-matrix criterion
+
+def bruhat_leq_bruteforce(x: Perm, w: Perm) -> bool:
+    """Subword-property oracle: x <= w iff x is a product of some
+    subsequence of one fixed reduced word of w. Exponential; tests only."""
+    m = len(x)
+    word = reduced_word(w)
+    seen = set()
+    for mask in range(1 << len(word)):
+        u = identity_perm(m)
+        for pos, i in enumerate(word):
+            if mask >> pos & 1:
+                u = perm_mul(u, simple_perm(i, m))
+        seen.add(u)
+    return x in seen
+
+
+def d_subset_bruteforce(n: int, I) -> int:
+    """Direct enumeration of S_{n+1}; n <= 9."""
+    if n > 9:
+        raise ValueError("enumeration bound n <= 9 exceeded")
+    blocks = subset_blocks(I)
+    count = 0
+    for w in itertools.permutations(range(1, n + 2)):
+        if all(any(w[s - 1] > w[s] for s in b) for b in blocks):
+            count += 1
+    return count
+
+
+def normalizer_bruteforce(n: int, I) -> int:
+    """|{w : w W_I w^{-1} = W_I}| by enumeration; n <= 6.
+
+    Conjugating the generators into W_I suffices: conjugation by a fixed w
+    is an automorphism, so w W_I w^{-1} is a subgroup of W_I of the same
+    order, hence equal.  Membership in the Young subgroup W_I is the
+    interval test: w moves points only within the intervals spanned by the
+    contiguous blocks of I.
+    """
+    if n > 6:
+        raise ValueError("enumeration bound n <= 6 exceeded")
+    m = n + 1
+    intervals = [set(b) | {b[-1] + 1} for b in subset_blocks(I)]
+    covered = set().union(*intervals) if intervals else set()
+
+    def in_young(u: Perm) -> bool:
+        for x in range(1, m + 1):
+            ux = u[x - 1]
+            if x in covered:
+                if not any(x in iv and ux in iv for iv in intervals):
+                    return False
+            elif ux != x:
+                return False
+        return True
+
+    gens = [simple_perm(i, m) for i in sorted(I)]
+    count = 0
+    for w in itertools.permutations(range(1, m + 1)):
+        wi = perm_inv(w)
+        if all(in_young(perm_mul(perm_mul(w, g), wi)) for g in gens):
+            count += 1
+    return count
+
+
 def test_length_descents_examples():
-    assert length_descents(identity_perm(3)) == (0, frozenset())
-    assert length_descents((3, 2, 1)) == (3, frozenset({1, 2}))
-    assert length_descents((2, 1, 4, 3)) == (2, frozenset({1, 3}))
+    for w, length, descents in [(identity_perm(3), 0, frozenset()),
+                                ((3, 2, 1), 3, frozenset({1, 2})),
+                                ((2, 1, 4, 3), 2, frozenset({1, 3}))]:
+        assert perm_length(w) == length and right_descents(w) == descents
 
 
 def test_perm_group_structure():
@@ -63,7 +122,10 @@ def test_perm_group_structure():
         assert perm_length(w) == perm_length(wi)
         word = reduced_word(w)
         assert len(word) == perm_length(w)
-        assert perm_from_word(word, 4) == w
+        u = identity_perm(4)
+        for i in word:
+            u = perm_mul(u, simple_perm(i, 4))
+        assert u == w
     # right multiplication by s_i swaps entries i, i+1
     w = (2, 3, 1, 4)
     assert perm_mul(w, simple_perm(1, 4)) == (3, 2, 1, 4)
@@ -125,7 +187,8 @@ def test_w_action_is_conjugation_on_transpositions():
 
 
 def test_bell_numbers():
-    assert [bell_number(m) for m in range(1, 8)] == [1, 2, 5, 15, 52, 203, 877]
+    assert ([len(all_set_partitions(m)) for m in range(1, 8)]
+            == [1, 2, 5, 15, 52, 203, 877])
 
 
 def test_subset_blocks_and_lambda():
@@ -180,7 +243,7 @@ def test_r_subset_counts_set_partitions():
             lam = subset_lambda(I)
             target = tuple(sorted((part + 1 for part in lam), reverse=True))
             count = sum(1 for p in partitions if partition_block_sizes(p) == target)
-            assert r_subset(n, I) == count, (n, I)
+            assert factorial(n + 1) // howlett_order(n, I) == count, (n, I)
 
 
 def test_partitions_P():
@@ -222,7 +285,7 @@ def test_dim_rejects_negative_n():
 
 
 def test_subset_functions_reject_subsets_outside_range():
-    for f in (howlett_order, r_subset, d_subset):
+    for f in (howlett_order, d_subset):
         for I in ({5}, {7}, {0}, {1, 3}):
             with pytest.raises(ValueError):
                 f(2, I)

@@ -143,9 +143,9 @@ def test_model_sizes():
     assert expected_size_x(2, 2) == 21
     assert expected_size_x(2, 4) == 945
     m = build_model(1, 2, 1)
-    assert len(m.x_reps) == 3 and len(m.group) == 6
+    assert len(m.x_reps) == 3 and len(m.coset_index) == 6
     m = build_model(2, 2, 1)
-    assert len(m.x_reps) == 21 and len(m.group) == 168
+    assert len(m.x_reps) == 21 and len(m.coset_index) == 168
 
 
 def test_size_ceiling_enforced():
@@ -229,18 +229,26 @@ def test_crosscheck_requires_square_field():
 
 def test_gauss_sum_trivial_character():
     # With the trivial character the Gauss sum collapses to -1.
+    from braidties.monodromic import torus_character
+
     for cfg in [(1, 2, 1), (1, 2, 2), (2, 2, 1)]:
         m = build_model(*cfg)
-        from braidties.monodromic import trivial_character
-        theta = trivial_character(m.m, max(m.qk - 1, 1))
+        theta = torus_character(max(m.qk - 1, 1), (0,) * m.m)
         for i in range(1, m.m):
             assert m.gauss_sum(i, theta) == Cyclotomic.from_rational(m.N, -1)
 
 
 # Reference builders that do not read the model's cached translation table:
 # each computes coset_index[rep * g] on its own, the Q_s/U representatives
-# come from a scan of the whole group, and the scatter sums add whole
-# operators one at a time.  The model's tables and operators must equal them.
+# and inverses come from a scan of the whole group (the keys of
+# coset_index), and the scatter sums add whole operators one at a time.
+# The model's tables and operators must equal them.
+
+def _ref_group_inverse(model, g):
+    ident = mat_identity(model.m)
+    return next(h for h in model.coset_index
+                if mat_mul(model.F, g, h) == ident)
+
 
 def _ref_perm(model, g):
     return tuple(model.coset_index[mat_mul(model.F, rep, g)]
@@ -260,7 +268,7 @@ def _ref_psi(model):
 def _ref_qs_reps(model, i):
     F, m = model.F, model.m
     seen, reps = set(), []
-    for g in model.group:
+    for g in model.coset_index:
         ok = all(g[r][c] == 0 for r in range(m) for c in range(r)
                  if not (r == i and c == i - 1))
         if not ok:
@@ -291,7 +299,7 @@ def _ref_cell_of(model, i):
 
 def _ref_s_cell_targets(model, i):
     F = model.F
-    ns = model.group_inverse(model.simple_n(i))
+    ns = _ref_group_inverse(model, model.simple_n(i))
     return tuple(frozenset(model.coset_index[mat_mul(F, mat_mul(F, g, u), ns)]
                            for u in model.U_list)
                  for g in model.x_reps)
@@ -367,6 +375,9 @@ def _ref_pi_s_projector(model, i):
 def test_operators_match_reference_builders(cfg):
     model = build_model(*cfg)
     assert [model.psi(a) for a in range(model.qk)] == _ref_psi(model)
+    sample = random.Random(0).sample(list(model.coset_index), 5)
+    for g in sample + [model.simple_n(i) for i in range(1, model.m)]:
+        assert model.group_inverse(g) == _ref_group_inverse(model, g)
     for i in range(1, model.m):
         reps, ref = model.qs_reps(i), _ref_qs_reps(model, i)
         assert len(reps) == len(ref) == model.qk ** 2 - 1

@@ -9,7 +9,8 @@ import pytest
 
 from braidties import btalg, hecke, monodromic as mono
 from braidties.coxeter import all_perms, perm_length, perm_mul, simple_perm
-from braidties.linalg import _acc
+from braidties.linalg import Echelon, _acc
+from braidties.monodromic import TorusCharacter, orbit_of, pi_L
 from braidties.scalars import RationalFunctionScalar as RF
 
 V = RF.V
@@ -37,7 +38,7 @@ def test_w_act_is_a_left_action():
 
 
 def test_w_circle_trivial_is_all_reflections():
-    t = mono.trivial_character(4, 3)
+    t = mono.torus_character(3, (0, 0, 0, 0))
     assert mono.w_circle(t) == frozenset(
         (i, j) for i in range(1, 5) for j in range(i + 1, 5))
 
@@ -198,7 +199,8 @@ def test_pi_consistency_small():
 def test_pi_trivial_sends_lifts_to_canonical_basis_s3():
     triv = mono.trivial_character(3)
     for w in all_perms(3):
-        img = mono.hecke_image(mono.pi_of_combo(btalg.kl_lift_combo(w), triv))
+        combo = btalg.word_combo(btalg.kl_lift(w))
+        img = mono.hecke_image(mono.pi_of_combo(combo, triv))
         assert img == hecke.canonical_basis(w)
 
 
@@ -206,15 +208,34 @@ def test_pi_trivial_sends_lifts_to_canonical_basis_s3():
 def test_pi_trivial_sends_lifts_to_canonical_basis_s4():
     triv = mono.trivial_character(4)
     for w in all_perms(4):
-        img = mono.hecke_image(mono.pi_of_combo(btalg.kl_lift_combo(w), triv))
+        combo = btalg.word_combo(btalg.kl_lift(w))
+        img = mono.hecke_image(mono.pi_of_combo(combo, triv))
         assert img == hecke.canonical_basis(w)
+
+
+def pi_image_rank(theta: TorusCharacter, max_length: int = 6) -> int:
+    """Measured rank of the span of pi_L images of all positive words up
+    to the given length (an observation about how much of the orbit
+    algebra the braid generators reach)."""
+    m = len(theta.exponents)
+    orbit = orbit_of(theta)
+    index = {(w, L): k for k, (w, L) in enumerate(
+        (w, L) for w in all_perms(m) for L in orbit)}
+    ech = Echelon()
+    words = [()]
+    for _ in range(max_length):
+        words = [wd + (i,) for wd in words for i in range(1, m)]
+        for wd in words:
+            vec = {index[k]: c for k, c in pi_L(wd, theta).terms.items()}
+            ech.insert(vec)
+    return ech.rank
 
 
 def test_pi_image_rank_fills_corner_column():
     # measured: words reach the whole column H_o 1_L at small rank
-    assert mono.pi_image_rank(mono.trivial_character(2), 4) == 2
-    assert mono.pi_image_rank(mono.trivial_character(3), 5) == 6
-    assert mono.pi_image_rank(mono.torus_character(3, (1, 0, 0)), 5) == 6
+    assert pi_image_rank(mono.trivial_character(2), 4) == 2
+    assert pi_image_rank(mono.trivial_character(3), 5) == 6
+    assert pi_image_rank(mono.torus_character(3, (1, 0, 0)), 5) == 6
 
 
 if __name__ == "__main__":
