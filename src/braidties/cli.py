@@ -8,7 +8,10 @@ Subcommands:
   $N_I$, class size $R_I$, descent count $D_I$) and the total dimension
   of the braid-generated subalgebra; ``row_sum_matches`` compares the sum
   of $R_I D_I$ with `coxeter.dim_recurrence` (and, in subset mode, with
-  the total over the classes of the prefix walk).
+  the total over the classes of the prefix walk).  ``dim`` writes its
+  table row by row: the rows of `coxeter.dimension_rows` are formatted
+  in chunks straight to the output, with the bytes that encoding the
+  whole report at once would give, and never held as one string.
 - ``dim-rank``: cross-check of the closed-form total (`dim_recurrence`)
   against the rank of the generated subalgebra computed by linear
   closure, exact or at sampled specializations of $v$.
@@ -39,6 +42,7 @@ import io
 import json
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -77,7 +81,9 @@ def _json_leaf(x):
 
 def _csv_rows(report: dict) -> tuple[list[str], list[list]]:
     cmd = report["config"]["command"]
-    if cmd in ("dim",):
+    # the layout of a dim report given whole; `_dim_chunks` writes the
+    # same bytes row by row
+    if cmd == "dim":
         header = ["I", "N_I", "R_I", "D_I"]
         rows = [[" ".join(map(str, r["I"])), r["N_I"], r["R_I"],
                  r["D_I"]] for r in report["rows"]]
@@ -105,17 +111,54 @@ def _serialize(report: dict, fmt: str) -> str:
     return buf.getvalue()
 
 
-def _emit(report: dict, config: RunConfig) -> None:
-    text = _serialize(report, config.fmt)
+_ROWS_PER_CHUNK = 4096
+
+
+def _dim_chunks(report: dict, rows: list, fmt: str) -> Iterator[str]:
+    """The dim report, whose empty "rows" stands for `rows`, in chunks of
+    up to _ROWS_PER_CHUNK rows: the bytes `_serialize` writes for the
+    report with the rows as dicts, without the table as one string."""
+    n = report["config"]["n"]
+    batches = (rows[i:i + _ROWS_PER_CHUNK]
+               for i in range(0, len(rows), _ROWS_PER_CHUNK))
+    if fmt == "csv":
+        word = [str(i) for i in range(n + 1)]
+        yield "I,N_I,R_I,D_I\n"
+        for batch in batches:
+            yield "".join(
+                f"{' '.join(map(word.__getitem__, r.subset))},"
+                f"{r.normalizer_order},{r.subgroup_count},{r.descent_count}\n"
+                for r in batch)
+        return
+    item = [f"\n        {i}" for i in range(n + 1)]
+
+    def array(xs):
+        return f"[{','.join(map(item.__getitem__, xs))}\n      ]" if xs else "[]"
+
+    head, tail = _serialize(report, fmt).split('"rows": []')
+    yield head + '"rows": ['
+    sep = "\n"
+    for batch in batches:
+        yield sep + ",\n".join(
+            f'    {{\n      "D_I": {r.descent_count},\n'
+            f'      "I": {array(r.subset)},\n'
+            f'      "N_I": {r.normalizer_order},\n'
+            f'      "R_I": {r.subgroup_count},\n'
+            f'      "lambda": {array(r.lam)}\n    }}' for r in batch)
+        sep = ",\n"
+    yield "\n  ]" + tail
+
+
+def _emit(chunks: Iterable[str], config: RunConfig) -> None:
     if not config.out:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     # write beside the target and rename, so the target is never partial
     tmp = f"{config.out}.{os.getpid()}.tmp"
     fh = open(tmp, "x", encoding="utf-8")
     try:
         with fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, config.out)
     except BaseException:
         os.remove(tmp)
@@ -270,21 +313,19 @@ _ALL_BATTERY = (("presentation", {"n": 2}),
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_dim(config: RunConfig) -> tuple[dict, int]:
-    rows = [{"I": r.subset, "lambda": r.lam,
-             "N_I": r.normalizer_order, "R_I": r.subgroup_count,
-             "D_I": r.descent_count} for r in dimension_rows(config.n)]
-    cross = sum(r["R_I"] * r["D_I"] for r in rows)
+def cmd_dim(config: RunConfig) -> tuple[Iterable[str], int]:
+    rows = dimension_rows(config.n)
+    cross = sum(r.subgroup_count * r.descent_count for r in rows)
     # subset mode also sums over the classes its prefix walk finds
     total = (dim_C(config.n, "subset-enumeration") if config.mode == "subset"
              else cross)
     matches = cross == total == dim_recurrence(config.n)
-    report = {"config": config.public(), "rows": rows, "total": total,
+    report = {"config": config.public(), "rows": [], "total": total,
               "row_sum_matches": matches}
-    return report, 0 if matches else 1
+    return _dim_chunks(report, rows, config.fmt), 0 if matches else 1
 
 
-def cmd_dim_rank(config: RunConfig) -> tuple[dict, int]:
+def cmd_dim_rank(config: RunConfig) -> tuple[Iterable[str], int]:
     from . import btalg
 
     rank = btalg.c_dimension_report(config.n, mode=config.mode,
@@ -294,10 +335,10 @@ def cmd_dim_rank(config: RunConfig) -> tuple[dict, int]:
     report = {"config": config.public(), "closure": rank,
               "formula_dimension": formula, "match": match,
               "checks": [("closure rank matches the closed form", match)]}
-    return report, 0 if match else 1
+    return [_serialize(report, config.fmt)], 0 if match else 1
 
 
-def cmd_verify(config: RunConfig) -> tuple[dict, int]:
+def cmd_verify(config: RunConfig) -> tuple[Iterable[str], int]:
     if config.suite == "all":
         checks = []
         for suite, params in _ALL_BATTERY:
@@ -310,17 +351,17 @@ def cmd_verify(config: RunConfig) -> tuple[dict, int]:
         checks = run_suite(config.suite, config)
     ok = all(flag for _, flag in checks)
     report = {"config": config.public(), "checks": checks, "ok": ok}
-    return report, 0 if ok else 1
+    return [_serialize(report, config.fmt)], 0 if ok else 1
 
 
-def cmd_kl_lift(config: RunConfig) -> tuple[dict, int]:
+def cmd_kl_lift(config: RunConfig) -> tuple[Iterable[str], int]:
     records = _kl_lift_records(config.n)
     ok = all(r[key] for r in records for _, key in _KL_LIFT_CHECKS)
     report = {"config": config.public(), "records": records, "ok": ok}
-    return report, 0 if ok else 1
+    return [_serialize(report, config.fmt)], 0 if ok else 1
 
 
-def cmd_finite_model(config: RunConfig) -> tuple[dict, int]:
+def cmd_finite_model(config: RunConfig) -> tuple[Iterable[str], int]:
     from .finite_model import (build_model, monodromic_crosscheck,
                                perfect_square_root)
 
@@ -337,7 +378,7 @@ def cmd_finite_model(config: RunConfig) -> tuple[dict, int]:
     ok = all(flag for _, flag in checks)
     report = {"config": config.public(), "checks": checks,
               "delta_span": span, "crosschecks": crosschecks, "ok": ok}
-    return report, 0 if ok else 1
+    return [_serialize(report, config.fmt)], 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +500,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     config = _validate(parser, args)
     try:
-        report, code = _DISPATCH[config.command](config)
-        _emit(report, config)
+        chunks, code = _DISPATCH[config.command](config)
+        _emit(chunks, config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

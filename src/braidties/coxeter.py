@@ -41,12 +41,15 @@ $\sum_{\lambda \in P(n)} R_\lambda D_\lambda$, summed over the *distinct*
 partitions $\lambda$ realizable by such subsets (each conjugacy class of
 reflection subgroups counted once); $P(n)$ is the set of partitions
 $\lambda = (\lambda_1 \geq \dots \geq \lambda_k)$ with
-$\sum \lambda_i + k - 1 \leq n$.  `dim_C` finds these partitions either by
-enumerating $P(n)$ or, in subset mode, by a walk over the prefixes
-$I \cap \{1,\dots,j\}$ of all $2^n$ subsets that keeps only their distinct
-run-length states.  `dim_recurrence` computes the same number by the
-exponential formula over set partitions and shares no code with `dim_C`;
-the command line checks its row sums against it.
+$\sum \lambda_i + k - 1 \leq n$.  `dimension_rows` is one depth-first
+walk over $P(n)$ that carries each class's counts from its parent
+prefix, one exact multiply or divide per count.  `dim_C` sums over that
+walk or, in subset mode, finds the partitions by a walk over the
+prefixes $I \cap \{1,\dots,j\}$ of all $2^n$ subsets that keeps only
+their distinct run-length states, and computes each class's counts on
+its own.  `dim_recurrence` computes the same number by the exponential
+formula over set partitions and shares no code with `dim_C`; the command
+line checks its row sums against it.
 
 >>> perm_length((3, 2, 1)), right_descents((3, 2, 1))
 (3, frozenset({1, 2}))
@@ -59,9 +62,9 @@ the command line checks its row sums against it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
+from typing import NamedTuple
 
 Perm = tuple[int, ...]
 SetPartition = tuple[tuple[int, ...], ...]
@@ -396,26 +399,71 @@ def partitions_P(n: int) -> list[tuple[tuple[int, ...], int]]:
     >>> dict(partitions_P(4))[(1, 1)]
     3
     """
-    return [(lam, _realizing_count(n, lam)) for lam in reversed(_lambdas_P(n))]
+    return [(r.lam, _realizing_count(n, r.lam))
+            for r in reversed(dimension_rows(n))]
 
-def _lambdas_P(n: int) -> list[tuple[int, ...]]:
-    """P(n) in reverse lexicographic order, ending with ()."""
+class DimensionRow(NamedTuple):
+    """One conjugacy class of parabolic subgroups: its representative
+    subset (leftmost packing, decreasing run lengths), lambda, and the
+    three counts (normalizer order N, class size R = (n+1)!/N, descent
+    count D)."""
+    subset: tuple[int, ...]
+    lam: tuple[int, ...]
+    normalizer_order: int
+    subgroup_count: int
+    descent_count: int
+
+def dimension_rows(n: int) -> list[DimensionRow]:
+    """The per-class table behind dim_C(n): one row per lambda in P(n),
+    reverse-lexicographic (each prefix after its extensions), ending with
+    the empty set.
+
+    One depth-first walk over P(n).  Appending a part p to a prefix
+    appends the run of p places after a one-place gap to the subset,
+    multiplies the product prod_i n_i! ((i+1)!)^{n_i} of Howlett's
+    formula by c (p+1)!, where c counts the trailing parts equal to p,
+    and multiplies the numerator and denominator of D's product form by
+    (p+1)! - 1 and (p+1)!.  A row then costs one multiply for N, one
+    divide for R and one divide for D, whose remainder is asserted zero.
+    Under the bounds of `_d_value_lambda` (k <= 12, n <= 25) the signed
+    inclusion-exclusion list doubles once per part, and its sum is
+    asserted to equal D.
+
+    >>> rows = dimension_rows(2)
+    >>> [(r.subset, r.normalizer_order, r.subgroup_count, r.descent_count) for r in rows]
+    [((1, 2), 6, 1, 5), ((1,), 2, 3, 3), ((), 6, 1, 6)]
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    out: list[tuple[int, ...]] = []
+    fact = [1]
+    for i in range(1, n + 2):
+        fact.append(fact[-1] * i)
+    total = fact[n + 1]
+    rows: list[DimensionRow] = []
 
-    def descend(prefix: tuple[int, ...], max_part: int, remaining: int):
-        # remaining = n - sum(prefix) - (len(prefix) - 1) slots still usable
-        for part in range(min(max_part, remaining), 0, -1):
-            # adding a part costs part + 1 slots (gap) except for the first
-            cost = part if not prefix else part + 1
-            if cost <= remaining:
-                descend(prefix + (part,), part, remaining - cost)
-        # after its extensions, which are larger lexicographically
-        out.append(prefix)
+    def descend(lam, subset, free, run, prod, num, den, signed):
+        # free = n + 1 - sum(lam) - len(lam) points lie outside the blocks
+        # of sizes lam_i + 1, so the next part is at most free - 1 and its
+        # run starts at n + 2 - free; the last part of lam repeats run times
+        last = lam[-1] if lam else n
+        start = n + 2 - free
+        for part in range(min(last, free - 1), 0, -1):
+            f = fact[part + 1]
+            c = run + 1 if part == last else 1
+            descend(lam + (part,), subset + tuple(range(start, start + part)),
+                    free - part - 1, c, prod * c * f, num * (f - 1), den * f,
+                    signed + [-d * f for d in signed]
+                    if signed is not None and len(lam) < 12 else None)
+        order = fact[free] * prod
+        value, rest = divmod(num, den)
+        assert rest == 0, (n, lam)
+        # each d divides (n+1)! (see _d_value_lambda), so every term is exact
+        assert signed is None or sum(total // d for d in signed) == value, \
+            (n, lam)
+        rows.append(DimensionRow(subset, lam, order, total // order, value))
 
-    descend((), n, n)
-    return out
+    descend((), (), n + 1, 0, 1, total, 1, [1] if n <= 25 else None)
+    return rows
 
 def _realizing_count(n: int, lam: tuple[int, ...]) -> int:
     k = len(lam)
@@ -432,10 +480,10 @@ def dim_C(n: int, mode: str = "partition-aggregation") -> int:
     """Dimension of the braid-generated subalgebra:
     sum of R_lambda * D_lambda over the distinct partitions in P(n).
 
-    Both modes return the same number; subset-enumeration collects the
-    distinct lambda^I over all 2^n subsets I by a walk over the prefixes
-    of I (n <= 20), partition-aggregation enumerates P(n) directly
-    (n <= 50).
+    Both modes return the same number.  partition-aggregation sums over
+    the walk of `dimension_rows` (n <= 50); subset-enumeration collects
+    the distinct lambda^I over all 2^n subsets I by a walk over the
+    prefixes of I (n <= 20) and computes each class's counts on its own.
 
     >>> [dim_C(n) for n in range(6)]
     [1, 3, 20, 217, 3364, 71098]
@@ -444,19 +492,18 @@ def dim_C(n: int, mode: str = "partition-aggregation") -> int:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if mode == "subset-enumeration":
-        if n > 20:
-            raise ValueError("subset-enumeration bounded at n <= 20")
-        lambdas = _distinct_lambdas_by_prefix(n)
-    elif mode == "partition-aggregation":
+    if mode == "partition-aggregation":
         if n > 50:
             raise ValueError("partition-aggregation bounded at n <= 50")
-        lambdas = _lambdas_P(n)
-    else:
+        return sum(r.subgroup_count * r.descent_count
+                   for r in dimension_rows(n))
+    if mode != "subset-enumeration":
         raise ValueError(f"unknown mode {mode!r}")
+    if n > 20:
+        raise ValueError("subset-enumeration bounded at n <= 20")
     total = factorial(n + 1)
     return sum(total // _howlett_order_lambda(n, lam) * _d_value_lambda(n, lam)
-               for lam in lambdas)
+               for lam in _distinct_lambdas_by_prefix(n))
 
 
 def dim_recurrence(n: int) -> int:
@@ -505,54 +552,6 @@ def _distinct_lambdas_by_prefix(n: int) -> list[tuple[int, ...]]:
             step.add((runs, 0))
         states = step
     return sorted(runs for runs, _ in states)
-
-@dataclass(frozen=True)
-class DimensionRow:
-    """One conjugacy class of parabolic subgroups: its representative
-    subset (leftmost packing, decreasing run lengths), lambda, and the
-    three counts (normalizer order N, class size R = (n+1)!/N, descent
-    count D)."""
-    subset: tuple[int, ...]
-    lam: tuple[int, ...]
-    normalizer_order: int
-    subgroup_count: int
-    descent_count: int
-
-def canonical_subset(lam: tuple[int, ...]) -> tuple[int, ...]:
-    """Leftmost subset realizing lambda: runs in decreasing size order
-    separated by single gaps.
-
-    >>> canonical_subset((2, 1))
-    (1, 2, 4)
-    """
-    out = []
-    pos = 1
-    for part in lam:
-        out.extend(range(pos, pos + part))
-        pos += part + 1
-    return tuple(out)
-
-def dimension_rows(n: int) -> list[DimensionRow]:
-    """The per-class table behind dim_C(n), largest classes first
-    (graded by lambda, reverse-lexicographic), ending with the empty set.
-
-    >>> rows = dimension_rows(2)
-    >>> [(r.subset, r.normalizer_order, r.subgroup_count, r.descent_count) for r in rows]
-    [((1, 2), 6, 1, 5), ((1,), 2, 3, 3), ((), 6, 1, 6)]
-    """
-    total = factorial(n + 1)
-    rows = []
-    for lam in _lambdas_P(n):
-        order = _howlett_order_lambda(n, lam)
-        rows.append(DimensionRow(
-            subset=canonical_subset(lam),
-            lam=lam,
-            normalizer_order=order,
-            subgroup_count=total // order,
-            descent_count=_d_value_lambda(n, lam),
-        ))
-    return rows
-
 
 if __name__ == "__main__":
     import doctest

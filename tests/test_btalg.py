@@ -14,7 +14,6 @@ from braidties.btalg import (
     c_dimension,
     c_dimension_report,
     c_simple_bt,
-    combo_element,
     e_element,
     g_element,
     g_inverse,
@@ -44,7 +43,6 @@ from braidties.coxeter import (
     reduced_word,
     right_descents,
     simple_perm,
-    transposition_perm,
     w_action,
 )
 from braidties.linalg import Echelon, _acc

@@ -1,7 +1,9 @@
 """Tests for the command-line interface: determinism, serialization
 schemas, exit codes, and subcommand coverage."""
 
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -13,6 +15,7 @@ import pytest
 
 import braidties
 from braidties import cli
+from braidties.coxeter import dim_recurrence, dimension_rows
 
 
 def run_cli(args, tmp_path, name="out"):
@@ -120,13 +123,59 @@ def test_serialize_pinned():
      "8acf39cda1a2233e147fc827440d57f96b3a587062a9792f085df36c8811a6c4"),
     (["dim", "--n", "20", "--mode", "subset", "--format", "csv"],
      "ff36030c3354661b166f404e06ef006d8413a9f730e6ad170320b5c986a68612"),
-], ids=["aggregation n22 json", "subset n20 csv"])
+    (["dim", "--n", "32", "--mode", "aggregation", "--format", "json"],
+     "63a93e906f7c66865d9097bc2fcead5df88503526405fb4cb97639cb025bf3e3"),
+    (["dim", "--n", "40", "--mode", "aggregation", "--format", "csv"],
+     "f27d156b4fa6d4649500c98aa0fae6b523fd3caf0d4e25146ec0dd44116dd658"),
+    pytest.param(
+        ["dim", "--n", "50", "--mode", "aggregation", "--format", "json"],
+        "a8ca2696389ff5697c6cfd94ce41fd0d414c686dc900e19c79fb860965e41edd",
+        marks=pytest.mark.slow),
+], ids=["aggregation n22 json", "subset n20 csv", "aggregation n32 json",
+        "aggregation n40 csv", "aggregation n50 json"])
 def test_dim_output_digest(args, digest, tmp_path):
-    # sha256 of the output file as written at commit 31984ce, the JSON
-    # one without the "threads" config entry, which has since been removed
-    code, text = run_cli(args, tmp_path)
-    assert code == 0
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+    # sha256 of the output file as written at commit 31984ce (the first
+    # two, the JSON one without the "threads" config entry, which has since
+    # been removed) and at commit d8abca1, which encoded the whole report
+    # at once (the other three)
+    out = tmp_path / "out"
+    assert cli.main([*args, "--out", str(out)]) == 0
+    sha = hashlib.sha256()
+    with open(out, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            sha.update(block)
+    assert sha.hexdigest() == digest
+
+
+def _dim_report_encoded_whole(n, mode, fmt):
+    """The dim report as one dict with a dict per row, encoded at once by
+    json.dumps(sort_keys=True, indent=2) or csv.writer."""
+    rows = dimension_rows(n)
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["I", "N_I", "R_I", "D_I"])
+        writer.writerows([" ".join(map(str, r.subset)), r.normalizer_order,
+                          r.subgroup_count, r.descent_count] for r in rows)
+        return buf.getvalue()
+    report = {"config": {"command": "dim", "fmt": fmt, "k": 1, "mode": mode,
+                         "n": n, "q": 2, "seed": 0, "suite": ""},
+              "rows": [{"I": r.subset, "lambda": r.lam,
+                        "N_I": r.normalizer_order, "R_I": r.subgroup_count,
+                        "D_I": r.descent_count} for r in rows],
+              "total": dim_recurrence(n), "row_sum_matches": True}
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_dim_output_equals_the_report_encoded_whole(fmt, tmp_path):
+    out = tmp_path / "out"
+    for mode, ns in (("aggregation", range(31)), ("subset", range(21))):
+        for n in ns:
+            assert cli.main(["dim", "--n", str(n), "--mode", mode, "--format",
+                             fmt, "--out", str(out)]) == 0
+            expected = _dim_report_encoded_whole(n, mode, fmt)
+            assert out.read_bytes() == expected.encode("utf-8"), (mode, n)
 
 
 def test_usage_errors_exit_2(tmp_path):
@@ -332,6 +381,32 @@ def test_internal_error_exits_3_with_one_line(monkeypatch, tmp_path,
     with pytest.raises(KeyboardInterrupt):
         cli.main(["dim", "--n", "2", "--out", str(out)])
     assert list(tmp_path.iterdir()) == []
+
+
+def test_dim_writer_failure_partway_exits_3_and_leaves_no_file(
+        monkeypatch, tmp_path, capsys):
+    written = cli._dim_chunks
+    seen = []
+
+    def failing(*args):
+        for i, chunk in enumerate(written(*args)):
+            if i == 3:
+                seen.extend(p.name for p in tmp_path.iterdir())
+                raise RuntimeError("injected\nfault")
+            yield chunk
+
+    monkeypatch.setattr(cli, "_ROWS_PER_CHUNK", 100)
+    monkeypatch.setattr(cli, "_dim_chunks", failing)
+    for fmt in ("json", "csv"):
+        out = tmp_path / f"x.{fmt}"
+        assert cli.main(["dim", "--n", "20", "--mode", "aggregation",
+                         "--format", fmt, "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "internal error: RuntimeError: injected fault\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+    # the temp file existed when the writer failed, three chunks in
+    assert seen == [f"x.{fmt}.{os.getpid()}.tmp" for fmt in ("json", "csv")]
 
 
 # Runs one CLI job in a fresh interpreter, numpy blocked unless the first

@@ -13,7 +13,6 @@ from braidties.coxeter import (
     all_reflections,
     all_set_partitions,
     bruhat_leq,
-    canonical_subset,
     d_subset,
     dim_C,
     dim_recurrence,
@@ -35,7 +34,6 @@ from braidties.coxeter import (
     simple_perm,
     subset_blocks,
     subset_lambda,
-    transposition_perm,
     w_action,
 )
 
@@ -318,13 +316,25 @@ def test_dim_recurrence_matches_dim_C(ns):
     for n in ns:
         assert dim_recurrence(n) == dim_C(n), n
 
+def canonical_subset(lam):
+    """Oracle: the leftmost subset realizing lambda, runs in decreasing
+    size order separated by single gaps."""
+    out = []
+    pos = 1
+    for part in lam:
+        out.extend(range(pos, pos + part))
+        pos += part + 1
+    return tuple(out)
+
+
 def test_canonical_subset():
     assert canonical_subset((2, 1)) == (1, 2, 4)
-    assert canonical_subset(()) == ()
-    assert canonical_subset((3,)) == (1, 2, 3)
+    assert [r.subset for r in dimension_rows(3)] == [
+        (1, 2, 3), (1, 2), (1, 3), (1,), ()]
     for n in range(1, 10):
-        for lam, _ in partitions_P(n):
-            assert subset_lambda(canonical_subset(lam)) == lam
+        for r in dimension_rows(n):
+            assert r.subset == canonical_subset(r.lam), (n, r.lam)
+            assert subset_lambda(r.subset) == r.lam
 
 
 def test_dimension_rows_structure():

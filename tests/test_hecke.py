@@ -7,7 +7,6 @@ import pytest
 from braidties.coxeter import (
     Perm,
     all_perms,
-    identity_perm,
     perm_inv,
     perm_length,
     perm_mul,

@@ -1,7 +1,6 @@
 """Tests for the orbit algebra of torus characters and the word-level
 surjections out of the braid-image subalgebra."""
 
-import math
 import random
 from fractions import Fraction
 

@@ -12,6 +12,9 @@ name only, so one use covers every definition that shares the name.
 checks.  Each entry carries its reason, and each must be one that a check
 would otherwise report.  Reference oracles belong in the tests that use
 them, not here.
+
+A third check reads each module under `tests/` on its own: every name it
+imports must be read somewhere in that module.
 """
 
 import ast
@@ -19,6 +22,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "braidties").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 ALLOWLIST = {
     "btalg.c_dimension":
@@ -176,6 +180,24 @@ def unset_parameters(sources: list[Path]) -> list[tuple[str, str]]:
                        for count, keywords in calls.get(name, ()))]
 
 
+def unused_imports(path: Path) -> list[str]:
+    """`file:line name` of every name that path imports and never reads
+    as a variable or as the base of an attribute; `__future__` imports
+    bind nothing."""
+    tree = _parse(path)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}"
+            for name, line in imported.items() if name not in read]
+
+
 def outside(found: list[tuple[str, str]], allowlist: dict[str, str]
             ) -> list[str]:
     return [where for key, where in found if key not in allowlist]
@@ -207,6 +229,25 @@ def test_every_defaulted_parameter_is_set():
 def test_allowlist_is_reasoned_and_needed():
     faults = allowlist_faults(SOURCES, ALLOWLIST)
     assert not faults, "\n".join(faults)
+
+
+def test_no_test_module_imports_an_unused_name():
+    unused = [where for path in TESTS for where in unused_imports(path)]
+    assert not unused, "imported but never used:\n" + "\n".join(unused)
+
+
+def test_unused_import_check_on_a_synthetic_module(tmp_path):
+    path = tmp_path / "test_mod.py"
+    path.write_text(
+        "from __future__ import annotations\n"
+        "import math\n"
+        "import os.path\n"
+        "from pkg.mod import helper, run as go, unused\n"
+        "import json as js\n"
+        "\n"
+        "def test_mod(tmp: os.PathLike):\n"
+        "    assert go(math.pi) == helper(tmp)\n", encoding="utf-8")
+    assert unused_imports(path) == ["test_mod.py:4 unused", "test_mod.py:5 js"]
 
 
 def test_checks_ignore_uses_in_tests(tmp_path):
