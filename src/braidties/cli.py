@@ -43,15 +43,14 @@ import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .coxeter import (all_perms, dim_C, dim_recurrence, dimension_rows,
                       left_action, perm_length)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Everything that determines a run's output bytes."""
     command: str
     n: int = 2
@@ -64,7 +63,7 @@ class RunConfig:
     out: str = ""
 
     def public(self) -> dict:
-        d = asdict(self)
+        d = self._asdict()
         d.pop("out")
         return d
 
@@ -80,15 +79,8 @@ def _json_leaf(x):
 
 
 def _csv_rows(report: dict) -> tuple[list[str], list[list]]:
-    cmd = report["config"]["command"]
-    # the layout of a dim report given whole; `_dim_chunks` writes the
-    # same bytes row by row
-    if cmd == "dim":
-        header = ["I", "N_I", "R_I", "D_I"]
-        rows = [[" ".join(map(str, r["I"])), r["N_I"], r["R_I"],
-                 r["D_I"]] for r in report["rows"]]
-        return header, rows
-    if cmd == "kl-lift":
+    # `_dim_chunks` writes the dim table itself
+    if report["config"]["command"] == "kl-lift":
         header = ["w", "terms", "bar_invariant", "image_matches",
                   "descent_images_agree"]
         rows = [[" ".join(map(str, r["w"])), len(r["terms"]),

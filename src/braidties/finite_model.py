@@ -3,9 +3,12 @@ $G = SL_{n+1}$, with symplectic Fourier convolution operators and the
 Yokonuma-Hecke algebra acting on $\mathbb{C}[X]$, all in exact cyclotomic
 arithmetic.
 
-Points of $X$ are cosets $gU$ with $U$ upper unitriangular, canonicalized
-to the lexicographically minimal matrix of the coset under full group
-enumeration.  The operators realized here:
+Points of $X$ are cosets $gU$ with $U$ upper unitriangular, indexed in
+the increasing order of their lexicographically least members.  They are
+enumerated from the Bruhat cells: $G$ is the disjoint union of the double
+cosets $U t n_w U$, $w \in W$, $t \in T$, so the cosets $u t n_w U$ are
+all of $X$, and the points of one cell form one left $U$-orbit.  The
+operators realized here:
 
 - `op_ks(s)`: the symplectic Fourier transform
   $(\mathsf{k}_s f)(x) = q^{-k} \sum_{y \in xQ_s} \psi(\langle x, y
@@ -22,15 +25,38 @@ enumeration.  The operators realized here:
   $\Psi_s = \sum_r \psi(r^{-1}) H_s(r)$, and the Juyumaya generator
   $L_s = q^{-k}(E_s + R_s\Psi_s)$.
 
-All of them read one table, `translation_perm(g)`: the map $x \mapsto
-xg$ on the indices of the canonical representatives, for any $g$.  A
-gather $(Af)(x) = \sum c\, f(xg)$ puts $c$ at $(x, xg)$ and builds
-`op_ks` (over $Q_s/U$), `op_es` (over $h_s(r)$) and `pi_s_projector`
-(over $T$); a scatter $\sum c\, R_g$ puts $c$ at $(xg, x)$ and builds
-$H_s(r)$, $E_s$, `E_reflection` and $\Psi_s$, so "op_es equals E_s"
-compares two constructions.  $R_s$ reads the table for $un_s^{-1}$,
-$u \in U$, as a set of targets per point.  Every table and operator of
-a model is built once, in its one cache (`_cached`).
+Each of them commutes with left translation by $G$, so it is an element
+of the convolution algebra $H(G, U, 1)$ (Juyumaya, J. Algebra 204
+(1998); Thiem, J. Algebra 284 (2005)).  $G$ is transitive on $X$, so such
+an $A$ is fixed by its row at the base point $x_0 = U$: $A[x, z] =
+A[x_0, h_x^{-1} z]$, $h_x$ the representative of $x$, and that row is
+constant on the $|W||T|$ left $U$-orbits.  A `SparseOperator` holds one
+entry per orbit.  A product is $(AB)[x_0, z] = \sum_y A[x_0, y]
+B[x_0, h_y^{-1} z]$ at one $z$ per orbit, through `_product_plan`, which
+counts the orbits of the $h_y^{-1} z$ (`_column`); sums, scalings and
+equality act on rows, so equal rows are equal operators; `apply` is
+$(Af)(x) = \sum_z A[x_0, h_x^{-1} z] f(z)$; and the product with the
+permutation operator of a right translation by an element of $B$ moves
+the row (`perm_then_op`, `op_then_perm`).
+
+Equivariance is asserted, never assumed.  Each generator is built by its
+definition as rows by point, and all of them read one table,
+`translation_perm(g)`: the map $x \mapsto xg$ on the indices of the
+canonical representatives, for any $g$.  A gather $(Af)(x) = \sum c\,
+f(xg)$ puts $c$ at $(x, xg)$ and builds `op_ks` (over $Q_s/U$), `op_es`
+(over $h_s(r)$) and `pi_s_projector` (over $T$); a scatter $\sum c\,
+R_g$ puts $c$ at $(xg, x)$ and builds $H_s(r)$, $E_s$, `E_reflection`
+and $\Psi_s$, so "op_es equals E_s" compares two constructions.  $R_s$
+reads the table for $un_s^{-1}$, $u \in U$, as a set of targets per
+point.  `_element` keeps only the base row, once it has checked that the
+row is constant on every $U$-orbit and that row $x$ is the base row
+moved by $h_x$; otherwise it raises ArithmeticError, which the CLI
+reports with exit code 3.  Products and sums of elements are elements.
+A permutation serves as a right translation only once
+`_right_translation_point` has checked that it is one, and
+`verify_left_translation` checks the commutation itself, on the rows of
+`op_ks`.  Every table and operator of a model is built once, in its one
+cache (`_cached`).
 
 The central identity, verified entrywise over $\mathbb{Q}(\zeta_N)$, is
 $\mathsf{k}_s = L_s$, together with the Yokonuma presentation
@@ -85,6 +111,7 @@ from .monodromic import TorusCharacter, torus_character
 from .scalars import Cyclotomic
 
 SIZE_CEILING = 1000  # largest |X| a model is built for
+DEGREE_CEILING = 64  # largest degree phi(N) of its scalars Q(zeta_N)
 
 
 # ---------------------------------------------------------------------------
@@ -281,109 +308,96 @@ def _diag(entries):
                  for i in range(m))
 
 
+def _weyl_rep(F: SmallField, w: tuple[int, ...]):
+    """A monomial matrix of determinant one with pattern w: the
+    permutation matrix, its first entry negated when w is odd."""
+    m = len(w)
+    M = [[0] * m for _ in range(m)]
+    for i, j in enumerate(w):
+        M[i][j] = 1
+    if sum(w[i] > w[j] for i in range(m) for j in range(i + 1, m)) % 2:
+        M[0][w[0]] = F.neg_t[1]
+    return tuple(map(tuple, M))
+
+
 # ---------------------------------------------------------------------------
-# sparse operators over one cyclotomic field
+# operators: elements of H(G, U, 1), held as their base-point row
 # ---------------------------------------------------------------------------
-
-class _Row(dict):
-    """One row of a `SparseOperator`: column -> nonzero cyclotomic entry.
-
-    Rows are the coefficients of an operator seen as a sparse vector over
-    row indices, so they add, negate and scale like scalars, through the
-    same zero-dropping accumulation.  A stored row is never changed in
-    place, so operators may share rows."""
-
-    __slots__ = ()
-
-    def __add__(self, other: dict) -> "_Row":
-        return _axpy(_Row(self), other)
-
-    def __neg__(self) -> "_Row":
-        return _Row({y: -c for y, c in self.items()})
-
-    def __mul__(self, a) -> "_Row":
-        if isinstance(a, Cyclotomic):
-            return _Row({y: c * a for y, c in self.items()})
-        return _Row({y: c.scale(a) for y, c in self.items()})
-
 
 class SparseOperator(SparseVector):
-    """Row-sparse matrix over Q(zeta_N), indexed by X-point indices: a
-    sparse vector over row indices whose coefficients are the rows."""
+    """An operator on C[X] that commutes with left translation by G, that
+    is an element of the convolution algebra H(G, U, 1), held as its row at
+    the base point x0: one nonzero cyclotomic entry per left U-orbit of
+    X, keyed by the orbit's index in its model."""
 
-    __slots__ = ("N",)
-    _ambient = "N"
+    __slots__ = ("model",)
+    _ambient = "model"
 
-    def __init__(self, N: int,
-                 rows: dict[int, dict[int, Cyclotomic]] | None = None):
-        super().__init__(N, {x: _Row({y: c for y, c in row.items() if c})
-                             for x, row in (rows or {}).items()})
-
-    @property
-    def rows(self) -> dict[int, _Row]:
-        """The nonzero rows by row index (the terms of the vector)."""
-        return self.terms
-
-    @classmethod
-    def identity(cls, N: int, npoints: int) -> "SparseOperator":
-        one = Cyclotomic.one(N)
-        return cls(N, {x: {x: one} for x in range(npoints)})
+    def scale(self, a) -> "SparseOperator":
+        """The operator times a rational a."""
+        if not a:
+            return self._like({})
+        return self._like({o: c.scale(a) for o, c in self.terms.items()})
 
     def __mul__(self, other: "SparseOperator") -> "SparseOperator":
-        return self._like(_sparse_product(self.N, self.rows, other.rows))
+        """(AB)[x0, z] = sum over y of A[x0, y] B[x0, h_y^-1 z], on one z
+        per orbit, through the model's product plan."""
+        if other.model is not self.model:
+            raise ValueError("operators of different models")
+        return self._like(_bilinear(self.model.N, self.terms, other.terms,
+                                    self.model._product_plan()))
 
     def apply(self, vec: dict[int, Cyclotomic]) -> dict[int, Cyclotomic]:
-        column = {y: {0: c} for y, c in vec.items()}
-        return {x: row[0] for x, row in
-                _sparse_product(self.N, self.rows, column).items()}
+        """(A f)(x) = sum over z of A[x0, h_x^-1 z] f(z), for f given by
+        its nonzero values."""
+        model = self.model
+        columns = [(z, model._column(z)) for z in vec]
+        plan = []
+        for x in range(model.size_x):
+            groups: dict[int, list] = {}
+            for z, col in columns:
+                groups.setdefault(col[x], []).append((z, 1))
+            plan.append(groups)
+        return _bilinear(model.N, self.terms, vec, plan)
 
 
-def _sparse_product(N: int, rows_a: dict, rows_b: dict) -> dict:
-    """The rows of the product of two row-sparse matrices over Q(zeta_N),
-    holding the entries whose terms do not cancel.
+def _bilinear(N: int, a: dict, b: dict, plan: list[dict]) -> dict:
+    """{o: the sum of a[p] * c * b[r] over p, fan in plan[o].items() and
+    (r, c) in fan}, keeping the nonzero sums.
 
-    Each row of A, and all of B, are brought to one denominator (the lcm
-    of their entries'), so that an output entry is a plain sum of integer
+    All of a, and all of b, are brought to one denominator (the lcm of
+    their entries'), so that an output entry is a plain sum of integer
     convolutions of numerator vectors, reduced mod Phi_N and
     gcd-normalized once."""
-    if any(c.order != N for rows in (rows_a, rows_b)
-           for row in rows.values() for c in row.values()):
-        raise ValueError("mixing cyclotomic fields of different orders")
-    if not rows_a or not rows_b:
+    if not a or not b:
         return {}
     width = 2 * len(Cyclotomic.one(N).num) - 1
-    den_b = math.lcm(*(c.den for row in rows_b.values()
-                       for c in row.values()))
-    # per entry of B: its nonzero (index, numerator) pairs over den_b
-    scaled_b = {y: [(z, [(j, n * (den_b // c.den))
-                         for j, n in enumerate(c.num) if n])
-                    for z, c in row.items()]
-                for y, row in rows_b.items()}
+    den_a = math.lcm(*(c.den for c in a.values()))
+    den_b = math.lcm(*(c.den for c in b.values()))
+    num_a = {p: [(i, n * (den_a // c.den)) for i, n in enumerate(c.num) if n]
+             for p, c in a.items()}
+    num_b = {r: [n * (den_b // c.den) for n in c.num] for r, c in b.items()}
     out = {}
-    for x, row in rows_a.items():
-        den_a = math.lcm(*(c.den for c in row.values()))
-        acc: dict[int, list[int]] = {}
-        for y, a in row.items():
-            brow = scaled_b.get(y)
-            if not brow:
+    for o, groups in enumerate(plan):
+        conv = None
+        for p in groups.keys() & num_a.keys():
+            acc = None
+            for r, c in groups[p]:
+                nb = num_b.get(r)
+                if nb is not None:
+                    acc = ([c * y for y in nb] if acc is None
+                           else [x + c * y for x, y in zip(acc, nb)])
+            if acc is None:
                 continue
-            m = den_a // a.den
-            na = [(i, n * m) for i, n in enumerate(a.num) if n]
-            for z, nb in brow:
-                conv = acc.get(z)
-                if conv is None:
-                    conv = acc[z] = [0] * width
-                for i, p in na:
-                    for j, q in nb:
-                        conv[i + j] += p * q
-        den = den_a * den_b
-        out_row = _Row()
-        for z, conv in acc.items():
-            c = Cyclotomic.from_convolution(N, conv, den)
+            if conv is None:
+                conv = [0] * width
+            for i, x in num_a[p]:
+                for j, y in enumerate(acc, i):
+                    conv[j] += x * y
+        if conv is not None:
+            c = Cyclotomic.from_convolution(N, conv, den_a * den_b)
             if c:
-                out_row[z] = c
-        if out_row:
-            out[x] = out_row
+                out[o] = c
     return out
 
 
@@ -398,9 +412,17 @@ def expected_size_x(n: int, qk: int) -> int:
     return out
 
 
+def _cyclotomic_order(p: int, qk: int) -> int:
+    """N with Q(zeta_N) holding every character value of SL_{n+1}(F_qk):
+    the multiplicative characters, and psi, which needs zeta_p for p odd."""
+    return (qk - 1) * (p if p % 2 else 1)
+
+
 def _refuse_oversized(n: int, q: int, k: int) -> None:
-    """Refuse |X| = prod_{i=2}^{n+1} (q^{ki} - 1) > SIZE_CEILING from n, q
-    and k alone: 2^{b/4} <= |X| <= 2^b for the b below."""
+    """Refuse, from n, q and k alone, |X| = prod_{i=2}^{n+1} (q^{ki} - 1)
+    > SIZE_CEILING (2^{b/4} <= |X| <= 2^b for the b below), and scalars
+    Q(zeta_N) of degree phi(N) > DEGREE_CEILING: a product of scalars costs
+    about phi(N)^2, an inverse phi(N)^3."""
     bits = k * q.bit_length() * ((n + 1) * (n + 2) // 2 - 1)
     if bits > 4096:
         raise ValueError(f"size ceiling exceeded: |X| > {SIZE_CEILING}")
@@ -408,6 +430,11 @@ def _refuse_oversized(n: int, q: int, k: int) -> None:
     if size > SIZE_CEILING:
         raise ValueError(
             f"size ceiling exceeded: |X| = {size} > {SIZE_CEILING}")
+    N = _cyclotomic_order(_factor_prime_power(q)[0], q ** k)
+    degree = sum(math.gcd(j, N) == 1 for j in range(N))
+    if degree > DEGREE_CEILING:
+        raise ValueError(f"degree ceiling exceeded: Q(zeta_{N}) has "
+                         f"degree {degree} > {DEGREE_CEILING}")
 
 
 class FiniteModel:
@@ -424,7 +451,7 @@ class FiniteModel:
         F = self.F
         self.qk = F.size
         self.size_x = expected_size_x(n, self.qk)
-        self.N = (self.qk - 1) * (p if p % 2 else 1)
+        self.N = _cyclotomic_order(p, self.qk)
         m = self.m
         # U and T in the lexicographic order of their flattened matrices
         above = [(i, j) for i in range(m) for j in range(i + 1, m)]
@@ -436,21 +463,42 @@ class FiniteModel:
             self.U_list.append(tuple(map(tuple, M)))
         self.T_list = [t for t in map(_diag, itertools.product(
             range(1, F.size), repeat=m)) if mat_det(F, t) == 1]
-        # the group is held once, as the keys of coset_index
+        # G/U from the Bruhat cells U t n_w U: the cosets u t n_w U, each
+        # found whole, indexed in the order of their lexicographically least
+        # members, the order in which a scan of all matrices meets them.
+        # The group is held once, as the keys of coset_index, and the cell
+        # (w, t) is the left U-orbit of the point t n_w U.
         self.coset_index: dict = {}
-        self.x_reps: list = []
-        for flat in itertools.product(range(F.size), repeat=m * m):
-            g = tuple(tuple(row) for row in zip(*[iter(flat)] * m))
-            if g in self.coset_index or mat_det(F, g) != 1:
-                continue
-            coset = {mat_mul(F, g, u) for u in self.U_list}
-            rep = min(coset)
-            idx = len(self.x_reps)
-            self.x_reps.append(rep)
-            for member in coset:
-                self.coset_index[member] = idx
-        if len(self.x_reps) != self.size_x:
+        reps, cells, orbit_mats = [], [], []
+        for w in itertools.permutations(range(m)):
+            nw = _weyl_rep(F, w)
+            for t in self.T_list:
+                tn = mat_mul(F, t, nw)
+                for u in self.U_list:
+                    g = mat_mul(F, u, tn)
+                    if g not in self.coset_index:
+                        coset = [mat_mul(F, g, v) for v in self.U_list]
+                        for member in coset:
+                            self.coset_index[member] = len(reps)
+                        reps.append(min(coset))
+                        cells.append(len(orbit_mats))
+                orbit_mats.append(tn)
+        if len(reps) != self.size_x:
             raise ArithmeticError("coset enumeration does not match |X|")
+        order = sorted(range(len(reps)), key=reps.__getitem__)
+        index = [0] * len(order)
+        for idx, found in enumerate(order):
+            index[found] = idx
+        for g, found in self.coset_index.items():
+            self.coset_index[g] = index[found]
+        self.x_reps: list = [reps[found] for found in order]
+        self.orbit_of: list[int] = [cells[found] for found in order]
+        self.x0 = self.coset_index[mat_identity(m)]
+        # one point per orbit, t n_w U, and every orbit's points
+        self.orbit_reps = [self.coset_index[g] for g in orbit_mats]
+        self.orbit_members: list[list[int]] = [[] for _ in orbit_mats]
+        for x, orbit in enumerate(self.orbit_of):
+            self.orbit_members[orbit].append(x)
         self.torus_of: dict[int, tuple] = {}
         for t in self.T_list:
             self.torus_of[self.coset_index[t]] = t
@@ -556,17 +604,13 @@ class FiniteModel:
             return reps
         return self._cached(("qs_reps", i), build)
 
-    # -- operators -------------------------------------------------------
+    # -- tables ----------------------------------------------------------
 
     def _cached(self, key, build):
         """The model's one cache: every table and operator, built once."""
         if key not in self._tables:
             self._tables[key] = build()
         return self._tables[key]
-
-    def identity_op(self) -> SparseOperator:
-        return self._cached(("id",), lambda: SparseOperator.identity(
-            self.N, self.size_x))
 
     def group_inverse(self, g):
         """g^(ord(g) - 1), by powers of g."""
@@ -578,7 +622,8 @@ class FiniteModel:
 
     def translation_perm(self, g) -> tuple[int, ...]:
         """The map x -> xg on point indices, for any g in the group: the
-        one table every translation operator and cell reads."""
+        one table every translation operator and cell reads.  For g a
+        representative of the point z it is x -> h_x z, h_x = x_reps[x]."""
         return self._cached(("perm", g), lambda: tuple(
             self.coset_index[mat_mul(self.F, rep, g)] for rep in self.x_reps))
 
@@ -602,21 +647,93 @@ class FiniteModel:
             return out
         return self._cached(("cell_targets", i), build)
 
-    def _gather(self, terms) -> SparseOperator:
-        """(A f)(x) = sum of c f(xg) over the pairs (g, c) of terms."""
+    # -- H(G, U, 1) -------------------------------------------------------
+
+    def _column(self, z: int) -> tuple[int, ...]:
+        """For each point y, the orbit of h_y^-1 z: column z of an element
+        A is A[y, z] = A[x0, h_y^-1 z].  The double coset of h_y^-1 g, g
+        representing z, is the inverse of that of the point g^-1 y."""
+        def build():
+            inverse = self._inverse_orbit()
+            return tuple(inverse[self.orbit_of[y]] for y in
+                         self.left_translation_perm(self.x_reps[z]))
+        return self._cached(("column", z), build)
+
+    def _inverse_orbit(self) -> list[int]:
+        """The orbit UgU -> the orbit U g^-1 U."""
+        return self._cached(("inverse_orbit",), lambda: [
+            self.orbit_of[self.coset_index[self.group_inverse(
+                self.x_reps[z])]] for z in self.orbit_reps])
+
+    def _product_plan(self) -> list[dict]:
+        """Per orbit o, (AB)[x0, z_o] = sum over y of a[orbit of y]
+        b[column(z_o)[y]]: {p: ((r, count), ...)} counting the points y of
+        orbit p whose column entry is r."""
+        def build():
+            plan = []
+            for z in self.orbit_reps:
+                groups: dict[int, dict] = {}
+                for p, r in zip(self.orbit_of, self._column(z)):
+                    fan = groups.setdefault(p, {})
+                    fan[r] = fan.get(r, 0) + 1
+                plan.append({p: tuple(fan.items())
+                             for p, fan in groups.items()})
+            return plan
+        return self._cached(("plan",), build)
+
+    def _element(self, rows: list[dict]) -> SparseOperator:
+        """The element of H(G, U, 1) with these rows by point, once its
+        left-translation invariance is asserted: the base row is constant
+        on every U-orbit, and every row x is the base row moved by h_x."""
+        base = rows[self.x0]
+        coeffs = {}
+        for z, c in base.items():
+            coeffs.setdefault(self.orbit_of[z], c)
+        ok = (all(base.get(z) == c for o, c in coeffs.items()
+                  for z in self.orbit_members[o])
+              and all(len(row) == len(base) for row in rows)
+              and all(row.get(y) == c for z, c in base.items()
+                      for row, y in zip(rows, self.translation_perm(
+                          self.x_reps[z]))))
+        if not ok:
+            raise ArithmeticError("operator does not commute with left "
+                                  "translations")
+        return SparseOperator(self, coeffs)
+
+    def _right_translation_point(self, perm) -> int:
+        """The point p0 = perm[x0] of a permutation x -> x b of X, b in B,
+        after asserting that perm is one: p0 is a one-point U-orbit and
+        perm[x] = h_x p0 for every x."""
+        p0 = perm[self.x0]
+        if (len(self.orbit_members[self.orbit_of[p0]]) != 1
+                or tuple(perm) != self.translation_perm(self.x_reps[p0])):
+            raise ArithmeticError("permutation is not a right translation")
+        return p0
+
+    # -- operators -------------------------------------------------------
+    # Each generator is built by its definition, as rows by point (a
+    # gather, a scatter, or the s-cell sets), and kept as an element.
+
+    def _gather(self, terms) -> list[dict]:
+        """The rows of (A f)(x) = sum of c f(xg) over the pairs (g, c)."""
         rows: list[dict] = [{} for _ in range(self.size_x)]
         for g, c in terms:
             for row, y in zip(rows, self.translation_perm(g)):
                 _acc(row, y, c)
-        return SparseOperator(self.N, dict(enumerate(rows)))
+        return rows
 
-    def _scatter(self, terms) -> SparseOperator:
-        """The sum of c R_g over the pairs (g, c) of terms."""
+    def _scatter(self, terms) -> list[dict]:
+        """The rows of the sum of c R_g over the pairs (g, c) of terms."""
         rows: list[dict] = [{} for _ in range(self.size_x)]
         for g, c in terms:
             for x, y in enumerate(self.translation_perm(g)):
                 _acc(rows[y], x, c)
-        return SparseOperator(self.N, dict(enumerate(rows)))
+        return rows
+
+    def identity_op(self) -> SparseOperator:
+        one = Cyclotomic.one(self.N)
+        return self._cached(("id",), lambda: self._element(
+            [{x: one} for x in range(self.size_x)]))
 
     def R_s(self, i: int) -> SparseOperator:
         """The operator delta_g -> sum of delta_x over x in gUsU/U; on
@@ -624,23 +741,21 @@ class FiniteModel:
         (R_s f)(x) = sum of f(y) over y in xUs^{-1}U/U."""
         def build():
             one = Cyclotomic.one(self.N)
-            sources = self.s_cell_targets(i)
-            return SparseOperator(self.N,
-                                  {x: {y: one for y in sources[x]}
-                                   for x in range(self.size_x)})
+            return self._element([{y: one for y in targets}
+                                 for targets in self.s_cell_targets(i)])
         return self._cached(("R_s", i), build)
 
     def H_s(self, i: int, r: int) -> SparseOperator:
-        return self._cached(("H_s", i, r), lambda: self._scatter(
-            [(self.h_s(i, r), Cyclotomic.one(self.N))]))
+        return self._cached(("H_s", i, r), lambda: self._element(self._scatter(
+            [(self.h_s(i, r), Cyclotomic.one(self.N))])))
 
     def E_s(self, i: int) -> SparseOperator:
         return self.E_reflection(i, i + 1)
 
     def Psi_s(self, i: int) -> SparseOperator:
-        return self._cached(("Psi_s", i), lambda: self._scatter(
+        return self._cached(("Psi_s", i), lambda: self._element(self._scatter(
             [(self.h_s(i, r), self.psi(self.F.inv_t[r]))
-             for r in range(1, self.F.size)]))
+             for r in range(1, self.F.size)])))
 
     def L_s(self, i: int) -> SparseOperator:
         def build():
@@ -656,23 +771,28 @@ class FiniteModel:
             return x.scale(self.qk)
         return self._cached(("L_s_inv", i), build)
 
-    def op_ks(self, i: int) -> SparseOperator:
+    def op_ks_rows(self, i: int) -> list[dict]:
+        """The rows by point of op_ks(i), a gather over Q_s/U."""
         w = Fraction(1, self.qk)
-        return self._cached(("op_ks", i), lambda: self._gather(
+        return self._cached(("op_ks_rows", i), lambda: self._gather(
             [(g, self.psi(c).scale(w)) for g, c in self.qs_reps(i)]))
+
+    def op_ks(self, i: int) -> SparseOperator:
+        return self._cached(("op_ks", i),
+                            lambda: self._element(self.op_ks_rows(i)))
 
     def op_es(self, i: int) -> SparseOperator:
         one = Cyclotomic.one(self.N)
-        return self._cached(("op_es", i), lambda: self._gather(
-            [(self.h_s(i, r), one) for r in range(1, self.F.size)]))
+        return self._cached(("op_es", i), lambda: self._element(self._gather(
+            [(self.h_s(i, r), one) for r in range(1, self.F.size)])))
 
     def E_reflection(self, i: int, j: int) -> SparseOperator:
         """Tie operator of a general reflection (i, j): the sum of R_t
         over the coroot subtorus through coordinates i and j."""
         one = Cyclotomic.one(self.N)
-        return self._cached(("E_refl", i, j), lambda: self._scatter(
-            [(self.coroot_torus(i, j, r), one)
-             for r in range(1, self.F.size)]))
+        return self._cached(("E_refl", i, j), lambda: self._element(
+            self._scatter([(self.coroot_torus(i, j, r), one)
+                           for r in range(1, self.F.size)])))
 
     def pi_s_projector(self, i: int) -> SparseOperator:
         """Projection onto the isotypic pieces whose character kills the
@@ -689,7 +809,7 @@ class FiniteModel:
                     coeff = coeff + self.theta_value(theta, t).inv()
                 if coeff:
                     terms.append((t, coeff.scale(scale)))
-            return self._gather(terms)
+            return self._element(self._gather(terms))
         return self._cached(("pi_s", i), build)
 
     def gauss_sum(self, i: int, theta: TorusCharacter) -> Cyclotomic:
@@ -705,21 +825,29 @@ def build_model(n: int, q: int, k: int) -> FiniteModel:
     return FiniteModel(n, q, k)
 
 
-def perm_then_op(perm, A: SparseOperator) -> SparseOperator:
-    """The product (permutation operator) * A: row x of the result is
-    row perm[x] of A."""
-    rows = {}
-    for x in range(len(perm)):
-        row = A.rows.get(perm[x])
-        if row:
-            rows[x] = row
-    return A._like(rows)
+def perm_then_op(perm, A):
+    """The product P A, for the permutation operator P[x, perm[x]] = 1.
+    On rows by point (a list), row x of the result is row perm[x] of A.
+    On an element, P must be a right translation (asserted), and row x0
+    of P A is row perm[x0] of A: (PA)[x0, z] = A[x0, h_p0^-1 z]."""
+    if isinstance(A, list):
+        return [A[y] for y in perm]
+    model = A.model
+    p0 = model._right_translation_point(perm)
+    return A._like({o: c for o, z in enumerate(model.orbit_reps)
+                    if (c := A.terms.get(model._column(z)[p0]))})
 
 
-def op_then_perm(A: SparseOperator, perm) -> SparseOperator:
-    """The product A * (permutation operator): columns get remapped."""
-    return A._like({x: _Row({perm[y]: c for y, c in row.items()})
-                    for x, row in A.rows.items()})
+def op_then_perm(A, perm):
+    """The product A P, for the permutation operator P[x, perm[x]] = 1:
+    column y of A becomes column perm[y].  On an element, P must be a
+    right translation (asserted): (AP)[x0, z] = A[x0, perm^-1 z]."""
+    if isinstance(A, list):
+        return [{perm[y]: c for y, c in row.items()} for row in A]
+    model = A.model
+    model._right_translation_point(perm)
+    return A._like({o: c for o, z in enumerate(model.orbit_reps)
+                    if (c := A.terms.get(model.orbit_of[perm.index(z)]))})
 
 
 # ---------------------------------------------------------------------------
@@ -963,7 +1091,7 @@ def verify_left_translation(model: FiniteModel) -> list:
     for g in gens:
         perm = model.left_translation_perm(g)
         for i in range(1, model.m):
-            K = model.op_ks(i)
+            K = model.op_ks_rows(i)
             if perm_then_op(perm, K) != op_then_perm(K, perm):
                 ok = False
     return [("op_ks commutes with left translations", ok)]

@@ -75,9 +75,9 @@ class SparseVector:
     _ambient = ""
     ZERO = None
 
-    def __init__(self, ambient, terms: dict | None = None):
+    def __init__(self, ambient, terms: dict):
         setattr(self, self._ambient, ambient)
-        self.terms = {k: c for k, c in (terms or {}).items() if c}
+        self.terms = {k: c for k, c in terms.items() if c}
 
     def _like(self, terms: dict):
         """An element of the same space holding terms, already zero-free."""
@@ -88,7 +88,7 @@ class SparseVector:
 
     @classmethod
     def zero(cls, ambient):
-        return cls(ambient)
+        return cls(ambient, {})
 
     def __bool__(self) -> bool:
         return bool(self.terms)

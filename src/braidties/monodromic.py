@@ -53,7 +53,6 @@ True
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -85,12 +84,25 @@ _VI2 = RF.VI * RF.VI
 # torus characters and their Weyl orbit
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class TorusCharacter:
     """Character of the diagonal torus, as exponents mod q^k - 1 with the
-    last coordinate normalized to zero."""
-    modulus: int
-    exponents: tuple[int, ...]
+    last coordinate normalized to zero.  Equal, and hashed, as the pair
+    (modulus, exponents)."""
+
+    __slots__ = ("modulus", "exponents")
+
+    def __init__(self, modulus: int, exponents: tuple[int, ...]):
+        self.modulus = modulus
+        self.exponents = exponents
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.modulus, self.exponents) == (other.modulus,
+                                                  other.exponents)
+
+    def __hash__(self) -> int:
+        return hash((self.modulus, self.exponents))
 
     def __repr__(self):
         body = ",".join(str(b) for b in self.exponents)

@@ -114,8 +114,15 @@ def test_serialize_pinned():
         '      "D_I": "(1+2j)",\n      "I": [],\n      "N_I": 6,\n'
         '      "R_I": 1,\n      "lambda": []\n    }\n  ],\n'
         '  "total": "5"\n}\n')
+    # the CSV layout of every report but dim's and kl-lift's, with the
+    # same leaves, as the serializer of 6150eca wrote it
+    report = {"config": {"command": "verify", "n": 2},
+              "checks": [('labelled, "quoted"', Fraction(-3, 4)),
+                         (_Opaque(), True), (complex(1, 2), False)],
+              "ok": False}
     assert cli._serialize(report, "csv") == (
-        'I,N_I,R_I,D_I\n1 2,6,1/3,"Opaque(1, 2)"\n,6,1,(1+2j)\n')
+        'check,ok\n"labelled, ""quoted""",-3/4\n"Opaque(1, 2)",True\n'
+        '(1+2j),False\n')
 
 
 @pytest.mark.parametrize("args, digest", [
@@ -217,6 +224,24 @@ def test_oversized_model_is_refused_before_building(args, message, tmp_path,
     assert code == 2 and elapsed < 1.0
     captured = capsys.readouterr()
     assert captured.err == f"error: size ceiling exceeded: {message}\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--n", "1", "--q", "31"], "Q(zeta_930) has degree 240 > 64"),
+    (["--n", "1", "--q", "17"], "Q(zeta_272) has degree 128 > 64"),
+    (["--n", "1", "--q", "23", "--k", "1"], "Q(zeta_506) has degree 220 > 64"),
+], ids=["q31", "q17", "q23"])
+def test_large_cyclotomic_field_is_refused_before_building(
+        args, message, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    t0 = time.perf_counter()
+    code = cli.main(["finite-model", *args, "--out", str(out)])
+    elapsed = time.perf_counter() - t0
+    assert code == 2 and elapsed < 0.25
+    captured = capsys.readouterr()
+    assert captured.err == f"error: degree ceiling exceeded: {message}\n"
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
 
@@ -455,6 +480,36 @@ def test_jobs_run_without_numpy(args, tmp_path):
         assert "braidties.btalg" not in probe["modules"]
     if args[0] in ("finite-model", "dim-rank") or "presentation" in args:
         assert "braidties.hecke" not in probe["modules"]
+
+
+# Imports the CLI in a fresh interpreter, runs the job given after the
+# source directory, if any, and prints every module then loaded.
+_FOOTPRINT_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from braidties import cli
+if len(sys.argv) > 2:
+    assert cli.main(sys.argv[2:]) == 0
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("args, absent", [
+    ([], ("dataclasses", "inspect", "numpy")),
+    (["finite-model", "--n", "1", "--q", "2"],
+     ("braidties.btalg", "braidties.hecke", "numpy", "dataclasses",
+      "inspect")),
+], ids=["import cli", "finite-model --n 1 --q 2"])
+def test_import_footprint(args, absent, tmp_path):
+    src = os.path.dirname(os.path.dirname(braidties.__file__))
+    extra = [*args, "--out", str(tmp_path / "out")] if args else []
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT_PROBE, src,
+                           *extra], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert "braidties.cli" in loaded
+    assert not loaded & set(absent)
 
 
 def test_specialized_rank_loads_numpy(tmp_path):

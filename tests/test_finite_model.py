@@ -1,12 +1,15 @@
 """Tests for the finite basic affine space and its operator algebras."""
 
 import doctest
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 import braidties.finite_model as FM
+from braidties.coxeter import all_perms
 from braidties.finite_model import (
     SmallField, build_model, delta_in_epsilon_span, expected_size_x,
     mat_det, mat_identity, mat_mul, monodromic_crosscheck, op_es_equals_E,
@@ -75,8 +78,83 @@ def test_matrix_helpers():
     assert mat_det(F, b) == 1  # -1 = 1 in characteristic 2
 
 
+# The full-matrix oracle: operators as rows by point, {x: {z: c}} with no
+# zero entry and no empty row, multiplied entry by entry.  This is the
+# product the model formed before it held operators as base-point rows.
+
+def _sparse_product(N, rows_a, rows_b):
+    """The rows of the product of two row-sparse matrices over Q(zeta_N),
+    holding the entries whose terms do not cancel.
+
+    Each row of A, and all of B, are brought to one denominator (the lcm
+    of their entries'), so that an output entry is a plain sum of integer
+    convolutions of numerator vectors, reduced mod Phi_N and
+    gcd-normalized once."""
+    if any(c.order != N for rows in (rows_a, rows_b)
+           for row in rows.values() for c in row.values()):
+        raise ValueError("mixing cyclotomic fields of different orders")
+    if not rows_a or not rows_b:
+        return {}
+    width = 2 * len(Cyclotomic.one(N).num) - 1
+    den_b = math.lcm(*(c.den for row in rows_b.values()
+                       for c in row.values()))
+    # per entry of B: its nonzero (index, numerator) pairs over den_b
+    scaled_b = {y: [(z, [(j, n * (den_b // c.den))
+                         for j, n in enumerate(c.num) if n])
+                    for z, c in row.items()]
+                for y, row in rows_b.items()}
+    out = {}
+    for x, row in rows_a.items():
+        den_a = math.lcm(*(c.den for c in row.values()))
+        acc = {}
+        for y, a in row.items():
+            brow = scaled_b.get(y)
+            if not brow:
+                continue
+            m = den_a // a.den
+            na = [(i, n * m) for i, n in enumerate(a.num) if n]
+            for z, nb in brow:
+                conv = acc.get(z)
+                if conv is None:
+                    conv = acc[z] = [0] * width
+                for i, p in na:
+                    for j, q in nb:
+                        conv[i + j] += p * q
+        den = den_a * den_b
+        out_row = {}
+        for z, conv in acc.items():
+            c = Cyclotomic.from_convolution(N, conv, den)
+            if c:
+                out_row[z] = c
+        if out_row:
+            out[x] = out_row
+    return out
+
+
+def _full_apply(N, rows, vec):
+    column = {y: {0: c} for y, c in vec.items()}
+    return {x: row[0] for x, row in _sparse_product(N, rows, column).items()}
+
+
+def _full_sum(N, terms):
+    """The rows of the sum of c * A over the pairs (A, c) of terms, for
+    rational or cyclotomic c."""
+    out = {}
+    for rows, c in terms:
+        for x, row in rows.items():
+            dst = out.setdefault(x, {})
+            for z, a in row.items():
+                s = dst.get(z, Cyclotomic.zero(N)) + (
+                    a * c if isinstance(c, Cyclotomic) else a.scale(c))
+                if s:
+                    dst[z] = s
+                else:
+                    dst.pop(z, None)
+    return {x: row for x, row in out.items() if row}
+
+
 def _rand_sparse(rng, N, npoints, density):
-    """Random row-sparse operator whose entries mix denominators."""
+    """Random rows by point whose entries mix denominators."""
     phi = len(Cyclotomic.one(N).num)
     rows = {}
     for x in range(npoints):
@@ -84,18 +162,20 @@ def _rand_sparse(rng, N, npoints, density):
             if rng.random() < density:
                 coords = [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 5, 12)))
                           if rng.random() < 0.6 else 0 for _ in range(phi)]
-                rows.setdefault(x, {})[y] = Cyclotomic(N, coords)
-    return FM.SparseOperator(N, rows)
+                c = Cyclotomic(N, coords)
+                if c:
+                    rows.setdefault(x, {})[y] = c
+    return rows
 
 
-def _entrywise_product(A, B, npoints):
-    zero = Cyclotomic.zero(A.N)
+def _entrywise_product(A, B, N, npoints):
+    zero = Cyclotomic.zero(N)
     want = {}
-    for x, row in A.rows.items():
+    for x, row in A.items():
         for z in range(npoints):
             acc = zero
             for y, a in row.items():
-                b = B.rows.get(y, {}).get(z)
+                b = B.get(y, {}).get(z)
                 if b is not None:
                     acc = acc + a * b
             if acc:
@@ -105,6 +185,8 @@ def _entrywise_product(A, B, npoints):
 
 @pytest.mark.parametrize("N", [1, 3, 4, 8, 20])
 def test_sparse_product_and_apply_match_entrywise_definition(N):
+    # the oracle's own check: its product and application against the
+    # entrywise definition
     rng = random.Random(N)
     zero = Cyclotomic.zero(N)
     for _ in range(8):
@@ -113,29 +195,71 @@ def test_sparse_product_and_apply_match_entrywise_definition(N):
         B = _rand_sparse(rng, N, npoints, 0.5)
         # column y1 of A cancels column y0 against equal rows of B
         y0, y1 = rng.sample(range(npoints), 2)
-        if y0 in B.rows:
-            B.rows[y1] = dict(B.rows[y0])
-        for row in A.rows.values():
+        if y0 in B:
+            B[y1] = dict(B[y0])
+        for row in A.values():
             if y0 in row:
                 row[y1] = -row[y0]
-        assert (A * B).rows == _entrywise_product(A, B, npoints)
-        vec = {y: c for y, c in _rand_sparse(rng, N, npoints, 0.5).rows.get(
-            0, {}).items()}
+        assert _sparse_product(N, A, B) == _entrywise_product(A, B, N, npoints)
+        vec = dict(_rand_sparse(rng, N, npoints, 0.5).get(0, {}))
         want = {}
-        for x, row in A.rows.items():
+        for x, row in A.items():
             acc = zero
             for y, a in row.items():
                 if y in vec:
                     acc = acc + a * vec[y]
             if acc:
                 want[x] = acc
-        assert A.apply(vec) == want
+        assert _full_apply(N, A, vec) == want
     c, d = Cyclotomic.root(N, 1).scale(Fraction(1, 3)), Cyclotomic.root(N, 2)
-    A = FM.SparseOperator(N, {0: {0: c, 1: -c}})
-    B = FM.SparseOperator(N, {0: {0: d}, 1: {0: d}})
-    assert not (A * B) and A.apply({0: d, 1: d}) == {}
+    A = {0: {0: c, 1: -c}}
+    B = {0: {0: d}, 1: {0: d}}
+    assert not _sparse_product(N, A, B) and _full_apply(N, A, {0: d, 1: d}) == {}
     with pytest.raises(ValueError):
-        A * FM.SparseOperator(N, {0: {0: Cyclotomic.one(N + 1)}})
+        _sparse_product(N, A, {0: {0: Cyclotomic.one(N + 1)}})
+
+
+_TABLES = {}
+
+
+def _hinv_orbits(model):
+    """table[x][z]: the orbit index of the point h_x^-1 z, h_x = x_reps[x],
+    by one matrix product per pair."""
+    key = (model.n, model.q, model.k)
+    if key not in _TABLES:
+        F, orbit_of, index = model.F, model.orbit_of, model.coset_index
+        _TABLES[key] = [
+            [orbit_of[index[mat_mul(F, model.group_inverse(h), g)]]
+             for g in model.x_reps] for h in model.x_reps]
+    return _TABLES[key]
+
+
+def _expand(model, A):
+    """The rows by point of an element: A[x, z] = A[x0, h_x^-1 z]."""
+    rows = {}
+    for x, orbits in enumerate(_hinv_orbits(model)):
+        row = {z: A.terms[o] for z, o in enumerate(orbits) if o in A.terms}
+        if row:
+            rows[x] = row
+    return rows
+
+
+def _nonempty(rows):
+    return {x: row for x, row in enumerate(rows) if row}
+
+
+def _u_orbits(model):
+    """The left U-orbits of X, by letting every u act on every point."""
+    F = model.F
+    seen, orbits = set(), []
+    for z, g in enumerate(model.x_reps):
+        if z not in seen:
+            orbit = frozenset(model.coset_index[mat_mul(F, u, g)]
+                              for u in model.U_list)
+            seen |= orbit
+            orbits.append(orbit)
+    return orbits
+
 
 def test_model_sizes():
     assert expected_size_x(1, 2) == 3
@@ -151,6 +275,20 @@ def test_model_sizes():
 def test_size_ceiling_enforced():
     with pytest.raises(ValueError):
         build_model(2, 2, 3)  # SL_3(F_8): |X| = 32193
+
+
+def test_degree_ceiling_keeps_every_tested_configuration():
+    # every configuration tier-1 and the benchmark run, and the larger
+    # fields of small degree, are built; the others are refused
+    for n, q, k in [(1, 2, 1), (1, 3, 1), (1, 4, 1), (1, 2, 2), (1, 5, 1),
+                    (1, 7, 1), (1, 8, 1), (1, 2, 3), (1, 9, 1), (1, 3, 2),
+                    (1, 11, 1), (1, 13, 1), (1, 16, 1), (1, 2, 4),
+                    (1, 25, 1), (1, 27, 1), (2, 2, 1), (2, 3, 1), (2, 2, 2),
+                    (2, 4, 1), (3, 2, 1)]:
+        FM._refuse_oversized(n, q, k)
+    for q in (17, 19, 23, 29, 31):
+        with pytest.raises(ValueError, match="degree ceiling"):
+            FM._refuse_oversized(1, q, 1)
 
 
 def test_finite_model_job_builds_one_model(tmp_path):
@@ -241,8 +379,9 @@ def test_gauss_sum_trivial_character():
 # Reference builders that do not read the model's cached translation table:
 # each computes coset_index[rep * g] on its own, the Q_s/U representatives
 # and inverses come from a scan of the whole group (the keys of
-# coset_index), and the scatter sums add whole operators one at a time.
-# The model's tables and operators must equal them.
+# coset_index), and the scatter sums add whole operators, as rows by
+# point, one at a time.  The model's tables, and the expansions of its
+# operators, must equal them.
 
 def _ref_group_inverse(model, g):
     ident = mat_identity(model.m)
@@ -308,24 +447,26 @@ def _ref_s_cell_targets(model, i):
 def _ref_right_translation(model, t):
     one = Cyclotomic.one(model.N)
     perm = _ref_perm(model, t)
-    return FM.SparseOperator(model.N,
-                             {perm[x]: {x: one} for x in range(model.size_x)})
+    return {perm[x]: {x: one} for x in range(model.size_x)}
 
 
 def _ref_E_reflection(model, i, j):
-    out = FM.SparseOperator.zero(model.N)
-    for r in range(1, model.F.size):
-        out = out + _ref_right_translation(model, model.coroot_torus(i, j, r))
-    return out
+    return _full_sum(model.N, [
+        (_ref_right_translation(model, model.coroot_torus(i, j, r)), 1)
+        for r in range(1, model.F.size)])
 
 
 def _ref_Psi_s(model, i):
     psi = _ref_psi(model)
-    out = FM.SparseOperator.zero(model.N)
-    for r in range(1, model.F.size):
-        out = out + _ref_right_translation(model, model.h_s(i, r)).scale(
-            psi[model.F.inv_t[r]])
-    return out
+    return _full_sum(model.N, [
+        (_ref_right_translation(model, model.h_s(i, r)), psi[model.F.inv_t[r]])
+        for r in range(1, model.F.size)])
+
+
+def _ref_R_s(model, i):
+    one = Cyclotomic.one(model.N)
+    return {x: {y: one for y in targets}
+            for x, targets in enumerate(_ref_s_cell_targets(model, i))}
 
 
 def _ref_op_ks(model, i):
@@ -334,7 +475,7 @@ def _ref_op_ks(model, i):
     for x, g in enumerate(model.x_reps):
         rows[x] = {model.coset_index[mat_mul(model.F, g, qmat)]:
                    psi[c].scale(w) for qmat, c in _ref_qs_reps(model, i)}
-    return FM.SparseOperator(model.N, rows)
+    return rows
 
 
 def _ref_op_es(model, i):
@@ -346,7 +487,7 @@ def _ref_op_es(model, i):
             y = model.coset_index[mat_mul(model.F, g, model.h_s(i, r))]
             row[y] = row[y] + one if y in row else one
         rows[x] = row
-    return FM.SparseOperator(model.N, rows)
+    return rows
 
 
 def _ref_pi_s_projector(model, i):
@@ -355,29 +496,37 @@ def _ref_pi_s_projector(model, i):
     inside = [theta for theta in model.all_characters()
               if monodromic.simple_in_circle(i, theta)]
     scale = Fraction(1, len(model.T_list))
-    out = FM.SparseOperator.zero(model.N)
+    one = Cyclotomic.one(model.N)
+    terms = []
     for t in model.T_list:
         coeff = Cyclotomic.zero(model.N)
         for theta in inside:
             coeff = coeff + model.theta_value(theta, t).inv()
         perm = _ref_perm(model, t)
-        out = out + FM.SparseOperator(
-            model.N, {x: {perm[x]: coeff.scale(scale)}
-                      for x in range(model.size_x)})
-    return out
+        terms.append(({x: {perm[x]: one} for x in range(model.size_x)},
+                      coeff.scale(scale)))
+    return _full_sum(model.N, terms)
 
 
-@pytest.mark.parametrize("cfg", [
-    (1, 2, 1), (1, 3, 1), (1, 4, 1), (1, 2, 2), (1, 5, 1), (1, 7, 1),
-    (1, 8, 1), (1, 9, 1), (2, 2, 1),
-    pytest.param((2, 3, 1), marks=pytest.mark.slow),
-], ids=lambda cfg: "SL%d(F%d^%d)" % (cfg[0] + 1, cfg[1], cfg[2]))
+_SMALL = [(1, 2, 1), (1, 3, 1), (1, 4, 1), (1, 2, 2), (1, 5, 1), (1, 7, 1),
+          (1, 8, 1), (1, 9, 1), (2, 2, 1)]
+_SLOW = [pytest.param((2, 3, 1), marks=pytest.mark.slow)]
+
+
+def _cfg_id(cfg):
+    return "SL%d(F%d^%d)" % (cfg[0] + 1, cfg[1], cfg[2])
+
+
+@pytest.mark.parametrize("cfg", _SMALL + _SLOW, ids=_cfg_id)
 def test_operators_match_reference_builders(cfg):
     model = build_model(*cfg)
     assert [model.psi(a) for a in range(model.qk)] == _ref_psi(model)
     sample = random.Random(0).sample(list(model.coset_index), 5)
     for g in sample + [model.simple_n(i) for i in range(1, model.m)]:
         assert model.group_inverse(g) == _ref_group_inverse(model, g)
+    one = Cyclotomic.one(model.N)
+    assert _expand(model, model.identity_op()) == {
+        x: {x: one} for x in range(model.size_x)}
     for i in range(1, model.m):
         reps, ref = model.qs_reps(i), _ref_qs_reps(model, i)
         assert len(reps) == len(ref) == model.qk ** 2 - 1
@@ -385,15 +534,223 @@ def test_operators_match_reference_builders(cfg):
                 == {(model.coset_index[g], c) for g, c in ref})
         assert model.cell_of(i) == _ref_cell_of(model, i)
         assert model.s_cell_targets(i) == _ref_s_cell_targets(model, i)
-        assert model.op_ks(i) == _ref_op_ks(model, i)
-        assert model.op_es(i) == _ref_op_es(model, i)
-        assert model.Psi_s(i) == _ref_Psi_s(model, i)
-        assert model.pi_s_projector(i) == _ref_pi_s_projector(model, i)
+        ks = _ref_op_ks(model, i)
+        assert _nonempty(model.op_ks_rows(i)) == ks
+        assert _expand(model, model.op_ks(i)) == ks
+        assert _expand(model, model.R_s(i)) == _ref_R_s(model, i)
+        assert _expand(model, model.op_es(i)) == _ref_op_es(model, i)
+        assert _expand(model, model.Psi_s(i)) == _ref_Psi_s(model, i)
+        assert (_expand(model, model.pi_s_projector(i))
+                == _ref_pi_s_projector(model, i))
         for r in range(1, model.qk):
-            assert model.H_s(i, r) == _ref_right_translation(
+            assert _expand(model, model.H_s(i, r)) == _ref_right_translation(
                 model, model.h_s(i, r))
         for j in range(i + 1, model.m + 1):
-            assert model.E_reflection(i, j) == _ref_E_reflection(model, i, j)
+            assert (_expand(model, model.E_reflection(i, j))
+                    == _ref_E_reflection(model, i, j))
+
+
+def _scan_model(model):
+    """x_reps and coset_index as a scan of all q^{k m^2} matrices finds
+    them: each matrix of determinant one not in a coset met before starts
+    the next coset, whose least member is the first one met."""
+    F, m = model.F, model.m
+    coset_index, x_reps = {}, []
+    for flat in itertools.product(range(F.size), repeat=m * m):
+        g = tuple(tuple(row) for row in zip(*[iter(flat)] * m))
+        if g in coset_index or mat_det(F, g) != 1:
+            continue
+        coset = {mat_mul(F, g, u) for u in model.U_list}
+        x_reps.append(min(coset))
+        for member in coset:
+            coset_index[member] = len(x_reps) - 1
+    return x_reps, coset_index
+
+
+_LARGER = [pytest.param((2, 3, 1), marks=pytest.mark.slow),
+           pytest.param((3, 2, 1), marks=pytest.mark.slow)]
+
+
+@pytest.mark.parametrize("cfg", _SMALL + _LARGER, ids=_cfg_id)
+def test_bruhat_cells_give_the_scanned_cosets(cfg):
+    model = build_model(*cfg)
+    x_reps, coset_index = _scan_model(model)
+    assert model.x_reps == x_reps
+    assert model.coset_index == coset_index
+
+
+@pytest.mark.parametrize("cfg", _SMALL + _LARGER, ids=_cfg_id)
+def test_orbits_are_the_left_u_orbits(cfg):
+    model = build_model(*cfg)
+    orbits = _u_orbits(model)
+    assert len(orbits) == len(model.orbit_reps) == (
+        math.factorial(model.m) * len(model.T_list))
+    assert sorted(map(sorted, orbits)) == sorted(model.orbit_members)
+    for o, z in enumerate(model.orbit_reps):
+        assert model.orbit_of[z] == o
+    assert model.orbit_members[model.orbit_of[model.x0]] == [model.x0]
+    for x, t in model.torus_of.items():
+        assert model.orbit_members[model.orbit_of[x]] == [x]
+
+
+_RECORDS = {}
+
+
+def _recorded_operations(cfg):
+    """Every product, permutation product and application that
+    verify_main_identity forms on a fresh model, without repeats, each
+    with its result as the model computed it."""
+    if cfg in _RECORDS:
+        return _RECORDS[cfg]
+    seen, records = set(), []
+
+    def key(x):
+        if isinstance(x, FM.SparseOperator):
+            return frozenset(x.terms.items())
+        if isinstance(x, dict):
+            return frozenset(x.items())
+        return tuple(x)
+
+    def record(kind, fn):
+        def traced(a, b):
+            out = fn(a, b)
+            if isinstance(b if kind == "perm_op" else a, list):
+                return out  # the full op_ks of verify_left_translation
+            k = (kind, key(a), key(b))
+            if k not in seen:
+                seen.add(k)
+                records.append((kind, a, b, out))
+            return out
+        return traced
+
+    saved = (FM.SparseOperator.__mul__, FM.SparseOperator.apply,
+             FM.perm_then_op, FM.op_then_perm)
+    FM.SparseOperator.__mul__ = record("mul", saved[0])
+    FM.SparseOperator.apply = record("apply", saved[1])
+    FM.perm_then_op = record("perm_op", saved[2])
+    FM.op_then_perm = record("op_perm", saved[3])
+    try:
+        build_model.cache_clear()
+        assert verify_main_identity(*cfg)["ok"]
+    finally:
+        (FM.SparseOperator.__mul__, FM.SparseOperator.apply,
+         FM.perm_then_op, FM.op_then_perm) = saved
+    model = build_model(*cfg)
+    out = []
+    for kind, a, b, result in records:
+        if kind == "mul":
+            full = _sparse_product(model.N, _expand(model, a),
+                                   _expand(model, b))
+        elif kind == "perm_op":
+            rows = _expand(model, b)
+            full = {x: rows[y] for x, y in enumerate(a) if y in rows}
+        elif kind == "op_perm":
+            full = {x: {b[y]: c for y, c in row.items()}
+                    for x, row in _expand(model, a).items()}
+        else:
+            full = _full_apply(model.N, _expand(model, a), b)
+        out.append((kind, full, result))
+    _RECORDS[cfg] = (model, out)
+    return _RECORDS[cfg]
+
+
+_ORACLE = _SMALL + [pytest.param((2, 3, 1), marks=pytest.mark.slow),
+                    pytest.param((3, 2, 1), marks=pytest.mark.slow)]
+
+
+@pytest.mark.parametrize("cfg", _ORACLE, ids=_cfg_id)
+def test_row_algebra_equals_full_products(cfg):
+    model, records = _recorded_operations(cfg)
+    kinds = {kind for kind, _, _ in records}
+    assert kinds == {"mul", "perm_op", "op_perm", "apply"}
+    for kind, full, result in records:
+        if kind == "apply":
+            assert result == full
+        else:
+            assert _expand(model, result) == full, kind
+
+
+@pytest.mark.parametrize("cfg", _ORACLE, ids=_cfg_id)
+def test_full_products_are_constant_on_u_orbits(cfg):
+    model, records = _recorded_operations(cfg)
+    orbits = _u_orbits(model)
+    for kind, full, _ in records:
+        if kind != "apply":
+            base = full.get(model.x0, {})
+            for orbit in orbits:
+                assert len({base.get(z) for z in orbit}) == 1, kind
+
+
+@pytest.mark.parametrize("cfg", [(2, 2, 1), pytest.param(
+    (3, 2, 1), marks=pytest.mark.slow)], ids=_cfg_id)
+def test_word_products_are_checked_by_the_oracle(cfg):
+    # every word product of verify_word_independence is a recorded one
+    model, records = _recorded_operations(cfg)
+    results = [result for kind, _, result in records if kind == "mul"]
+    checked = 0
+    for u in all_perms(model.m):
+        words = FM._all_reduced_words(u)
+        if len(words) > 1:
+            for word in words:
+                assert any(FM._word_op(model, word) == r for r in results)
+                checked += 1
+    assert checked > 0
+
+
+def _left_translation_rows(model, g):
+    one = Cyclotomic.one(model.N)
+    return [{y: one} for y in model.left_translation_perm(g)]
+
+
+@pytest.mark.parametrize("cfg", [(1, 2, 1), (1, 3, 1), (1, 4, 1), (1, 5, 1),
+                                 (2, 2, 1)], ids=_cfg_id)
+def test_non_equivariant_operators_are_refused(cfg):
+    model = build_model(*cfg)
+    refused = 0
+    for i in range(1, model.m):
+        for g in (model.simple_n(i), model.h_s(i, model.F.gen)):
+            rows = _left_translation_rows(model, g)
+            if model.left_translation_perm(g) == model.translation_perm(
+                    model.group_inverse(g)):
+                continue  # g is central: x -> g^-1 x is x -> x g^-1
+            refused += 1
+            with pytest.raises(ArithmeticError):
+                model._element(rows)
+            with pytest.raises(ArithmeticError):
+                FM.perm_then_op(model.left_translation_perm(g),
+                                model.op_ks(i))
+            with pytest.raises(ArithmeticError):
+                FM.op_then_perm(model.op_ks(i),
+                                model.left_translation_perm(g))
+    assert refused > 0
+    # rows that are the base row moved by h_x, f -> f(h_x z) for z outside
+    # B/U, but a base row that is not constant on the U-orbit of z
+    z = next(z for z in model.orbit_reps
+             if len(model.orbit_members[model.orbit_of[z]]) > 1)
+    one = Cyclotomic.one(model.N)
+    with pytest.raises(ArithmeticError):
+        model._element([{y: one} for y in
+                        model.translation_perm(model.x_reps[z])])
+
+
+def test_refused_generator_exits_3_without_output(tmp_path, monkeypatch,
+                                                  capsys):
+    from braidties import cli
+
+    build_model.cache_clear()
+    monkeypatch.setattr(
+        FM.FiniteModel, "op_ks_rows",
+        lambda self, i: _left_translation_rows(self, self.simple_n(i)))
+    out = tmp_path / "report.json"
+    try:
+        code = cli.main(["finite-model", "--n", "1", "--q", "3",
+                         "--out", str(out)])
+    finally:
+        build_model.cache_clear()
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.count("\n") == 1 and "left translations" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.slow

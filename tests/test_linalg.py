@@ -52,9 +52,13 @@ def test_element_types_do_not_compare_across_spaces():
     assert HeckeElement.zero(2) != HeckeElement.zero(3)
     assert BTElement.unit(2) != HeckeElement.unit(2)
     assert MonodromicElement.zero(2) == MonodromicElement(2, {})
-    one = Cyclotomic.one(1)
-    assert SparseOperator.identity(1, 2) == SparseOperator(
-        1, {0: {0: one}, 1: {1: one}})
+    # an operator's space is its model: F_4 as 4^1 and as 2^2 give equal
+    # base rows in two models
+    a, b = build_model(1, 4, 1), build_model(1, 2, 2)
+    one = Cyclotomic.one(a.N)
+    assert a.identity_op() == SparseOperator(a, {a.orbit_of[a.x0]: one})
+    assert a.identity_op().terms == b.identity_op().terms
+    assert a.identity_op() != b.identity_op()
 
 
 def _closure_vectors(m):
