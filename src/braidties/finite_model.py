@@ -8,7 +8,9 @@ the increasing order of their lexicographically least members.  They are
 enumerated from the Bruhat cells: $G$ is the disjoint union of the double
 cosets $U t n_w U$, $w \in W$, $t \in T$, so the cosets $u t n_w U$ are
 all of $X$, and the points of one cell form one left $U$-orbit.  The
-operators realized here:
+build keeps each cell's $t n_w$ and asserts that it has $q^{k\,l(w)}$
+points, sizes that sum to $|X|$; `cell_of(s)` reads off the cells whose
+$t n_w n_s^{-1}$ is diagonal.  The operators realized here:
 
 - `op_ks(s)`: the symplectic Fourier transform
   $(\mathsf{k}_s f)(x) = q^{-k} \sum_{y \in xQ_s} \psi(\langle x, y
@@ -24,6 +26,9 @@ operators realized here:
   and from them $E_s = \sum_r H_s(r)$,
   $\Psi_s = \sum_r \psi(r^{-1}) H_s(r)$, and the Juyumaya generator
   $L_s = q^{-k}(E_s + R_s\Psi_s)$.
+- $E_\theta = \sum_{t \in T} \theta(t) R_t$ per character $\theta$ of
+  $T$, so that $E_\theta\delta_{x_0} = \varepsilon_\theta$, and
+  `pi_s_projector`, $|T|^{-1}$ times their sum over the circle of $s$.
 
 Each of them commutes with left translation by $G$, so it is an element
 of the convolution algebra $H(G, U, 1)$ (Juyumaya, J. Algebra 204
@@ -34,25 +39,30 @@ constant on the $|W||T|$ left $U$-orbits.  A `SparseOperator` holds one
 entry per orbit.  A product is $(AB)[x_0, z] = \sum_y A[x_0, y]
 B[x_0, h_y^{-1} z]$ at one $z$ per orbit, through `_product_plan`, which
 counts the orbits of the $h_y^{-1} z$ (`_column`); sums, scalings and
-equality act on rows, so equal rows are equal operators; `apply` is
-$(Af)(x) = \sum_z A[x_0, h_x^{-1} z] f(z)$; and the product with the
-permutation operator of a right translation by an element of $B$ moves
-the row (`perm_then_op`, `op_then_perm`).
+equality act on rows, so equal rows are equal operators; and the product
+with the permutation operator of a right translation by an element of
+$B$ moves the row (`perm_then_op`, `op_then_perm`).  $B \mapsto
+B\delta_{x_0}$ is injective, with $(B\delta_{x_0})(x) = B[x_0,
+h_x^{-1}x_0]$ read at the inverse of the orbit of $x$ (`base_column`), so
+$A\varepsilon_\theta$ is read off $AE_\theta$ and no operator is applied
+to a function.
 
 Equivariance is asserted, never assumed.  Each generator is built by its
 definition as rows by point, and all of them read one table,
 `translation_perm(g)`: the map $x \mapsto xg$ on the indices of the
 canonical representatives, for any $g$.  A gather $(Af)(x) = \sum c\,
-f(xg)$ puts $c$ at $(x, xg)$ and builds `op_ks` (over $Q_s/U$), `op_es`
-(over $h_s(r)$) and `pi_s_projector` (over $T$); a scatter $\sum c\,
-R_g$ puts $c$ at $(xg, x)$ and builds $H_s(r)$, $E_s$, `E_reflection`
-and $\Psi_s$, so "op_es equals E_s" compares two constructions.  $R_s$
-reads the table for $un_s^{-1}$, $u \in U$, as a set of targets per
-point.  `_element` keeps only the base row, once it has checked that the
-row is constant on every $U$-orbit and that row $x$ is the base row
-moved by $h_x$; otherwise it raises ArithmeticError, which the CLI
-reports with exit code 3.  Products and sums of elements are elements.
-A permutation serves as a right translation only once
+f(xg)$ puts $c$ at $(x, xg)$ and builds `op_ks` (over $Q_s/U$) and
+`op_es` (over $h_s(r)$); a scatter $\sum c\, R_g$ puts $c$ at $(xg, x)$
+and builds $H_s(r)$, $E_s$, `E_reflection`, $\Psi_s$ and $E_\theta$, so
+"op_es equals E_s" compares two constructions.  $R_s$ reads the tables
+for $u_\alpha(a) n_s^{-1}$, $u_\alpha(a)$ in the root subgroup of $s$,
+as $q^k$ targets per point, since $Us^{-1}U = U_\alpha s^{-1}U$.
+`_element` keeps only the base row, once it has checked that the row is
+constant on every $U$-orbit and that row $x$ is the base row moved by
+$h_x$ (rows moved by `x_reps` would pass that by construction, so every
+row is built from translations); otherwise it raises ArithmeticError,
+which the CLI reports with exit code 3.  Products and sums of elements
+are elements.  A permutation serves as a right translation only once
 `_right_translation_point` has checked that it is one, and
 `verify_left_translation` checks the commutation itself, on the rows of
 `op_ks`.  Every table and operator of a model is built once, in its one
@@ -282,26 +292,6 @@ def mat_mul(F: SmallField, A, B):
     return tuple(out)
 
 
-def mat_det(F: SmallField, A) -> int:
-    m = len(A)
-    mul, add, neg = F.mul_t, F.add_t, F.neg_t
-    total = 0
-    for perm in itertools.permutations(range(m)):
-        term = 1
-        for i, j in enumerate(perm):
-            term = mul[term][A[i][j]]
-            if term == 0:
-                break
-        if term == 0:
-            continue
-        inv = sum(1 for i in range(m) for j in range(i + 1, m)
-                  if perm[i] > perm[j])
-        if inv % 2:
-            term = neg[term]
-        total = add[total][term]
-    return total
-
-
 def _diag(entries):
     m = len(entries)
     return tuple(tuple(entries[i] if i == j else 0 for j in range(m))
@@ -315,7 +305,7 @@ def _weyl_rep(F: SmallField, w: tuple[int, ...]):
     M = [[0] * m for _ in range(m)]
     for i, j in enumerate(w):
         M[i][j] = 1
-    if sum(w[i] > w[j] for i in range(m) for j in range(i + 1, m)) % 2:
+    if perm_length(w) % 2:
         M[0][w[0]] = F.neg_t[1]
     return tuple(map(tuple, M))
 
@@ -346,19 +336,6 @@ class SparseOperator(SparseVector):
             raise ValueError("operators of different models")
         return self._like(_bilinear(self.model.N, self.terms, other.terms,
                                     self.model._product_plan()))
-
-    def apply(self, vec: dict[int, Cyclotomic]) -> dict[int, Cyclotomic]:
-        """(A f)(x) = sum over z of A[x0, h_x^-1 z] f(z), for f given by
-        its nonzero values."""
-        model = self.model
-        columns = [(z, model._column(z)) for z in vec]
-        plan = []
-        for x in range(model.size_x):
-            groups: dict[int, list] = {}
-            for z, col in columns:
-                groups.setdefault(col[x], []).append((z, 1))
-            plan.append(groups)
-        return _bilinear(model.N, self.terms, vec, plan)
 
 
 def _bilinear(N: int, a: dict, b: dict, plan: list[dict]) -> dict:
@@ -461,17 +438,20 @@ class FiniteModel:
             for (i, j), x in zip(above, entries):
                 M[i][j] = x
             self.U_list.append(tuple(map(tuple, M)))
-        self.T_list = [t for t in map(_diag, itertools.product(
-            range(1, F.size), repeat=m)) if mat_det(F, t) == 1]
+        # T: the diagonals whose entries multiply to 1, by their logarithms
+        self.T_list = [_diag(d) for d in itertools.product(
+            range(1, F.size), repeat=m)
+            if sum(F.log[e] for e in d) % (F.size - 1) == 0]
         # G/U from the Bruhat cells U t n_w U: the cosets u t n_w U, each
         # found whole, indexed in the order of their lexicographically least
         # members, the order in which a scan of all matrices meets them.
         # The group is held once, as the keys of coset_index, and the cell
         # (w, t) is the left U-orbit of the point t n_w U.
         self.coset_index: dict = {}
-        reps, cells, orbit_mats = [], [], []
+        reps, cells, orbit_mats, cell_sizes = [], [], [], []
         for w in itertools.permutations(range(m)):
             nw = _weyl_rep(F, w)
+            size = self.qk ** perm_length(w)
             for t in self.T_list:
                 tn = mat_mul(F, t, nw)
                 for u in self.U_list:
@@ -483,6 +463,7 @@ class FiniteModel:
                         reps.append(min(coset))
                         cells.append(len(orbit_mats))
                 orbit_mats.append(tn)
+                cell_sizes.append(size)
         if len(reps) != self.size_x:
             raise ArithmeticError("coset enumeration does not match |X|")
         order = sorted(range(len(reps)), key=reps.__getitem__)
@@ -494,11 +475,15 @@ class FiniteModel:
         self.x_reps: list = [reps[found] for found in order]
         self.orbit_of: list[int] = [cells[found] for found in order]
         self.x0 = self.coset_index[mat_identity(m)]
-        # one point per orbit, t n_w U, and every orbit's points
+        # one matrix t n_w and one point t n_w U per orbit, and its
+        # q^{k l(w)} points: the sizes sum to |X|, so this checks them all
+        self.orbit_mats = orbit_mats
         self.orbit_reps = [self.coset_index[g] for g in orbit_mats]
         self.orbit_members: list[list[int]] = [[] for _ in orbit_mats]
         for x, orbit in enumerate(self.orbit_of):
             self.orbit_members[orbit].append(x)
+        if list(map(len, self.orbit_members)) != cell_sizes:
+            raise ArithmeticError("Bruhat cell sizes do not match q^(k l(w))")
         self.torus_of: dict[int, tuple] = {}
         for t in self.T_list:
             self.torus_of[self.coset_index[t]] = t
@@ -526,6 +511,13 @@ class FiniteModel:
 
     def h_s(self, i: int, r: int):
         return self.coroot_torus(i, i + 1, r)
+
+    def root_element(self, i: int, a: int):
+        """u_alpha(a), the identity with a at (i, i+1): the root subgroup
+        of the simple reflection s_i."""
+        M = [list(row) for row in mat_identity(self.m)]
+        M[i - 1][i] = a
+        return tuple(map(tuple, M))
 
     # -- scalar helpers --------------------------------------------------
 
@@ -562,26 +554,19 @@ class FiniteModel:
     def all_characters(self) -> tuple[TorusCharacter, ...]:
         return monodromic.all_characters(self.m, self.qk - 1)
 
-    def eps_theta(self, theta: TorusCharacter) -> dict[int, Cyclotomic]:
-        return {self.coset_index[t]: self.theta_value(theta, t)
-                for t in self.T_list}
-
     # -- cells ----------------------------------------------------------
 
     def cell_of(self, i: int) -> dict[int, tuple]:
-        """The s_i Bruhat cell of X: index -> the torus part t of tus."""
+        """The s_i Bruhat cell of X: index -> the torus part t of tus.  It
+        is the cells of the build whose t n_w n_s^-1 is diagonal, that
+        product being their torus part."""
         def build():
-            F = self.F
-            ns = self.simple_n(i)
+            nsi = self.group_inverse(self.simple_n(i))
             found: dict[int, tuple] = {}
-            for t in self.T_list:
-                for u in self.U_list:
-                    x = self.coset_index[mat_mul(F, mat_mul(F, t, u), ns)]
-                    prev = found.get(x)
-                    if prev is None:
-                        found[x] = t
-                    elif prev != t:
-                        raise ArithmeticError("cell torus part not unique")
+            for tn, members in zip(self.orbit_mats, self.orbit_members):
+                t = mat_mul(self.F, tn, nsi)
+                if t == _diag([t[j][j] for j in range(self.m)]):
+                    found.update(dict.fromkeys(members, t))
             return found
         return self._cached(("cell_of", i), build)
 
@@ -634,12 +619,14 @@ class FiniteModel:
 
     def s_cell_targets(self, i: int) -> tuple:
         """For each x, the set of the q^k points of xUs^{-1}U/U (xUsU/U
-        differs from it by the h_s(-1) translate in odd characteristic);
-        in SL_3 each is reached by q^{2k} elements u."""
+        differs from it by the h_s(-1) translate in odd characteristic):
+        as U s^{-1} U = U_alpha s^{-1} U, the points x u_alpha(a) s^{-1},
+        one per element of the root subgroup of s."""
         def build():
             nsi = self.group_inverse(self.simple_n(i))
-            perms = [self.translation_perm(mat_mul(self.F, u, nsi))
-                     for u in self.U_list]
+            perms = [self.translation_perm(
+                mat_mul(self.F, self.root_element(i, a), nsi))
+                for a in range(self.F.size)]
             out = tuple(frozenset(perm[x] for perm in perms)
                         for x in range(self.size_x))
             if any(len(targets) != self.qk for targets in out):
@@ -794,22 +781,30 @@ class FiniteModel:
             self._scatter([(self.coroot_torus(i, j, r), one)
                            for r in range(1, self.F.size)])))
 
+    def E_theta(self, theta: TorusCharacter) -> SparseOperator:
+        """The sum of theta(t) R_t over t in T; E_theta delta_x0 is
+        eps_theta, theta(t) at the point t and zero elsewhere."""
+        return self._cached(("E_theta", theta), lambda: self._element(
+            self._scatter([(t, self.theta_value(theta, t))
+                           for t in self.T_list])))
+
+    def base_column(self, B: SparseOperator) -> dict[int, Cyclotomic]:
+        """The function B delta_x0 by its nonzero values: (B delta_x0)(x)
+        = B[x0, h_x^-1 x0], the entry at the inverse of the orbit of x."""
+        inverse = self._inverse_orbit()
+        return {x: c for x, o in enumerate(self.orbit_of)
+                if (c := B.terms.get(inverse[o]))}
+
     def pi_s_projector(self, i: int) -> SparseOperator:
         """Projection onto the isotypic pieces whose character kills the
-        coroot torus of s_i: a single weighted sum of translations, with
-        weight |T|^{-1} sum over those characters of theta(t)^{-1}."""
+        coroot torus of s_i: |T|^{-1} times the sum of E_theta over those
+        characters."""
         def build():
-            inside = [theta for theta in self.all_characters()
-                      if monodromic.simple_in_circle(i, theta)]
-            scale = Fraction(1, len(self.T_list))
-            terms = []
-            for t in self.T_list:
-                coeff = Cyclotomic.zero(self.N)
-                for theta in inside:
-                    coeff = coeff + self.theta_value(theta, t).inv()
-                if coeff:
-                    terms.append((t, coeff.scale(scale)))
-            return self._element(self._gather(terms))
+            total = SparseOperator.zero(self)
+            for theta in self.all_characters():
+                if monodromic.simple_in_circle(i, theta):
+                    total = total + self.E_theta(theta)
+            return total.scale(Fraction(1, len(self.T_list)))
         return self._cached(("pi_s", i), build)
 
     def gauss_sum(self, i: int, theta: TorusCharacter) -> Cyclotomic:
@@ -825,25 +820,20 @@ def build_model(n: int, q: int, k: int) -> FiniteModel:
     return FiniteModel(n, q, k)
 
 
-def perm_then_op(perm, A):
-    """The product P A, for the permutation operator P[x, perm[x]] = 1.
-    On rows by point (a list), row x of the result is row perm[x] of A.
-    On an element, P must be a right translation (asserted), and row x0
-    of P A is row perm[x0] of A: (PA)[x0, z] = A[x0, h_p0^-1 z]."""
-    if isinstance(A, list):
-        return [A[y] for y in perm]
+def perm_then_op(perm, A: SparseOperator) -> SparseOperator:
+    """The product P A, for the permutation operator P[x, perm[x]] = 1 of
+    a right translation (asserted): row x0 of P A is row perm[x0] of A,
+    (PA)[x0, z] = A[x0, h_p0^-1 z]."""
     model = A.model
     p0 = model._right_translation_point(perm)
     return A._like({o: c for o, z in enumerate(model.orbit_reps)
                     if (c := A.terms.get(model._column(z)[p0]))})
 
 
-def op_then_perm(A, perm):
-    """The product A P, for the permutation operator P[x, perm[x]] = 1:
-    column y of A becomes column perm[y].  On an element, P must be a
-    right translation (asserted): (AP)[x0, z] = A[x0, perm^-1 z]."""
-    if isinstance(A, list):
-        return [{perm[y]: c for y, c in row.items()} for row in A]
+def op_then_perm(A: SparseOperator, perm) -> SparseOperator:
+    """The product A P, for the permutation operator P[x, perm[x]] = 1 of
+    a right translation (asserted): column y of A becomes column perm[y],
+    (AP)[x0, z] = A[x0, perm^-1 z]."""
     model = A.model
     model._right_translation_point(perm)
     return A._like({o: c for o, z in enumerate(model.orbit_reps)
@@ -991,13 +981,11 @@ def verify_epsilon_eigenvectors(model: FiniteModel) -> list:
     ok = True
     circle_ok = True
     for theta in model.all_characters():
-        eps = model.eps_theta(theta)
+        E = model.E_theta(theta)
         for i in range(1, model.m):
-            out = model.op_es(i).apply(eps)
             inside = monodromic.simple_in_circle(i, theta)
-            expect = {x: c.scale(Fraction(model.qk - 1))
-                      for x, c in eps.items()} if inside else {}
-            if out != expect:
+            if model.op_es(i) * E != E.scale(
+                    Fraction(model.qk - 1) if inside else 0):
                 ok = False
             finite_inside = all(
                 model.theta_value(theta, model.h_s(i, r))
@@ -1028,9 +1016,9 @@ def verify_case_values(model: FiniteModel) -> list:
     one = Cyclotomic.one(model.N)
     ok_torus = ok_cell = ok_support = ok_gauss = True
     for theta in model.all_characters():
-        eps = model.eps_theta(theta)
+        E = model.E_theta(theta)
         for i in range(1, model.m):
-            out = model.op_ks(i).apply(eps)
+            out = model.base_column(model.op_ks(i) * E)
             inside = monodromic.simple_in_circle(i, theta)
             alpha = (one.scale(Fraction(qk - 1, qk)) if inside
                      else Cyclotomic.zero(model.N))
@@ -1082,17 +1070,17 @@ def verify_projection_lemma(model: FiniteModel) -> list:
 def verify_left_translation(model: FiniteModel) -> list:
     gens = []
     for i in range(1, model.m):
-        gens.append(model.simple_n(i))
-        gens.append(model.h_s(i, model.F.gen))
-        x = [list(row) for row in mat_identity(model.m)]
-        x[i - 1][i] = 1
-        gens.append(tuple(tuple(row) for row in x))
+        gens += [model.simple_n(i), model.h_s(i, model.F.gen),
+                 model.root_element(i, 1)]
     ok = True
     for g in gens:
         perm = model.left_translation_perm(g)
         for i in range(1, model.m):
+            # P K = K P for P[x, perm[x]] = 1: row perm[x] of K is row x
+            # with its columns moved by perm
             K = model.op_ks_rows(i)
-            if perm_then_op(perm, K) != op_then_perm(K, perm):
+            if any(K[perm[x]] != {perm[y]: c for y, c in row.items()}
+                   for x, row in enumerate(K)):
                 ok = False
     return [("op_ks commutes with left translations", ok)]
 
@@ -1155,7 +1143,8 @@ def verify_main_identity(n: int, q: int, k: int) -> dict:
 
 def delta_in_epsilon_span(n: int, q: int, k: int) -> dict:
     """Express the indicator of the base point as a combination of the
-    eps_theta, by an exact linear solve over the cyclotomic field.
+    eps_theta = E_theta delta_x0, by an exact linear solve of
+    sum c_theta E_theta = 1 on base rows over the cyclotomic field.
 
     >>> rep = delta_in_epsilon_span(1, 2, 1)
     >>> rep["solved"], rep["coefficients"]
@@ -1163,16 +1152,16 @@ def delta_in_epsilon_span(n: int, q: int, k: int) -> dict:
     """
     model = build_model(n, q, k)
     one = Cyclotomic.one(model.N)
-    delta = {model.coset_index[mat_identity(model.m)]: one}
-    eps = [model.eps_theta(theta) for theta in model.all_characters()]
-    coeffs = solve(eps, delta, one)
+    delta = model.identity_op().terms
+    rows = [model.E_theta(theta).terms for theta in model.all_characters()]
+    coeffs = solve(rows, delta, one)
     acc: dict[int, Cyclotomic] = {}
-    for c, v in zip(coeffs, eps):
+    for c, v in zip(coeffs, rows):
         if c:
             _axpy(acc, v, c)
     out = [c.rational_value() if c.is_rational() else c for c in coeffs]
     return {"solved": acc == delta, "coefficients": out,
-            "count": len(eps)}
+            "count": len(rows)}
 
 
 def perfect_square_root(a: int) -> int | None:
@@ -1205,11 +1194,11 @@ def monodromic_crosscheck(n: int, q: int, k: int,
         raise ValueError("crosscheck requires q^k to be a perfect square")
     v0 = Fraction(1, root)
     theta = torus_character(qk - 1, exponents)
-    eps = model.eps_theta(theta)
+    E = model.E_theta(theta)
     per_letter = []
     ok = True
     for i in range(1, model.m):
-        out = model.op_ks(i).apply(eps)
+        out = model.base_column(model.op_ks(i) * E)
         inside = monodromic.simple_in_circle(i, theta)
         x = monodromic.pi_L((i,), theta)
         e_key = (identity_perm(model.m), theta)

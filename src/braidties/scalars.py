@@ -136,10 +136,14 @@ def _zgcd_prs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return (1,)
 
 
+@lru_cache(maxsize=1 << 14)
 def _zgcd(a: tuple[int, ...], b: tuple[int, ...]
           ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """(g, a/g, b/g) for primitive a, b in Z[x], with g their gcd,
     primitive with a positive leading coefficient.
+
+    Memoized, with room for every distinct pair one job meets: kl-lift
+    --n 3 asks about 197 000 times for about 10 400 pairs.
 
     GCDHEU: evaluate at an integer xi, take the integer gcd, read its
     balanced base-xi digits back as a polynomial H, and accept pp(H) if it

@@ -154,6 +154,31 @@ def test_dim_output_digest(args, digest, tmp_path):
     assert sha.hexdigest() == digest
 
 
+@pytest.mark.parametrize("args, digest", [
+    (["finite-model", "--n", "1", "--q", "4", "--format", "json"],
+     "fba4ce12ebc2acc4002f0ec820bb59a5d4656cf4deee1ec0dd05c66074c8bf0f"),
+    (["finite-model", "--n", "1", "--q", "5", "--format", "csv"],
+     "61922fd2e8cee59e011811aec41b2c0a2fadb316e57e9e5de6c0d2d1c22d961c"),
+    (["finite-model", "--n", "2", "--q", "2", "--format", "json"],
+     "247cd1b38a0511dd09a46fab5dd9420828374dce39a6b525488467ca58f01518"),
+    (["finite-model", "--n", "1", "--q", "9", "--format", "json"],
+     "754752c89cc52639218738c20c1c66c3277b07664305f70dd1ae524b3a8e63cb"),
+    (["verify", "--suite", "finite", "--n", "1", "--q", "3",
+      "--format", "csv"],
+     "61922fd2e8cee59e011811aec41b2c0a2fadb316e57e9e5de6c0d2d1c22d961c"),
+    (["kl-lift", "--n", "2", "--format", "json"],
+     "67ae3940ac4699e208e4d7eca1ce130bda6e4bb596815fc99fd95a07ca59f16e"),
+], ids=["finite SL2(F4) json", "finite SL2(F5) csv", "finite SL3(F2) json",
+        "finite SL2(F9) json", "verify finite SL2(F3) csv", "kl-lift n2 json"])
+def test_finite_and_kl_lift_output_digest(args, digest, tmp_path):
+    # sha256 of the output file as written at commit 71fd732; the SL2(F4)
+    # report holds the monodromic crosschecks with their kappa reprs, and
+    # the two CSV files hold the same check list, all passed
+    out = tmp_path / "out"
+    assert cli.main([*args, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def _dim_report_encoded_whole(n, mode, fmt):
     """The dim report as one dict with a dict per row, encoded at once by
     json.dumps(sort_keys=True, indent=2) or csv.writer."""

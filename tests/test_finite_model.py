@@ -12,8 +12,9 @@ import braidties.finite_model as FM
 from braidties.coxeter import all_perms
 from braidties.finite_model import (
     SmallField, build_model, delta_in_epsilon_span, expected_size_x,
-    mat_det, mat_identity, mat_mul, monodromic_crosscheck, op_es_equals_E,
+    mat_identity, mat_mul, monodromic_crosscheck, op_es_equals_E,
     op_ks_equals_L, verify_main_identity)
+from braidties.linalg import solve
 from braidties.scalars import Cyclotomic
 
 
@@ -66,6 +67,28 @@ def test_field_modulus_is_pinned(p, m, tail):
     F = SmallField.__new__(SmallField)
     F.p, F.m = p, m
     assert F._find_irreducible() == tail
+
+
+def mat_det(F, A):
+    """The Leibniz determinant, a sum over the m! permutations: the
+    oracle of the matrix scan."""
+    m = len(A)
+    mul, add, neg = F.mul_t, F.add_t, F.neg_t
+    total = 0
+    for perm in itertools.permutations(range(m)):
+        term = 1
+        for i, j in enumerate(perm):
+            term = mul[term][A[i][j]]
+            if term == 0:
+                break
+        if term == 0:
+            continue
+        inv = sum(1 for i in range(m) for j in range(i + 1, m)
+                  if perm[i] > perm[j])
+        if inv % 2:
+            term = neg[term]
+        total = add[total][term]
+    return total
 
 
 def test_matrix_helpers():
@@ -532,8 +555,6 @@ def test_operators_match_reference_builders(cfg):
         assert len(reps) == len(ref) == model.qk ** 2 - 1
         assert ({(model.coset_index[g], c) for g, c in reps}
                 == {(model.coset_index[g], c) for g, c in ref})
-        assert model.cell_of(i) == _ref_cell_of(model, i)
-        assert model.s_cell_targets(i) == _ref_s_cell_targets(model, i)
         ks = _ref_op_ks(model, i)
         assert _nonempty(model.op_ks_rows(i)) == ks
         assert _expand(model, model.op_ks(i)) == ks
@@ -572,6 +593,16 @@ _LARGER = [pytest.param((2, 3, 1), marks=pytest.mark.slow),
 
 
 @pytest.mark.parametrize("cfg", _SMALL + _LARGER, ids=_cfg_id)
+def test_cells_match_reference_scans(cfg):
+    # the cells read off the build, and the root-subgroup gather of R_s
+    # (U s^-1 U = U_alpha s^-1 U), against the scans over T x U and U
+    model = build_model(*cfg)
+    for i in range(1, model.m):
+        assert model.cell_of(i) == _ref_cell_of(model, i)
+        assert model.s_cell_targets(i) == _ref_s_cell_targets(model, i)
+
+
+@pytest.mark.parametrize("cfg", _SMALL + _LARGER, ids=_cfg_id)
 def test_bruhat_cells_give_the_scanned_cosets(cfg):
     model = build_model(*cfg)
     x_reps, coset_index = _scan_model(model)
@@ -597,7 +628,7 @@ _RECORDS = {}
 
 
 def _recorded_operations(cfg):
-    """Every product, permutation product and application that
+    """Every product and permutation product that
     verify_main_identity forms on a fresh model, without repeats, each
     with its result as the model computed it."""
     if cfg in _RECORDS:
@@ -607,15 +638,11 @@ def _recorded_operations(cfg):
     def key(x):
         if isinstance(x, FM.SparseOperator):
             return frozenset(x.terms.items())
-        if isinstance(x, dict):
-            return frozenset(x.items())
         return tuple(x)
 
     def record(kind, fn):
         def traced(a, b):
             out = fn(a, b)
-            if isinstance(b if kind == "perm_op" else a, list):
-                return out  # the full op_ks of verify_left_translation
             k = (kind, key(a), key(b))
             if k not in seen:
                 seen.add(k)
@@ -623,18 +650,15 @@ def _recorded_operations(cfg):
             return out
         return traced
 
-    saved = (FM.SparseOperator.__mul__, FM.SparseOperator.apply,
-             FM.perm_then_op, FM.op_then_perm)
+    saved = (FM.SparseOperator.__mul__, FM.perm_then_op, FM.op_then_perm)
     FM.SparseOperator.__mul__ = record("mul", saved[0])
-    FM.SparseOperator.apply = record("apply", saved[1])
-    FM.perm_then_op = record("perm_op", saved[2])
-    FM.op_then_perm = record("op_perm", saved[3])
+    FM.perm_then_op = record("perm_op", saved[1])
+    FM.op_then_perm = record("op_perm", saved[2])
     try:
         build_model.cache_clear()
         assert verify_main_identity(*cfg)["ok"]
     finally:
-        (FM.SparseOperator.__mul__, FM.SparseOperator.apply,
-         FM.perm_then_op, FM.op_then_perm) = saved
+        FM.SparseOperator.__mul__, FM.perm_then_op, FM.op_then_perm = saved
     model = build_model(*cfg)
     out = []
     for kind, a, b, result in records:
@@ -644,11 +668,9 @@ def _recorded_operations(cfg):
         elif kind == "perm_op":
             rows = _expand(model, b)
             full = {x: rows[y] for x, y in enumerate(a) if y in rows}
-        elif kind == "op_perm":
+        else:
             full = {x: {b[y]: c for y, c in row.items()}
                     for x, row in _expand(model, a).items()}
-        else:
-            full = _full_apply(model.N, _expand(model, a), b)
         out.append((kind, full, result))
     _RECORDS[cfg] = (model, out)
     return _RECORDS[cfg]
@@ -662,12 +684,9 @@ _ORACLE = _SMALL + [pytest.param((2, 3, 1), marks=pytest.mark.slow),
 def test_row_algebra_equals_full_products(cfg):
     model, records = _recorded_operations(cfg)
     kinds = {kind for kind, _, _ in records}
-    assert kinds == {"mul", "perm_op", "op_perm", "apply"}
+    assert kinds == {"mul", "perm_op", "op_perm"}
     for kind, full, result in records:
-        if kind == "apply":
-            assert result == full
-        else:
-            assert _expand(model, result) == full, kind
+        assert _expand(model, result) == full, kind
 
 
 @pytest.mark.parametrize("cfg", _ORACLE, ids=_cfg_id)
@@ -675,10 +694,9 @@ def test_full_products_are_constant_on_u_orbits(cfg):
     model, records = _recorded_operations(cfg)
     orbits = _u_orbits(model)
     for kind, full, _ in records:
-        if kind != "apply":
-            base = full.get(model.x0, {})
-            for orbit in orbits:
-                assert len({base.get(z) for z in orbit}) == 1, kind
+        base = full.get(model.x0, {})
+        for orbit in orbits:
+            assert len({base.get(z) for z in orbit}) == 1, kind
 
 
 @pytest.mark.parametrize("cfg", [(2, 2, 1), pytest.param(
@@ -695,6 +713,87 @@ def test_word_products_are_checked_by_the_oracle(cfg):
                 assert any(FM._word_op(model, word) == r for r in results)
                 checked += 1
     assert checked > 0
+
+
+def _eps(model, theta):
+    """eps_theta as a function on points: theta(t) at the point t."""
+    return {model.coset_index[t]: model.theta_value(theta, t)
+            for t in model.T_list}
+
+
+@pytest.mark.parametrize("cfg", _SMALL, ids=_cfg_id)
+def test_e_theta_is_the_torus_character_sum(cfg):
+    model = build_model(*cfg)
+    for theta in model.all_characters():
+        E = model.E_theta(theta)
+        assert _expand(model, E) == _full_sum(model.N, [
+            (_ref_right_translation(model, t), model.theta_value(theta, t))
+            for t in model.T_list])
+        assert model.base_column(E) == _eps(model, theta)
+
+
+@pytest.mark.parametrize("cfg", _ORACLE, ids=_cfg_id)
+def test_read_off_equals_full_application(cfg):
+    # (A E_theta) delta_x0, read through the inverse orbits, is A applied
+    # to the function eps_theta by the full matrix of A
+    model = build_model(*cfg)
+    for theta in model.all_characters():
+        eps = _eps(model, theta)
+        for i in range(1, model.m):
+            for A in (model.op_es(i), model.op_ks(i)):
+                assert (model.base_column(A * model.E_theta(theta))
+                        == _full_apply(model.N, _expand(model, A), eps))
+
+
+@pytest.mark.parametrize("cfg", _SMALL, ids=_cfg_id)
+def test_delta_solve_matches_the_solve_on_points(cfg):
+    # the solve on base rows against the solve of sum c_theta eps_theta =
+    # delta_x0 on points
+    model = build_model(*cfg)
+    one = Cyclotomic.one(model.N)
+    coeffs = solve([_eps(model, theta) for theta in model.all_characters()],
+                   {model.x0: one}, one)
+    rep = delta_in_epsilon_span(*cfg)
+    assert rep["solved"] and rep["count"] == len(coeffs)
+    assert rep["coefficients"] == [
+        c.rational_value() if c.is_rational() else c for c in coeffs]
+
+
+def _swap_first_weyl_reps(monkeypatch):
+    """Make the build label the cells of e with the matrix of s_1 and back:
+    every coset is still found, but the cell sizes no longer fit l(w)."""
+    weyl_rep = FM._weyl_rep
+
+    def swapped(F, w):
+        e = tuple(range(len(w)))
+        s1 = (1, 0) + e[2:]
+        return weyl_rep(F, {e: s1, s1: e}.get(w, w))
+    monkeypatch.setattr(FM, "_weyl_rep", swapped)
+
+
+@pytest.mark.parametrize("cfg", [(1, 3, 1), (2, 2, 1)], ids=_cfg_id)
+def test_cell_size_check_catches_a_mislabelled_cell(monkeypatch, cfg):
+    _swap_first_weyl_reps(monkeypatch)
+    with pytest.raises(ArithmeticError, match="cell sizes"):
+        FM.FiniteModel(*cfg)
+
+
+def test_mislabelled_cell_exits_3_without_output(tmp_path, monkeypatch,
+                                                 capsys):
+    from braidties import cli
+
+    build_model.cache_clear()
+    _swap_first_weyl_reps(monkeypatch)
+    out = tmp_path / "report.json"
+    try:
+        code = cli.main(["finite-model", "--n", "1", "--q", "3",
+                         "--out", str(out)])
+    finally:
+        build_model.cache_clear()
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.count("\n") == 1 and "cell sizes" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def _left_translation_rows(model, g):
