@@ -19,18 +19,18 @@ That rule lives in one cached table per rank and generator, `_action`:
 for each basis pair $(P, w)$ the moved pair $(s(P), sw)$, the join
 $s(P) \vee \{i, i+1\}$, and whether $l(sw) < l(w)$ (the last, with $sw$,
 read from `coxeter.left_action`).  `lmul_g` (for $g_s$ and, with the
-$v^{-2}-1$ weight on length-up terms, $g_s^{-1}$) and the mod-p index
-arrays of `_structure_tables` both read it; `lmul_e` reads the cached
-`coxeter.partition_join`.
+$v^{-2}-1$ weight on length-up terms, $g_s^{-1}$) and the mod-p closure
+`_closure_rank_modp` (on basis indices, $v^2-1$ specialized) both read
+it; `lmul_e` reads the cached `coxeter.partition_join`.
 
 The braid-image subalgebra $\mathcal{C}(v)$ is generated by the $g_s$
 alone; `c_dimension` computes its dimension by closing $\mathrm{span}\{1\}$
 under left multiplication by the generators (one breadth-first walk,
 `_closure`, whose tagged form also expresses elements as generator words
 for the monodromic images) and running exact Gaussian
-elimination (mode ``exact``), or elimination over $\mathbb{F}_p$ at
-rational specializations of $v$ (mode ``specialized``, a lower-bound
-certificate reported per point).  `jr_span` picks, by exact
+elimination (mode ``exact``), or the same `Echelon` over
+$\mathbb{F}_p$ (`scalars.ModP`) at rational specializations of $v$
+(mode ``specialized``, a lower-bound certificate reported per point).  `jr_span` picks, by exact
 elimination, independent elements spanning the summands $J_R e_R$ of
 the direct-sum decomposition of $\mathcal{C}(v)$.  When every block of
 $R$ is an interval, $J_R$ is spanned by
@@ -91,8 +91,8 @@ from .coxeter import (
     transposition_perm,
     w_action,
 )
-from .linalg import Echelon, ModPEchelon, SparseVector, _acc
-from .scalars import RationalFunctionScalar as RF
+from .linalg import Echelon, SparseVector, _acc
+from .scalars import ModP, RationalFunctionScalar as RF
 
 V = RF.V
 _QM1 = V * V - 1          # v^2 - 1
@@ -367,78 +367,37 @@ def _closure(n: int, tagged: bool) -> Echelon:
     return ech
 
 
-# mod-p closure: per generator, the action on basis indices is a
-# permutation edge (coefficient 1) into every target plus, from each
-# length-down source, two edges of coefficient v^2 - 1.  Each generator's
-# table gathers: the permutation source of every target, the targets of
-# weighted edges (by falling in-degree), and per round r the r-th weighted
-# source of each target with more than r of them, so that round r adds
-# into a prefix of those targets
-@lru_cache(maxsize=None)
-def _structure_tables(m: int):
-    import numpy as np
-
-    idx = _pair_index(m)
-    tables = []
-    for i in range(1, m):
-        act = _action(m, i).values()
-        perm = np.empty(len(idx), dtype=np.int64)
-        into: dict[int, list[int]] = {}
-        for b, (moved, down, joined_sw, joined_w) in enumerate(act):
-            perm[idx[moved]] = b
-            if down:
-                into.setdefault(idx[joined_sw], []).append(b)
-                into.setdefault(idx[joined_w], []).append(b)
-        targets = sorted(into, key=lambda t: -len(into[t]))
-        rounds = [np.array([into[t][r] for t in targets if len(into[t]) > r],
-                           dtype=np.int64)
-                  for r in range(len(into[targets[0]]))]
-        tables.append((perm, np.array(targets, dtype=np.int64), rounds))
-    return tables
-
-
-def _candidates(f, tables, c2: int):
-    """The rows g_s x, unreduced mod p, for every generator s (in table
-    order) and every row x of f, with v^2 - 1 specialized to c2."""
-    import numpy as np
-
-    out = np.empty((len(tables),) + f.shape)
-    for o, (perm, targets, rounds) in zip(out, tables):
-        np.take(f, perm, axis=1, out=o)
-        acc = f[:, rounds[0]]
-        for src in rounds[1:]:
-            acc[:, :src.size] += f[:, src]
-        acc *= c2
-        o[:, targets] += acc
-    return out.reshape(-1, f.shape[1])
-
-
-# candidate cells per add_batch: at n = 4 a frontier is cut into blocks of
-# 8 MB, which keeps the temporaries of a batch small (n <= 3 is never cut)
-_CANDIDATE_CELLS = 1 << 20
-
-
 def _closure_rank_modp(m: int, v0: Fraction, p: int) -> int:
-    import numpy as np
-
-    tables = _structure_tables(m)
-    B = len(basis_pairs(m))
-    v0p = v0.numerator % p * pow(v0.denominator % p, p - 2, p) % p
-    c2 = (v0p * v0p - 1) % p
-    ech = ModPEchelon(B, p)
-    start = np.zeros((1, B))
-    start[0, _pair_index(m)[(discrete_partition(m),
-                             identity_perm(m))]] = 1.0
-    ech.add_batch(start)
-    frontier = ech.E[-1:].copy()
-    step = max(1, _CANDIDATE_CELLS // (len(tables) * B))
-    while frontier.shape[0]:
-        k = 0
-        for lo in range(0, frontier.shape[0], step):
-            k += ech.add_batch(_candidates(frontier[lo:lo + step], tables, c2))
-        if not k:
-            break
-        frontier = ech.E[-k:].copy()
+    """Rank of the closure of span{1} under the g_s over F_p, with v
+    specialized to v0: the walk of `_closure` on rows indexed as in
+    `basis_pairs`, each g_s x read off `_action` with v^2 - 1 taken as
+    c2 = v0^2 - 1 mod p."""
+    F = ModP.field(p)
+    idx = _pair_index(m)
+    tables = [[(idx[moved], down, idx[joined_sw], idx[joined_w])
+               for moved, down, joined_sw, joined_w in _action(m, i).values()]
+              for i in range(1, m)]
+    v = F(v0.numerator) / F(v0.denominator)
+    c2 = v * v - F(1)
+    unit = {idx[(discrete_partition(m), identity_perm(m))]: F(1)}
+    ech = Echelon()
+    ech.insert(unit)
+    frontier = [unit]
+    while frontier:
+        new = []
+        for x in frontier:
+            for table in tables:
+                y: dict[int, ModP] = {}
+                for b, c in x.items():
+                    moved, down, joined_sw, joined_w = table[b]
+                    _acc(y, moved, c)
+                    if down:
+                        cc = c * c2
+                        _acc(y, joined_sw, cc)
+                        _acc(y, joined_w, cc)
+                if ech.insert(y) is not None:
+                    new.append(y)
+        frontier = new
     return ech.rank
 
 

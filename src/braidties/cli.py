@@ -30,8 +30,7 @@ output files; JSON keys are sorted, CSV columns fixed.  Exit codes:
 line on stderr, no output file).
 
 Each command imports the modules it runs when it runs, so ``dim`` loads
-only `coxeter`, and numpy is loaded only by ``dim-rank --mode
-specialized``.
+only `coxeter`.  Every command runs on the standard library alone.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ r"""Exact linear algebra shared by the algebra modules.
 - `Echelon`: sparse reduced row echelon over any exact field, pivoting on
   the minimal column, so that every rank is bit-reproducible.  Inserts
   may carry tags, mirrored by every row operation; `solve` uses them.
-- `ModPEchelon`: dense batched row echelon over F_p on exact float64.
+  Over `scalars.ModP` it is the mod-p rank certificate of `btalg`.
 
 >>> from fractions import Fraction
 >>> e = Echelon()
@@ -22,11 +22,6 @@ True
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def _acc(dst: dict, key, c) -> None:
@@ -210,97 +205,6 @@ def solve(columns: list[dict], b: dict, one) -> list:
         raise ValueError("inconsistent linear system")
     zero = one - one
     return [x.get(j, zero) for j in range(len(columns))]
-
-
-class ModPEchelon:
-    """Batched reduced row echelon over F_p, exact in float64: entries stay
-    in [0, p), so a product of inner dimension k is exact while
-    (p-1)^2 * k <= 2^53 - 2p, checked at each one.  An x with
-    |x| <= 2^53 - 2p (candidates too) is reduced as x - p*floor(x*(1/p)):
-    two roundings move x/p by under 2/p < 1, so the quotient is off by at
-    most one, p*q and the difference are exact, and one +p or -p lands in
-    [0, p).  A batch is reduced against E by one product, then echelonized
-    by recursive row splitting.  E is the first `rank` rows (in `pivots`
-    order) of a buffer of ncols rows allocated once."""
-
-    def __init__(self, ncols: int, p: int):
-        import numpy as np
-
-        self.p, self.ncols, self.pivots = p, ncols, []
-        self._check(ncols)
-        self._buf = np.empty((ncols, ncols))
-        self._tmp = np.empty((256, ncols))  # rows per product
-
-    def _check(self, k: int) -> None:
-        if (self.p - 1) ** 2 * k > 2 ** 53 - 2 * self.p:
-            raise ValueError("p too large for exact float64 accumulation")
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    @property
-    def E(self) -> np.ndarray:
-        return self._buf[:self.rank]
-
-    def _update(self, A, X=None, Y=None) -> None:
-        """A <- (A - X @ Y) mod p, or A <- A mod p, in place by row blocks."""
-        import numpy as np
-
-        p, n = self.p, len(self._tmp)
-        if X is not None:
-            self._check(X.shape[1])
-        for lo in range(0, A.shape[0], n):
-            a, t = A[lo:lo + n], self._tmp[:min(n, A.shape[0] - lo)]
-            if X is not None:
-                a -= np.matmul(X[lo:lo + n], Y, out=t)
-            np.floor(np.multiply(a, 1.0 / p, out=t), out=t)
-            a -= np.multiply(t, p, out=t)
-            np.add(a, p, out=a, where=a < 0)
-            np.subtract(a, p, out=a, where=a >= p)
-
-    def _echelon(self, R) -> list[int]:
-        """Echelonize R (nonzero reduced rows) in place: returns the pivots
-        in the order found, with their rows at the top of R."""
-        import numpy as np
-
-        if R.shape[0] == 1:
-            c = int(np.flatnonzero(R[0])[0])
-            R *= pow(int(R[0, c]), self.p - 2, self.p)
-            self._update(R)
-            return [c]
-        h = R.shape[0] // 2
-        top = self._echelon(R[:h])
-        kt, low = len(top), R[h:]
-        self._update(low, low[:, top], R[:kt])
-        keep = np.flatnonzero(low.any(axis=1))
-        if not keep.size:
-            return top
-        R[kt:kt + keep.size] = low[keep]
-        new = self._echelon(R[kt:kt + keep.size])
-        self._update(R[:kt], R[:kt, new], R[kt:kt + len(new)])
-        return top + new
-
-    def add_batch(self, C: np.ndarray) -> int:
-        """Reduce the rows of C, float64 integers at most 2^53 - 2p in
-        absolute value, against the echelon and absorb the independent
-        ones; returns the number of new pivots.  C is consumed."""
-        import numpy as np
-
-        if C.size and max(C.max(), -C.min()) > 2 ** 53 - 2 * self.p:
-            raise ValueError("entry too large for exact float64 reduction")
-        self._update(C)
-        self._update(C, C[:, self.pivots], self.E)
-        R = C[C.any(axis=1)]
-        new = self._echelon(R) if R.shape[0] else []
-        k, coef = len(new), self.E[:, new]
-        old = np.flatnonzero(coef.any(axis=1))  # old rows to clear
-        rows = self._buf[old]
-        self._update(rows, coef[old], R[:k])
-        self._buf[old] = rows
-        self._buf[self.rank:self.rank + k] = R[:k]
-        self.pivots += new
-        return k
 
 
 if __name__ == "__main__":

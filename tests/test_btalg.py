@@ -67,7 +67,7 @@ def random_element(m, rng, nterms=2):
 # ---------------------------------------------------------------------------
 
 # The g_s action written out per term, without the cached table: the
-# reference for the table-driven `lmul_g` and `_structure_tables`.
+# reference for the table-driven `lmul_g`.
 
 def _ref_lmul_g(i, x):
     s = simple_perm(i, x.m)
@@ -101,28 +101,6 @@ def _ref_lmul_g_inv(i, x):
     return BTElement(x.m, out)
 
 
-def _ref_structure_tables(m, np):
-    pairs = basis_pairs(m)
-    idx = {k: j for j, k in enumerate(pairs)}
-    tables = []
-    for i in range(1, m):
-        s = simple_perm(i, m)
-        pair = pair_partition(i, i + 1, m)
-        t1 = np.empty(len(pairs), dtype=np.int64)
-        src2, tgt2 = [], []
-        for b, (P, w) in enumerate(pairs):
-            sP = w_action(s, P)
-            sw = perm_mul(s, w)
-            t1[b] = idx[(sP, sw)]
-            if perm_length(sw) < perm_length(w):
-                joined = partition_join(sP, pair)
-                src2.extend((b, b))
-                tgt2.extend((idx[(joined, sw)], idx[(joined, w)]))
-        tables.append((t1, np.array(src2, dtype=np.int64),
-                       np.array(tgt2, dtype=np.int64)))
-    return tables
-
-
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_lmul_g_matches_reference_rule(m):
     rng = random.Random(m)
@@ -135,43 +113,86 @@ def test_lmul_g_matches_reference_rule(m):
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_structure_tables_match_reference_rule(m):
-    """The gather tables hold the reference edges: the permutation source
-    of each target, and each weighted edge once, round r pairing its
-    sources with a prefix of the distinct targets."""
-    np = pytest.importorskip("numpy")
-    got = btalg._structure_tables(m)
-    ref = _ref_structure_tables(m, np)
-    assert len(got) == len(ref) == m - 1
-    for (perm, targets, rounds), (t1, src2, tgt2) in zip(got, ref):
-        assert perm.dtype == targets.dtype == t1.dtype
-        assert np.array_equal(perm[t1], np.arange(t1.size))
-        assert len(set(targets.tolist())) == targets.size
-        sizes = [r.size for r in rounds]
-        assert sizes == sorted(sizes, reverse=True)
-        assert sizes[0] == targets.size
-        edges = sorted((int(s), int(t)) for r in rounds
-                       for s, t in zip(r, targets))
-        assert edges == sorted(zip(src2.tolist(), tgt2.tolist()))
+    """The per-generator table `_action(m, i)` that `lmul_g` and the mod-p
+    closure read lists every basis pair in `basis_pairs` order with the
+    reference edges of g_{s_i}: the moved pair, the descent, and the two
+    joined pairs the quadratic relation adds."""
+    for i in range(1, m):
+        s = simple_perm(i, m)
+        pair = pair_partition(i, i + 1, m)
+        table = btalg._action(m, i)
+        assert tuple(table) == basis_pairs(m)
+        for (P, w), (moved, down, joined_sw, joined_w) in table.items():
+            sP = w_action(s, P)
+            sw = perm_mul(s, w)
+            joined = partition_join(sP, pair)
+            assert moved == (sP, sw)
+            assert down == (perm_length(sw) < perm_length(w))
+            assert joined_sw == (joined, sw) and joined_w == (joined, w)
+
+
+class _RecordingEchelon(Echelon):
+    """An `Echelon` that logs every insert with the pivot it returned."""
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    def insert(self, vec, tag=None):
+        pivot = super().insert(vec, tag)
+        self.log.append((vec, pivot))
+        return pivot
+
+
+def _mod_p(c, v0, p):
+    """The Q(v) scalar c at v = v0, reduced mod p."""
+    x = c.specialize(v0)
+    return x.numerator * pow(x.denominator, -1, p) % p
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
-def test_modp_candidates_match_reference_rule(m):
-    """The gathered candidate rows equal the rows times the dense matrix of
-    each generator's reference edges, with v^2 - 1 specialized to c2."""
-    np = pytest.importorskip("numpy")
-    p = 1048573
-    rng = np.random.default_rng(m)
-    B = len(basis_pairs(m))
-    f = rng.integers(0, p, (5, B)).astype(float)
-    c2 = int(rng.integers(2, p))
-    want = []
-    for t1, src2, tgt2 in _ref_structure_tables(m, np):
-        M = np.zeros((B, B))
-        M[np.arange(B), t1] = 1
-        np.add.at(M, (src2, tgt2), c2)
-        want.append(f @ M)
-    got = btalg._candidates(f, btalg._structure_tables(m), c2)
-    assert np.array_equal(got, np.vstack(want))
+def test_modp_candidates_match_reference_rule(m, monkeypatch):
+    """Replays the walk of the mod-p closure at the three points of seed
+    0: each candidate g_s x it inserts equals lmul_g(s, x) over Q(v),
+    every coefficient specialized at v0 and reduced mod p, and the ranks
+    are the paper's dim C(v)."""
+    echelons = []
+
+    def recording():
+        echelons.append(_RecordingEchelon())
+        return echelons[-1]
+
+    monkeypatch.setattr(btalg, "Echelon", recording)
+    pairs = basis_pairs(m)
+    for v0, p in btalg._specialization_points(0, 3):
+        assert btalg._closure_rank_modp(m, v0, p) == {2: 3, 3: 20, 4: 217}[m]
+        (unit, _), *log = echelons[-1].log
+        assert unit == to_vector(BTElement.unit(m))
+        log = iter(log)
+        frontier = [unit]
+        while frontier:
+            new = []
+            for x in frontier:
+                lifted = BTElement(m, {pairs[b]: RF.const(int(c))
+                                       for b, c in x.items()})
+                for i in range(1, m):
+                    y, pivot = next(log)
+                    want = {b: _mod_p(c, v0, p)
+                            for b, c in to_vector(lmul_g(i, lifted)).items()}
+                    assert y == {b: c for b, c in want.items() if c}
+                    if pivot is not None:
+                        new.append(y)
+            frontier = new
+        assert next(log, None) is None
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_modp_closure_at_v_squared_one_spans_the_group_algebra(m):
+    """At v0^2 = 1 mod p the weight v^2 - 1 vanishes, each g_s^2 = 1, and
+    the closure of 1 is spanned by the g_w: rank (n+1)!."""
+    for p in btalg._SPECIALIZE_PRIMES:
+        for v0 in (Fraction(p + 1), Fraction(1, p - 1)):
+            assert btalg._closure_rank_modp(m, v0, p) == factorial(m)
 
 
 def test_model_dimension_formula():

@@ -459,16 +459,14 @@ def test_dim_writer_failure_partway_exits_3_and_leaves_no_file(
     assert seen == [f"x.{fmt}.{os.getpid()}.tmp" for fmt in ("json", "csv")]
 
 
-# Runs one CLI job in a fresh interpreter, numpy blocked unless the first
-# argument is "allow", and prints the exit code, the braidties modules
-# loaded and whether numpy was loaded.
+# Runs one CLI job in a fresh interpreter with numpy blocked, and prints
+# the exit code, the braidties modules loaded and whether numpy was loaded.
 _IMPORT_PROBE = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
-if sys.argv[2] != "allow":
-    sys.modules["numpy"] = None
+sys.modules["numpy"] = None
 from braidties import cli
-code = cli.main(sys.argv[3:])
+code = cli.main(sys.argv[2:])
 print(json.dumps({"code": code,
                   "numpy": sys.modules.get("numpy") is not None,
                   "modules": sorted(m for m in sys.modules
@@ -476,10 +474,10 @@ print(json.dumps({"code": code,
 """
 
 
-def _probe_imports(args, tmp_path, numpy="block"):
+def _probe_imports(args, tmp_path):
     src = os.path.dirname(os.path.dirname(braidties.__file__))
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, src, numpy, *args,
+        [sys.executable, "-c", _IMPORT_PROBE, src, *args,
          "--out", str(tmp_path / "out")],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -493,6 +491,7 @@ def _probe_imports(args, tmp_path, numpy="block"):
     ["verify", "--suite", "monodromic", "--n", "1"],
     ["kl-lift", "--n", "1"],
     ["dim-rank", "--mode", "exact", "--n", "1"],
+    ["dim-rank", "--mode", "specialized", "--n", "1"],
     ["finite-model", "--n", "1", "--q", "2"],
 ], ids=lambda args: " ".join(args))
 def test_jobs_run_without_numpy(args, tmp_path):
@@ -535,11 +534,3 @@ def test_import_footprint(args, absent, tmp_path):
     loaded = set(json.loads(proc.stdout))
     assert "braidties.cli" in loaded
     assert not loaded & set(absent)
-
-
-def test_specialized_rank_loads_numpy(tmp_path):
-    probe = _probe_imports(["dim-rank", "--mode", "specialized", "--n", "1"],
-                           tmp_path, numpy="allow")
-    assert probe["code"] == 0
-    assert probe["numpy"]
-    assert "braidties.hecke" not in probe["modules"]

@@ -1,5 +1,6 @@
-"""Tests for the sparse-combination core, the exact echelon and the mod-p
-echelon, with the row-at-a-time mod-p engine kept here as its oracle."""
+"""Tests for the sparse-combination core and the exact echelon, over the
+rationals, Q(v), cyclotomic fields and F_p, with a Gauss-Jordan
+elimination on Python ints as the F_p oracle."""
 
 import random
 from fractions import Fraction
@@ -11,9 +12,9 @@ from braidties.btalg import (_SPECIALIZE_PRIMES, BTElement, bt_mul,
 from braidties.coxeter import all_perms, simple_perm
 from braidties.finite_model import SparseOperator, build_model
 from braidties.hecke import HeckeElement, canonical_basis
-from braidties.linalg import Echelon, ModPEchelon, solve
+from braidties.linalg import Echelon, solve
 from braidties.monodromic import MonodromicElement, pi_L, torus_character
-from braidties.scalars import Cyclotomic, RationalFunctionScalar as RF
+from braidties.scalars import Cyclotomic, ModP, RationalFunctionScalar as RF
 
 
 def _samples():
@@ -157,7 +158,7 @@ def test_solve_rejects_singular_and_inconsistent_systems():
 
 
 # ---------------------------------------------------------------------------
-# ModPEchelon against a pure-Python elimination over F_p
+# Echelon over F_p against a pure-Python elimination over F_p
 # ---------------------------------------------------------------------------
 
 def _rref_mod_p(rows, ncols, p):
@@ -198,233 +199,119 @@ def _planted_rank_rows(rng, nrows, ncols, rank, p):
     return rows
 
 
-@pytest.mark.parametrize("p", _SPECIALIZE_PRIMES)
+@pytest.mark.parametrize("p", _SPECIALIZE_PRIMES + (7,))
 def test_modp_echelon_matches_integer_elimination(p):
-    import numpy as np
-
+    """`Echelon` over `ModP.field(p)` keeps the one reduced row echelon
+    form of the rows inserted, every stored entry a nonzero F_p value."""
+    F = ModP.field(p)
     rng = random.Random(p)
     for trial in range(12):
         ncols = rng.randint(1, 30)
         rank = rng.randint(0, min(ncols, 12))
         nrows = rng.randint(0, 25)
         rows = _planted_rank_rows(rng, nrows, ncols, rank, p)
-        ech = ModPEchelon(ncols, p)
-        start, gained = 0, 0
-        while start < nrows:
-            stop = rng.randint(start + 1, nrows)
-            gained += ech.add_batch(np.array(rows[start:stop], dtype=float))
-            start = stop
+        ech = Echelon()
+        gained = sum(ech.insert({j: F(x) for j, x in enumerate(row)})
+                     is not None for row in rows)
         pivots, ref_rows = _rref_mod_p(rows, ncols, p)
         assert ech.rank == gained == len(pivots), trial
-        assert sorted(ech.pivots) == pivots, trial
-        E = ech.E
-        assert E.shape == (len(pivots), ncols)
-        assert np.array_equal(E[:, ech.pivots], np.eye(len(pivots)))
-        stored = [[int(x) for x in row] for row in E]
-        assert all(0 <= x < p for row in stored for x in row)
-        # the same row space: equal reduced row echelon forms
-        assert _rref_mod_p(stored, ncols, p) == (pivots, ref_rows), trial
+        assert sorted(ech.rows) == pivots, trial
+        stored = [x for row in ech.rows.values() for x in row.values()]
+        assert all(type(x) is F and 0 < x < p for x in stored), trial
+        dense = [[1 if j == c else int(ech.rows[c].get(j, 0))
+                  for j in range(ncols)] for c in pivots]
+        assert dense == ref_rows, trial
 
 
-@pytest.mark.parametrize("p", _SPECIALIZE_PRIMES)
-def test_modp_echelon_refuses_inexact_widths(p):
-    widest = (2 ** 53 - 1) // (p - 1) ** 2
-    assert ModPEchelon(widest, p).ncols == widest
-    with pytest.raises(ValueError):
-        ModPEchelon(widest + 1, p)
+class _RowAtATimeModP:
+    """A semi-echelon basis of integer rows over F_p, built one row at a
+    time: each stored row is keyed by its lowest column, and an incoming
+    row is cleared at its lowest stored column until none is left.  The
+    pivot columns of a row space do not depend on how it is reduced, so
+    each row's new pivot must be the one `Echelon` reports."""
 
+    def __init__(self, p):
+        self.p, self.rows = p, {}
 
-# ---------------------------------------------------------------------------
-# the exact float64 reduction mod p, and the bounds that keep it exact
-# ---------------------------------------------------------------------------
-
-# With 1/p rounded as it is for 1048571, the float quotient can come out one
-# too small, which no tried input does at the specialization primes: this
-# prime exercises the second correction of the reduction.
-_REDUCTION_PRIMES = _SPECIALIZE_PRIMES + (1048571,)
-
-
-def _reduction_inputs(p):
-    """Every k*p + {-1, 0, 1} of either sign within the bound
-    |x| <= 2^53 - 2p, for the 200 smallest and the 200 largest k and for
-    20 000 random k, plus 20 000 random integers and the bound itself.
-    (Past the bound the reduction is not exact: at p = 1048573 it takes
-    -(2^53 - 1) to 974845, not 974846.)"""
-    rng = random.Random(p)
-    top = 2 ** 53 - 2 * p
-    kmax = top // p
-    ks = [*range(200), *range(kmax - 200, kmax + 1),
-          *(rng.randint(1, kmax) for _ in range(20000))]
-    vals = {s * (k * p + d) for k in ks for d in (-1, 0, 1) for s in (1, -1)}
-    vals.update(rng.randint(-top, top) for _ in range(20000))
-    vals.update((top, -top))
-    return sorted(v for v in vals if abs(v) <= top)
-
-
-def _as_rows(vals):
-    import numpy as np
-
-    vals = vals + [0] * (-len(vals) % 512)
-    A = np.array(vals, dtype=float).reshape(-1, 512)
-    assert [int(x) for x in A.ravel()] == vals  # every input exact in float
-    return A, vals
-
-
-@pytest.mark.parametrize("p", _REDUCTION_PRIMES)
-def test_float_reduction_matches_integer_mod(p):
-    A, vals = _as_rows(_reduction_inputs(p))
-    ModPEchelon(512, p)._update(A)
-    assert [int(x) for x in A.ravel()] == [v % p for v in vals]
-
-
-def test_float_reduction_inputs_need_both_corrections():
-    """The raw x - p * floor(x * (1/p)) falls below 0 for some inputs and
-    reaches p for others, so each correction step is tested."""
-    import numpy as np
-
-    low = high = False
-    for p in _REDUCTION_PRIMES:
-        A, _ = _as_rows(_reduction_inputs(p))
-        raw = A - np.floor(A * (1.0 / p)) * p
-        low, high = low or bool((raw < 0).any()), high or bool((raw >= p).any())
-    assert low and high
-
-
-@pytest.mark.parametrize("p", _SPECIALIZE_PRIMES)
-def test_modp_echelon_refuses_entries_past_the_float_bound(p):
-    import numpy as np
-
-    bound = 2 ** 53 - 2 * p
-    ech = ModPEchelon(3, p)
-    assert ech.add_batch(np.array([[bound, 1.0, -bound]])) == 1
-    a = bound % p
-    row = [1, pow(a, p - 2, p), (-bound) * pow(a, p - 2, p) % p]
-    assert ech.pivots == [0] and ech.E.tolist() == [row]
-    for bad in (bound + 1, -bound - 1, 2.0 ** 53, -2.0 ** 53, 2.0 ** 60):
-        with pytest.raises(ValueError):
-            ech.add_batch(np.array([[0.0, 0.0, float(bad)]]))
-        assert ech.pivots == [0] and ech.E.tolist() == [row]
-    # an inner dimension past (p-1)^2 * k <= 2^53 - 2p
-    k = bound // (p - 1) ** 2 + 1
-    with pytest.raises(ValueError):
-        ech._update(np.zeros((1, 3)), np.ones((1, k)), np.ones((k, 3)))
-
-
-# ---------------------------------------------------------------------------
-# ModPEchelon against the row-at-a-time engine it replaced
-# ---------------------------------------------------------------------------
-
-class _RowAtATimeEchelon:
-    """The former `ModPEchelon.add_batch`: each candidate row is reduced
-    against E by one product and then, in order, against the rows found
-    before it by one masked outer update per row.  A row space has one
-    reduced echelon form, and both engines list pivots in the order the
-    rows reveal them, so the blocked engine must match it exactly."""
-
-    def __init__(self, ncols, p):
-        import numpy as np
-
-        self.p, self.E, self.pivots = p, np.zeros((0, ncols)), []
-
-    def add_batch(self, C):
-        import numpy as np
-
+    def reduce(self, vec):
         p = self.p
-        C = np.mod(C, p)
-        if self.pivots:
-            C = np.mod(C - C[:, self.pivots] @ self.E, p)
-        new_rows, new_pivs = [], []
-        for idx in range(C.shape[0]):
-            row = C[idx]
-            nz = np.nonzero(row)[0]
-            if nz.size == 0:
-                continue
-            c = int(nz[0])
-            row = np.mod(row * pow(int(row[c]), p - 2, p), p)
-            rest = C[idx + 1:]
-            if rest.shape[0]:
-                col = rest[:, c]
-                mask = col != 0
-                if mask.any():
-                    rest[mask] = np.mod(rest[mask] - np.outer(col[mask], row), p)
-            new_rows.append(row)
-            new_pivs.append(c)
-        if not new_rows:
-            return 0
-        N = np.vstack(new_rows)
-        for j in range(1, len(new_pivs)):
-            col = N[:j, new_pivs[j]]
-            mask = col != 0
-            if mask.any():
-                N[:j][mask] = np.mod(N[:j][mask] - np.outer(col[mask], N[j]), p)
-        if self.pivots:
-            coef = self.E[:, new_pivs]
-            if np.any(coef):
-                self.E = np.mod(self.E - coef @ N, p)
-        self.E = np.vstack([self.E, N])
-        self.pivots.extend(new_pivs)
-        return len(new_pivs)
+        row = {c: x % p for c, x in vec.items() if x % p}
+        while hit := [c for c in row if c in self.rows]:
+            c = min(hit)
+            f = row[c]
+            for j, y in self.rows[c].items():
+                x = (row.get(j, 0) - f * y) % p
+                if x:
+                    row[j] = x
+                else:
+                    row.pop(j, None)
+        return row
 
-
-def _planted_rank_array(rng, nrows, ncols, rank, p):
-    """`_planted_rank_rows` in numpy, for batches too large for Python
-    loops: a random nrows x rank times rank x ncols product over F_p, with
-    zero columns, repeated rows and zero rows mixed in."""
-    import numpy as np
-
-    basis = rng.integers(0, p, (rank, ncols)) * (rng.random((rank, ncols)) < 0.8)
-    rows = rng.integers(0, p, (nrows, rank)) @ basis % p
-    rows[rng.random(nrows) < 0.05] = 0
-    repeat = np.flatnonzero(rng.random(nrows) < 0.1)
-    rows[repeat] = rows[rng.integers(0, nrows, repeat.size)]
-    return rows.astype(float)
+    def insert(self, vec):
+        row = self.reduce(vec)
+        if not row:
+            return None
+        pivot = min(row)
+        inv = pow(row[pivot], -1, self.p)
+        self.rows[pivot] = {j: x * inv % self.p for j, x in row.items()}
+        return pivot
 
 
 @pytest.mark.parametrize("p", _SPECIALIZE_PRIMES)
 def test_blocked_echelon_matches_row_at_a_time(p):
-    """Planted ranks 40..100 in 60..150 columns, the first batch at least
-    64 rows so that the row splitting recurses six levels or more."""
-    import numpy as np
-
-    rng = np.random.default_rng(p)
-    for trial in range(6):
-        ncols = int(rng.integers(60, 151))
-        rank = int(rng.integers(40, min(ncols, 100) + 1))
-        nrows = int(rng.integers(100, 241))
-        rows = _planted_rank_array(rng, nrows, ncols, rank, p)
-        ech, ref = ModPEchelon(ncols, p), _RowAtATimeEchelon(ncols, p)
-        cuts = [0, int(rng.integers(64, nrows)), nrows]
-        cuts[2:2] = sorted(rng.integers(cuts[1], nrows, 3).tolist())
+    """Planted ranks 20..40 in 30..60 columns, inserted into `Echelon`
+    over F_p in blocks of rows: each insert reports the pivot of the
+    row-at-a-time elimination, and after each block the pivots and rows
+    are the Gauss-Jordan form of every row so far."""
+    F = ModP.field(p)
+    rng = random.Random(p)
+    for trial in range(4):
+        ncols = rng.randint(30, 60)
+        rank = rng.randint(20, min(ncols, 40))
+        nrows = rng.randint(40, 90)
+        rows = _planted_rank_rows(rng, nrows, ncols, rank, p)
+        ech, ref, ref_rows = Echelon(), _RowAtATimeModP(p), []
+        cuts = sorted({0, nrows, *(rng.randint(1, nrows) for _ in range(3))})
         for lo, hi in zip(cuts, cuts[1:]):
-            want = ref.add_batch(rows[lo:hi].copy())
-            assert ech.add_batch(rows[lo:hi].copy()) == want, trial
-            assert ech.pivots == ref.pivots, trial
-            assert np.array_equal(ech.E, ref.E), trial
-        assert ech.rank >= 40, trial
+            for row in rows[lo:hi]:
+                vec = dict(enumerate(row))
+                assert (ech.insert({j: F(x) for j, x in vec.items()})
+                        == ref.insert(vec)), trial
+            pivots, ref_rows = _rref_mod_p(ref_rows + rows[lo:hi], ncols, p)
+            assert sorted(ech.rows) == sorted(ref.rows) == pivots, trial
+            dense = [[1 if j == c else int(ech.rows[c].get(j, 0))
+                      for j in range(ncols)] for c in pivots]
+            assert dense == ref_rows, trial
+        assert ech.rank >= 20, trial
 
 
 @pytest.mark.parametrize("n, rank", [(1, 3), (2, 20), (3, 217)])
 def test_closure_batches_match_row_at_a_time(n, rank, monkeypatch):
-    """Every batch the mod-p closure submits, at the three points of seed
-    0 (one per specialization prime), against the row-at-a-time engine;
-    the ranks are the paper's dim C(v)."""
-    import numpy as np
+    """Every row the mod-p closure inserts, at the three points of seed 0
+    (one per specialization prime), against the row-at-a-time elimination
+    on Python ints: the same pivot or the same dependence at each insert,
+    and the same row space at the end; the ranks are the paper's dim C(v)."""
+    from braidties import btalg
 
-    from braidties.btalg import _closure_rank_modp, _specialization_points
+    class Checked(Echelon):
+        def __init__(self, p):
+            super().__init__()
+            self.ref = _RowAtATimeModP(p)
 
-    blocked = ModPEchelon.add_batch
-    refs = {}
+        def insert(self, vec, tag=None):
+            pivot = super().insert(vec, tag)
+            assert pivot == self.ref.insert({c: int(x) for c, x in vec.items()})
+            return pivot
 
-    def checked(self, C):
-        ref = refs.setdefault(self, _RowAtATimeEchelon(self.ncols, self.p))
-        want = ref.add_batch(C.copy())
-        assert blocked(self, C) == want
-        assert self.pivots == ref.pivots and np.array_equal(self.E, ref.E)
-        return want
-
-    monkeypatch.setattr(ModPEchelon, "add_batch", checked)
-    points = _specialization_points(0, 3)
+    points = btalg._specialization_points(0, 3)
     assert sorted(p for _, p in points) == sorted(_SPECIALIZE_PRIMES)
     for v0, p in points:
-        assert _closure_rank_modp(n + 1, v0, p) == rank
-    assert len(refs) == 3
+        made = []
+        monkeypatch.setattr(btalg, "Echelon",
+                            lambda: made.append(Checked(p)) or made[-1])
+        assert btalg._closure_rank_modp(n + 1, v0, p) == rank
+        (ech,) = made
+        assert sorted(ech.rows) == sorted(ech.ref.rows)
+        for c, row in ech.rows.items():
+            vec = {j: int(x) for j, x in row.items()}
+            assert not ech.ref.reduce({**vec, c: 1})

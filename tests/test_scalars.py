@@ -10,6 +10,7 @@ import pytest
 from braidties.scalars import (
     Cyclotomic,
     LaurentPoly,
+    ModP,
     RationalFunctionScalar as RF,
     cyclotomic_poly,
 )
@@ -720,3 +721,75 @@ def test_every_annotation_resolves():
                 get_type_hints(fn, globalns=ns)
                 checked += 1
     assert checked > 300
+
+
+# ---------------------------------------------------------------------------
+# prime fields F_p
+# ---------------------------------------------------------------------------
+
+# the three specialization primes of the mod-p rank certificate, and 7
+_MODP_PRIMES = (7, 786433, 999983, 1048573)
+
+
+def _modp_inputs(rng, p):
+    """Integers around 0, p and 2p (and their negatives), and random ones
+    far past p."""
+    edges = [k * p + d for k in (0, 1, 2) for d in (-1, 0, 1)]
+    vals = edges + [-x for x in edges]
+    return vals + [rng.randint(-p ** 3, p ** 3) for _ in range(200)]
+
+
+@pytest.mark.parametrize("p", _MODP_PRIMES)
+def test_modp_values_stay_reduced(p):
+    """Every ModP value, built or computed, is an int of the field's class
+    in [0, p), and equals the integer result mod p."""
+    F = ModP.field(p)
+    rng = random.Random(p)
+    vals = _modp_inputs(rng, p)
+    for a in vals:
+        b = rng.choice(vals)
+        x, y = F(a), F(b)
+        got = [x, -x, x + y, x - y, x * y]
+        want = [a % p, -a % p, (a + b) % p, (a - b) % p, a * b % p]
+        if b % p:
+            got.append(x / y)
+            want.append(a * pow(b, -1, p) % p)
+        assert all(type(z) is F and 0 <= z < p for z in got), (a, b)
+        assert [int(z) for z in got] == want, (a, b)
+
+
+@pytest.mark.parametrize("p", _MODP_PRIMES)
+def test_modp_inverse(p):
+    F = ModP.field(p)
+    rng = random.Random(p)
+    units = range(1, p) if p < 100 else [1, 2, p - 2, p - 1, *(
+        rng.randrange(1, p) for _ in range(200))]
+    for a in units:
+        inv = F(1) / F(a)
+        assert inv * F(a) == F(a) * inv == F(1)
+        assert F(a) / F(a) == F(1)
+        assert F(3) / F(a) * F(a) == F(3)
+    with pytest.raises(ZeroDivisionError):
+        F(1) / F(p)
+
+
+@pytest.mark.parametrize("p", _MODP_PRIMES)
+def test_modp_zero_test(p):
+    """The zero test and equality see the residue, not the integer built
+    from."""
+    F = ModP.field(p)
+    for k in (-2, -1, 0, 1, 5):
+        assert not F(k * p)
+        assert F(k * p + 1) and F(k * p + 1) == F(1)
+        assert not F(k) - F(k) and not F(k) + -F(k)
+    assert not F(p - 1) * F(p - 1) - F(1)
+    assert F(p - 1) != F(1)
+
+
+def test_modp_field_is_one_class_per_prime():
+    assert ModP.field(7) is ModP.field(7)
+    assert ModP.field(7) is not ModP.field(11)
+    assert ModP.field(7).p == 7
+    for bad in (0, 1, 4, 9, 786431 * 3):
+        with pytest.raises(ValueError):
+            ModP.field(bad)
