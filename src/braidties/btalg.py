@@ -19,18 +19,20 @@ That rule lives in one cached table per rank and generator, `_action`:
 for each basis pair $(P, w)$ the moved pair $(s(P), sw)$, the join
 $s(P) \vee \{i, i+1\}$, and whether $l(sw) < l(w)$ (the last, with $sw$,
 read from `coxeter.left_action`).  `lmul_g` (for $g_s$ and, with the
-$v^{-2}-1$ weight on length-up terms, $g_s^{-1}$) and the mod-p closure
-`_closure_rank_modp` (on basis indices, $v^2-1$ specialized) both read
-it; `lmul_e` reads the cached `coxeter.partition_join`.
+$v^{-2}-1$ weight on length-up terms, $g_s^{-1}$) and the rank closure
+`_closure_echelon` (on basis indices) both read it; `lmul_e` reads the
+cached `coxeter.partition_join`.
 
 The braid-image subalgebra $\mathcal{C}(v)$ is generated by the $g_s$
 alone; `c_dimension` computes its dimension by closing $\mathrm{span}\{1\}$
-under left multiplication by the generators (one breadth-first walk,
-`_closure`, whose tagged form also expresses elements as generator words
-for the monodromic images) and running exact Gaussian
-elimination (mode ``exact``), or the same `Echelon` over
-$\mathbb{F}_p$ (`scalars.ModP`) at rational specializations of $v$
-(mode ``specialized``, a lower-bound certificate reported per point).  `jr_span` picks, by exact
+under left multiplication by the generators.  One breadth-first walk,
+`_closure_echelon`, runs it with $v^2-1$ either in $\mathbb{Q}(v)$ (mode
+``exact``) or in $\mathbb{F}_p$ (`scalars.ModP`) at rational
+specializations of $v$ (mode ``specialized``, a lower-bound certificate
+reported per point), and carries each new row in its reduced form.  The
+walk that expresses elements as generator words for the monodromic
+images, `_word_closure`, carries the raw products instead, whose word
+tags stay short.  `jr_span` picks, by exact
 elimination, independent elements spanning the summands $J_R e_R$ of
 the direct-sum decomposition of $\mathcal{C}(v)$.  When every block of
 $R$ is an interval, $J_R$ is spanned by
@@ -340,18 +342,19 @@ def to_vector(x: BTElement) -> dict[int, RF]:
 
 
 @lru_cache(maxsize=None)
-def _closure(n: int, tagged: bool) -> Echelon:
-    """Exact echelon basis of C(v): close span{1} under left multiplication
-    by the g_s, breadth first, eliminating over Q(v).  When tagged, every
-    row carries the signed generator word that produced it (letter i
+def _word_closure(n: int) -> Echelon:
+    """Exact echelon basis of C(v) whose rows carry generator words: close
+    span{1} under left multiplication by the g_s, breadth first, over
+    Q(v), each row tagged with the signed word that produced it (letter i
     stands for a_i = -g_i, so the tag of g_i * x is the tag of x prefixed
-    with i and negated), for `word_combo`."""
+    with i and negated), for `word_combo`.  The frontier keeps the raw
+    products g_s x: their tags stay short words."""
     if n > 3:
         raise ValueError("exact closure bounded at n <= 3")
     m = n + 1
     ech = Echelon()
     unit = BTElement.unit(m)
-    tag = {(): RF.ONE} if tagged else None
+    tag = {(): RF.ONE}
     ech.insert(to_vector(unit), tag)
     frontier = [(unit, tag)]
     while frontier:
@@ -359,27 +362,30 @@ def _closure(n: int, tagged: bool) -> Echelon:
         for x, combo in frontier:
             for i in range(1, m):
                 y = lmul_g(i, x)
-                ycombo = None if combo is None else {
-                    (i,) + word: -c for word, c in combo.items()}
+                ycombo = {(i,) + word: -c for word, c in combo.items()}
                 if ech.insert(to_vector(y), ycombo) is not None:
                     new.append((y, ycombo))
         frontier = new
     return ech
 
 
-def _closure_rank_modp(m: int, v0: Fraction, p: int) -> int:
-    """Rank of the closure of span{1} under the g_s over F_p, with v
-    specialized to v0: the walk of `_closure` on rows indexed as in
-    `basis_pairs`, each g_s x read off `_action` with v^2 - 1 taken as
-    c2 = v0^2 - 1 mod p."""
-    F = ModP.field(p)
+def _closure_echelon(m: int, c2, one) -> Echelon:
+    """Echelon basis of the closure of span{1} under the g_s, over the
+    field of `one` with c2 standing for v^2 - 1: a breadth-first walk on
+    rows indexed as in `basis_pairs`, each g_s x read off `_action`.
+
+    The frontier carries, for each candidate that gains a pivot, a copy
+    of the row stored for it then, pivot entry 1 included (later inserts
+    change stored rows in place).  That row is the candidate divided by
+    its pivot value, minus an element of the span before it, so the
+    carried rows span what the candidates span at every step, the walk
+    ends at the same g-stable subspace, and the reduced rows are the ones
+    the raw candidates give; the carried rows are just shorter."""
     idx = _pair_index(m)
     tables = [[(idx[moved], down, idx[joined_sw], idx[joined_w])
                for moved, down, joined_sw, joined_w in _action(m, i).values()]
               for i in range(1, m)]
-    v = F(v0.numerator) / F(v0.denominator)
-    c2 = v * v - F(1)
-    unit = {idx[(discrete_partition(m), identity_perm(m))]: F(1)}
+    unit = {idx[(discrete_partition(m), identity_perm(m))]: one}
     ech = Echelon()
     ech.insert(unit)
     frontier = [unit]
@@ -387,7 +393,7 @@ def _closure_rank_modp(m: int, v0: Fraction, p: int) -> int:
         new = []
         for x in frontier:
             for table in tables:
-                y: dict[int, ModP] = {}
+                y: dict = {}
                 for b, c in x.items():
                     moved, down, joined_sw, joined_w = table[b]
                     _acc(y, moved, c)
@@ -395,10 +401,29 @@ def _closure_rank_modp(m: int, v0: Fraction, p: int) -> int:
                         cc = c * c2
                         _acc(y, joined_sw, cc)
                         _acc(y, joined_w, cc)
-                if ech.insert(y) is not None:
-                    new.append(y)
+                pivot = ech.insert(y)
+                if pivot is not None:
+                    row = dict(ech.rows[pivot])
+                    row[pivot] = one
+                    new.append(row)
         frontier = new
-    return ech.rank
+    return ech
+
+
+@lru_cache(maxsize=None)
+def _closure(n: int) -> Echelon:
+    """Exact echelon basis of C(v), eliminating over Q(v)."""
+    if n > 3:
+        raise ValueError("exact closure bounded at n <= 3")
+    return _closure_echelon(n + 1, _QM1, RF.ONE)
+
+
+def _closure_rank_modp(m: int, v0: Fraction, p: int) -> int:
+    """Rank of the closure of span{1} under the g_s over F_p, with v
+    specialized to v0, so that v^2 - 1 is c2 = v0^2 - 1 mod p."""
+    F = ModP.field(p)
+    v = F(v0.numerator) / F(v0.denominator)
+    return _closure_echelon(m, v * v - F(1), F(1)).rank
 
 
 _SPECIALIZE_PRIMES = (1048573, 999983, 786433)
@@ -420,7 +445,7 @@ def _specialization_points(seed: int, count: int
 def c_dimension_report(n: int, mode: str = "exact", seed: int = 0) -> dict:
     """Dimension of C(v) with per-point detail in specialized mode."""
     if mode == "exact":
-        rank = _closure(n, False).rank
+        rank = _closure(n).rank
         return {"n": n, "mode": mode, "dimension": rank, "agree": True}
     if mode != "specialized":
         raise ValueError(f"unknown mode: {mode!r}")
@@ -563,7 +588,7 @@ def jr_decomposition(n: int) -> dict:
                 inserted += 1
     dims = {R: len(sp) for R, sp in spans.items()}
     dim_sum = sum(dims.values())
-    closure_rank = _closure(n, False).rank
+    closure_rank = _closure(n).rank
     return {
         "n": n,
         "dims": dims,
@@ -644,7 +669,7 @@ def word_combo(x: BTElement) -> WordCombo:
     """Express x in C(v) as a Q(v)-combination of signed generator words
     (for mapping through the monodromic surjections); raises ValueError
     when x is not in the braid-image subalgebra."""
-    combo = _closure(x.m - 1, True).combination(to_vector(x))
+    combo = _word_closure(x.m - 1).combination(to_vector(x))
     if combo is None:
         raise ValueError("element is not in C(v)")
     return combo

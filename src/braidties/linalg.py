@@ -7,7 +7,9 @@ r"""Exact linear algebra shared by the algebra modules.
 - `Echelon`: sparse reduced row echelon over any exact field, pivoting on
   the minimal column, so that every rank is bit-reproducible.  Inserts
   may carry tags, mirrored by every row operation; `solve` uses them.
-  Over `scalars.ModP` it is the mod-p rank certificate of `btalg`.
+  An index from each column to the stored rows that hold it lets a new
+  pivot be cleared from those rows only.  Over `scalars.ModP` it is the
+  mod-p rank certificate of `btalg`.
 
 >>> from fractions import Fraction
 >>> e = Echelon()
@@ -35,14 +37,34 @@ def _acc(dst: dict, key, c) -> None:
         del dst[key]
 
 
+def _addmul(dst: dict, src: dict, a, holders=None, owner=None) -> None:
+    """dst += a * src for a nonzero a and a zero-free src, keeping no zero,
+    in one pass.  With holders (key -> set of owners), owner joins
+    holders[key] when key enters dst and leaves it when key cancels."""
+    for k, c in src.items():
+        y = dst.get(k)
+        if y is None:
+            dst[k] = c * a
+            if holders is not None:
+                holders[k].add(owner)
+        else:
+            y = y + c * a
+            if y:
+                dst[k] = y
+            else:
+                del dst[k]
+                if holders is not None:
+                    holders[k].discard(owner)
+
+
 def _axpy(dst: dict, src: dict, a=None) -> dict:
-    """dst += a * src (dst += src when a is None), a nonzero; returns dst."""
+    """dst += a * src (dst += src when a is None), a nonzero and src
+    zero-free; returns dst."""
     if a is None:
         for k, c in src.items():
             _acc(dst, k, c)
     else:
-        for k, c in src.items():
-            _acc(dst, k, c * a)
+        _addmul(dst, src, a)
     return dst
 
 
@@ -120,6 +142,10 @@ class Echelon:
     stored without their pivot entry 1.  If each insert is tagged with how
     it was produced (any dict of scalars), `combination(vec)` reports vec
     as the same kind of combination, or None when vec is outside the span.
+    `holders[c]` is the set of pivots whose stored row holds column c,
+    kept up to date as entries appear and cancel (a set may be left
+    empty), so back-substitution visits only the rows holding the new
+    pivot.
 
     >>> from fractions import Fraction
     >>> t = Echelon()
@@ -136,6 +162,7 @@ class Echelon:
     def __init__(self):
         self.rows: dict[int, dict] = {}
         self.tags: dict[int, dict] = {}
+        self.holders: dict[int, set[int]] = {}
 
     @property
     def rank(self) -> int:
@@ -148,9 +175,9 @@ class Echelon:
         out = {c: x for c, x in vec.items() if x}
         for c in [c for c in out if c in self.rows]:
             a = -out.pop(c)
-            _axpy(out, self.rows[c], a)
+            _addmul(out, self.rows[c], a)
             if tag is not None:
-                _axpy(tag, self.tags[c], a)
+                _addmul(tag, self.tags[c], a)
         return out, tag
 
     def insert(self, vec: dict, tag: dict | None = None):
@@ -164,12 +191,15 @@ class Echelon:
         row = {c: x / val for c, x in res.items()}
         if tag is not None:
             tag = {k: x / val for k, x in tag.items()}
-        for p0, r0 in self.rows.items():
-            x = r0.pop(pivot, None)
-            if x is not None:
-                _axpy(r0, row, -x)
-                if tag is not None:
-                    _axpy(self.tags[p0], tag, -x)
+        holders = self.holders
+        for c in row:
+            holders.setdefault(c, set()).add(pivot)
+        for p0 in holders.pop(pivot, ()):
+            r0 = self.rows[p0]
+            a = -r0.pop(pivot)
+            _addmul(r0, row, a, holders, p0)
+            if tag is not None:
+                _addmul(self.tags[p0], tag, a)
         self.rows[pivot] = row
         if tag is not None:
             self.tags[pivot] = tag

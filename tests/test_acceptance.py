@@ -96,9 +96,9 @@ def test_criterion_3_rank_crosscheck_specialized():
     rep = btalg.c_dimension_report(4, "specialized", seed=0)
     elapsed = time.perf_counter() - t0
     ok = (rep["dimension"] == 3364 == dim_C(4) and rep["agree"]
-          and len(rep["points"]) >= 3 and elapsed < 60.0)
+          and len(rep["points"]) >= 3 and elapsed < 20.0)
     _report(3, ok, f"specialized rank n = 4 is {rep['dimension']} at "
-                   f"{len(rep['points'])} points, {elapsed:.0f}s < 60s")
+                   f"{len(rep['points'])} points, {elapsed:.0f}s < 20s")
 
 
 def test_criterion_4_presentation_suite():

@@ -46,7 +46,7 @@ from braidties.coxeter import (
     w_action,
 )
 from braidties.linalg import Echelon, _acc
-from braidties.scalars import RationalFunctionScalar as RF
+from braidties.scalars import ModP, RationalFunctionScalar as RF
 
 V = RF.V
 Q = V * V
@@ -132,7 +132,9 @@ def test_structure_tables_match_reference_rule(m):
 
 
 class _RecordingEchelon(Echelon):
-    """An `Echelon` that logs every insert with the pivot it returned."""
+    """An `Echelon` that logs every insert with the pivot it returned and,
+    when it gained one, the row stored for it then with its pivot entry 1:
+    the row the closure walk carries on."""
 
     def __init__(self):
         super().__init__()
@@ -140,7 +142,8 @@ class _RecordingEchelon(Echelon):
 
     def insert(self, vec, tag=None):
         pivot = super().insert(vec, tag)
-        self.log.append((vec, pivot))
+        carried = None if pivot is None else {**self.rows[pivot], pivot: 1}
+        self.log.append((vec, pivot, carried))
         return pivot
 
 
@@ -154,8 +157,10 @@ def _mod_p(c, v0, p):
 def test_modp_candidates_match_reference_rule(m, monkeypatch):
     """Replays the walk of the mod-p closure at the three points of seed
     0: each candidate g_s x it inserts equals lmul_g(s, x) over Q(v),
-    every coefficient specialized at v0 and reduced mod p, and the ranks
-    are the paper's dim C(v)."""
+    every coefficient specialized at v0 and reduced mod p, where x is a
+    carried row (the stored row of an earlier candidate that gained a
+    pivot, with its pivot entry 1), and the ranks are the paper's
+    dim C(v)."""
     echelons = []
 
     def recording():
@@ -166,24 +171,78 @@ def test_modp_candidates_match_reference_rule(m, monkeypatch):
     pairs = basis_pairs(m)
     for v0, p in btalg._specialization_points(0, 3):
         assert btalg._closure_rank_modp(m, v0, p) == {2: 3, 3: 20, 4: 217}[m]
-        (unit, _), *log = echelons[-1].log
-        assert unit == to_vector(BTElement.unit(m))
+        (unit, _, carried), *log = echelons[-1].log
+        assert unit == carried == to_vector(BTElement.unit(m))
         log = iter(log)
-        frontier = [unit]
+        frontier = [carried]
         while frontier:
             new = []
             for x in frontier:
                 lifted = BTElement(m, {pairs[b]: RF.const(int(c))
                                        for b, c in x.items()})
                 for i in range(1, m):
-                    y, pivot = next(log)
+                    y, pivot, carried = next(log)
                     want = {b: _mod_p(c, v0, p)
                             for b, c in to_vector(lmul_g(i, lifted)).items()}
                     assert y == {b: c for b, c in want.items() if c}
                     if pivot is not None:
-                        new.append(y)
+                        new.append(carried)
             frontier = new
         assert next(log, None) is None
+
+
+def _raw_closure_echelon(m, c2, one):
+    """The closure walk with the frontier keeping each raw candidate g_s x
+    that gained a pivot, rather than its reduced row: the oracle for
+    `btalg._closure_echelon`."""
+    idx = btalg._pair_index(m)
+    tables = [[(idx[moved], down, idx[joined_sw], idx[joined_w])
+               for moved, down, joined_sw, joined_w
+               in btalg._action(m, i).values()]
+              for i in range(1, m)]
+    unit = {idx[(discrete_partition(m), identity_perm(m))]: one}
+    ech = Echelon()
+    ech.insert(unit)
+    frontier = [unit]
+    while frontier:
+        new = []
+        for x in frontier:
+            for table in tables:
+                y = {}
+                for b, c in x.items():
+                    moved, down, joined_sw, joined_w = table[b]
+                    _acc(y, moved, c)
+                    if down:
+                        _acc(y, joined_sw, c * c2)
+                        _acc(y, joined_w, c * c2)
+                if ech.insert(y) is not None:
+                    new.append(y)
+        frontier = new
+    return ech
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_exact_closure_rows_match_raw_candidate_walk(n):
+    """Carrying reduced rows ends at the same space as carrying the raw
+    candidates, so the reduced row echelon form over Q(v) is the same."""
+    raw = _raw_closure_echelon(n + 1, Q - 1, RF.ONE)
+    assert btalg._closure(n).rows == raw.rows
+    assert raw.rank == (1, 3, 20, 217)[n]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_modp_closure_matches_raw_candidate_walk(m):
+    """At the points of seeds 0-9 the mod-p closure keeps the rows, and so
+    the rank, of the raw-candidate walk."""
+    for seed in range(10):
+        for v0, p in btalg._specialization_points(seed, 3):
+            F = ModP.field(p)
+            v = F(v0.numerator) / F(v0.denominator)
+            c2, one = v * v - F(1), F(1)
+            ech = btalg._closure_echelon(m, c2, one)
+            raw = _raw_closure_echelon(m, c2, one)
+            assert ech.rows == raw.rows, (seed, v0, p)
+            assert btalg._closure_rank_modp(m, v0, p) == raw.rank
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -316,7 +375,6 @@ def test_c_dimension_specialized_matches_exact():
     assert len(rep["points"]) >= 3
 
 
-@pytest.mark.slow
 def test_c_dimension_specialized_n4():
     rep = c_dimension_report(4, mode="specialized", seed=7)
     assert rep["dimension"] == 3364
@@ -357,7 +415,7 @@ def test_jr_decomposition_direct_and_spanning(n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_jr_summands_lie_in_c(n):
     # J_R e_R is inside C(v): jr_decomposition compares dimensions only
-    closure = btalg._closure(n, False)
+    closure = btalg._closure(n)
     for R in all_set_partitions(n + 1):
         for x in jr_span(n, R):
             assert closure.contains(to_vector(x)), (n, R)

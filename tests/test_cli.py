@@ -179,6 +179,25 @@ def test_finite_and_kl_lift_output_digest(args, digest, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("args, digest", [
+    (["dim-rank", "--mode", "specialized", "--n", "3", "--seed", "0",
+      "--format", "json"],
+     "ea9b0f7fcf19183a54d036303452e123f6c39f6d4f29395cc423c9688a47d945"),
+    (["dim-rank", "--mode", "specialized", "--n", "2", "--seed", "5",
+      "--format", "csv"],
+     "50bffb0ffe37be644f9284600f234fae8a6c48b27cb36eea2398918471215d30"),
+    (["dim-rank", "--mode", "exact", "--n", "3", "--format", "json"],
+     "fbde6650a59222a1fc98764c440699d3400e29d391f6cffe4d7a0d4361cd62e7"),
+], ids=["specialized n3 seed0 json", "specialized n2 seed5 csv",
+        "exact n3 json"])
+def test_dim_rank_output_digest(args, digest, tmp_path):
+    # sha256 of the output file as written at commit 729e294, whose
+    # closure walks carried the raw candidates g_s x
+    out = tmp_path / "out"
+    assert cli.main([*args, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def _dim_report_encoded_whole(n, mode, fmt):
     """The dim report as one dict with a dict per row, encoded at once by
     json.dumps(sort_keys=True, indent=2) or csv.writer."""

@@ -12,7 +12,7 @@ from braidties.btalg import (_SPECIALIZE_PRIMES, BTElement, bt_mul,
 from braidties.coxeter import all_perms, simple_perm
 from braidties.finite_model import SparseOperator, build_model
 from braidties.hecke import HeckeElement, canonical_basis
-from braidties.linalg import Echelon, solve
+from braidties.linalg import Echelon, _axpy, solve
 from braidties.monodromic import MonodromicElement, pi_L, torus_character
 from braidties.scalars import Cyclotomic, ModP, RationalFunctionScalar as RF
 
@@ -315,3 +315,72 @@ def test_closure_batches_match_row_at_a_time(n, rank, monkeypatch):
         for c, row in ech.rows.items():
             vec = {j: int(x) for j, x in row.items()}
             assert not ech.ref.reduce({**vec, c: 1})
+
+
+def _holders_by_scan(ech):
+    """Column -> set of pivots whose stored row holds that column."""
+    out = {}
+    for pivot, row in ech.rows.items():
+        for c in row:
+            out.setdefault(c, set()).add(pivot)
+    return out
+
+
+def _cancelling_rows(rng, nrows, ncols):
+    """Integer rows with entries in -2..2, a third of them sums or
+    differences of two earlier rows with one entry changed, so that
+    entries cancel both in reduction and in back-substitution."""
+    rows = []
+    for _ in range(nrows):
+        if len(rows) > 1 and rng.random() < 0.35:
+            a, b = rng.sample(rows, 2)
+            sign = rng.choice((1, -1))
+            row = [x + sign * y for x, y in zip(a, b)]
+            row[rng.randrange(ncols)] += rng.choice((1, -1))
+        else:
+            row = [rng.choice((-2, -1, 0, 0, 0, 1, 2)) for _ in range(ncols)]
+        rows.append(row)
+    return rows
+
+
+def _as_mod_p(x, p):
+    return x.numerator * pow(x.denominator, -1, p) % p
+
+
+@pytest.mark.parametrize("field", ["Fraction", "F7", "F1048573"])
+@pytest.mark.parametrize("tagged", [False, True], ids=["untagged", "tagged"])
+def test_holder_index_tracks_stored_rows(field, tagged):
+    """After every insert, `holders[c]` is exactly the set of stored rows
+    holding column c (an empty set where none does), no pivot column has
+    holders, entries do cancel along the way, and the rows are the
+    Gauss-Jordan form over F_p (for Fraction, of its image mod p); tagged
+    rows are the combination of inserted vectors their tags name."""
+    p = 1048573 if field == "Fraction" else int(field[1:])
+    F = Fraction if field == "Fraction" else ModP.field(p)
+    rng = random.Random(f"{field} {tagged}")
+    dropped = 0
+    for trial in range(15):
+        ncols = rng.randint(4, 16)
+        rows = _cancelling_rows(rng, rng.randint(3, 30), ncols)
+        vecs = [{j: F(x) for j, x in enumerate(row)} for row in rows]
+        ech = Echelon()
+        for k, vec in enumerate(vecs):
+            before = {c: set(s) for c, s in ech.holders.items()}
+            pivot = ech.insert(vec, {k: F(1)} if tagged else None)
+            want = _holders_by_scan(ech)
+            assert not set(ech.holders) & set(ech.rows), trial
+            for c in set(want) | set(ech.holders):
+                assert ech.holders.get(c, set()) == want.get(c, set()), trial
+            dropped += sum(bool(s - ech.holders.get(c, set()))
+                           for c, s in before.items() if c != pivot)
+        pivots, ref_rows = _rref_mod_p(rows, ncols, p)
+        assert sorted(ech.rows) == pivots, trial
+        dense = [[1 if j == c else _as_mod_p(F(ech.rows[c].get(j, 0)), p)
+                  for j in range(ncols)] for c in pivots]
+        assert dense == ref_rows, trial
+        for c, tag in (ech.tags.items() if tagged else ()):
+            total = {}
+            for k, a in tag.items():
+                _axpy(total, {j: x for j, x in vecs[k].items() if x}, a)
+            assert total == {**ech.rows[c], c: F(1)}, trial
+    assert dropped > 0
