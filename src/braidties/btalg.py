@@ -15,26 +15,24 @@ all hold in the model (`verify_presentation` evaluates every one), and
 multiplication is computed from them by peeling reduced words:
 $g_s\,g_u = g_{su}$ when $l(su) > l(u)$, else
 $g_s\,g_u = g_{su} + (v^2-1)e_s g_{su} + (v^2-1)e_s g_u$.
-That rule lives in one cached table per rank and generator, `_action`:
-for each basis pair $(P, w)$ the moved pair $(s(P), sw)$, the join
-$s(P) \vee \{i, i+1\}$, and whether $l(sw) < l(w)$ (the last, with $sw$,
-read from `coxeter.left_action`).  `lmul_g` (for $g_s$ and, with the
-$v^{-2}-1$ weight on length-up terms, $g_s^{-1}$) and the rank closure
-`_closure_echelon` (on basis indices) both read it; `lmul_e` reads the
-cached `coxeter.partition_join`.
+That rule lives in one cached table per rank and generator,
+`closure._action`: for each basis pair $(P, w)$ the moved pair
+$(s(P), sw)$, the join $s(P) \vee \{i, i+1\}$, and whether
+$l(sw) < l(w)$ (the last, with $sw$, read from `coxeter.left_action`).
+`lmul_g` (for $g_s$ and, with the $v^{-2}-1$ weight on length-up terms,
+$g_s^{-1}$) reads it on basis pairs, and the rank walk of `closure` on
+basis indices; `lmul_e` reads the cached `coxeter.partition_join`.
 
 The braid-image subalgebra $\mathcal{C}(v)$ is generated by the $g_s$
-alone; `c_dimension` computes its dimension by closing $\mathrm{span}\{1\}$
-under left multiplication by the generators.  One breadth-first walk,
-`_closure_echelon`, runs it with $v^2-1$ either in $\mathbb{Q}(v)$ (mode
-``exact``) or in $\mathbb{F}_p$ (`scalars.ModP`) at rational
-specializations of $v$ (mode ``specialized``, a lower-bound certificate
-reported per point), and carries each new row in its reduced form.  The
-walk that expresses elements as generator words for the monodromic
-images, `_word_closure`, carries the raw products instead, whose word
-tags stay short.  `jr_span` picks, by exact
-elimination, independent elements spanning the summands $J_R e_R$ of
-the direct-sum decomposition of $\mathcal{C}(v)$.  When every block of
+alone.  Its dimension, exact over $\mathbb{Q}(v)$ and mod p at
+specializations of $v$, is computed in `closure`, which needs neither
+this module nor `scalars` for the mod-p rank; the exact echelon basis
+`closure._closure` is read here by `jr_decomposition`.  The walk that
+expresses elements as generator words for the monodromic images,
+`_word_closure`, carries the raw products $g_s x$, whose word tags stay
+short.  `jr_span` picks, by exact elimination, independent elements
+spanning the summands $J_R e_R$ of the direct-sum decomposition of
+$\mathcal{C}(v)$.  When every block of
 $R$ is an interval, $J_R$ is spanned by
 $g_w(1+g_{r_1})\cdots(1+g_{r_\ell})$ with one reflection $r_j$ from each
 nontrivial block of $R$; for other partitions that literal span is
@@ -68,7 +66,6 @@ True
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from functools import lru_cache
 
 from .coxeter import (
@@ -93,8 +90,9 @@ from .coxeter import (
     transposition_perm,
     w_action,
 )
+from .closure import _action, _closure, _pair_index
 from .linalg import Echelon, SparseVector, _acc
-from .scalars import ModP, RationalFunctionScalar as RF
+from .scalars import RationalFunctionScalar as RF
 
 V = RF.V
 _QM1 = V * V - 1          # v^2 - 1
@@ -144,32 +142,6 @@ def lmul_e(P: SetPartition, x: BTElement) -> BTElement:
     for (Q, w), c in x.terms.items():
         _acc(out, (partition_join(P, Q), w), c)
     return x._like(out)
-
-
-@lru_cache(maxsize=None)
-def basis_pairs(m: int) -> tuple[BasisPair, ...]:
-    """All (P, w) pairs, sorted; the sort order fixes elimination pivots."""
-    return tuple(sorted((P, w) for P in all_set_partitions(m)
-                        for w in all_perms(m)))
-
-
-@lru_cache(maxsize=None)
-def _action(m: int, i: int) -> dict[BasisPair, tuple]:
-    """How g_{s_i} acts on each basis pair (P, w), in `basis_pairs` order:
-    (moved, down, joined_sw, joined_w) with moved = (s(P), s w), down
-    whether l(s w) < l(w), and joined_* the pairs (s(P) v {i, i+1}, s w)
-    and (s(P) v {i, i+1}, w) that the quadratic relation adds."""
-    s = simple_perm(i, m)
-    pair = pair_partition(i, i + 1, m)
-    # s(P) and the join depend on P alone, s w and the descent on w alone
-    sP = {P: w_action(s, P) for P in all_set_partitions(m)}
-    joined = {P: partition_join(Q, pair) for P, Q in sP.items()}
-    left = left_action(m, i)
-    out = {}
-    for P, w in basis_pairs(m):
-        sw, down = left[w]
-        out[(P, w)] = ((sP[P], sw), down, (joined[P], sw), (joined[P], w))
-    return out
 
 
 def lmul_g(i: int, x: BTElement, inverse: bool = False) -> BTElement:
@@ -328,13 +300,8 @@ def verify_presentation(n: int) -> list[tuple[str, bool]]:
 
 
 # ---------------------------------------------------------------------------
-# vectorization and the dimension of C(v)
+# vectorization and generator words
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _pair_index(m: int) -> dict[BasisPair, int]:
-    return {k: j for j, k in enumerate(basis_pairs(m))}
-
 
 def to_vector(x: BTElement) -> dict[int, RF]:
     idx = _pair_index(x.m)
@@ -367,107 +334,6 @@ def _word_closure(n: int) -> Echelon:
                     new.append((y, ycombo))
         frontier = new
     return ech
-
-
-def _closure_echelon(m: int, c2, one) -> Echelon:
-    """Echelon basis of the closure of span{1} under the g_s, over the
-    field of `one` with c2 standing for v^2 - 1: a breadth-first walk on
-    rows indexed as in `basis_pairs`, each g_s x read off `_action`.
-
-    The frontier carries, for each candidate that gains a pivot, a copy
-    of the row stored for it then, pivot entry 1 included (later inserts
-    change stored rows in place).  That row is the candidate divided by
-    its pivot value, minus an element of the span before it, so the
-    carried rows span what the candidates span at every step, the walk
-    ends at the same g-stable subspace, and the reduced rows are the ones
-    the raw candidates give; the carried rows are just shorter."""
-    idx = _pair_index(m)
-    tables = [[(idx[moved], down, idx[joined_sw], idx[joined_w])
-               for moved, down, joined_sw, joined_w in _action(m, i).values()]
-              for i in range(1, m)]
-    unit = {idx[(discrete_partition(m), identity_perm(m))]: one}
-    ech = Echelon()
-    ech.insert(unit)
-    frontier = [unit]
-    while frontier:
-        new = []
-        for x in frontier:
-            for table in tables:
-                y: dict = {}
-                for b, c in x.items():
-                    moved, down, joined_sw, joined_w = table[b]
-                    _acc(y, moved, c)
-                    if down:
-                        cc = c * c2
-                        _acc(y, joined_sw, cc)
-                        _acc(y, joined_w, cc)
-                pivot = ech.insert(y)
-                if pivot is not None:
-                    row = dict(ech.rows[pivot])
-                    row[pivot] = one
-                    new.append(row)
-        frontier = new
-    return ech
-
-
-@lru_cache(maxsize=None)
-def _closure(n: int) -> Echelon:
-    """Exact echelon basis of C(v), eliminating over Q(v)."""
-    if n > 3:
-        raise ValueError("exact closure bounded at n <= 3")
-    return _closure_echelon(n + 1, _QM1, RF.ONE)
-
-
-def _closure_rank_modp(m: int, v0: Fraction, p: int) -> int:
-    """Rank of the closure of span{1} under the g_s over F_p, with v
-    specialized to v0, so that v^2 - 1 is c2 = v0^2 - 1 mod p."""
-    F = ModP.field(p)
-    v = F(v0.numerator) / F(v0.denominator)
-    return _closure_echelon(m, v * v - F(1), F(1)).rank
-
-
-_SPECIALIZE_PRIMES = (1048573, 999983, 786433)
-
-
-def _specialization_points(seed: int, count: int
-                           ) -> list[tuple[Fraction, int]]:
-    rng = random.Random(seed)
-    points = []
-    while len(points) < count:
-        v0 = Fraction(rng.randint(2, 100), rng.randint(1, 100))
-        if v0 in (0, 1, -1) or v0 * v0 == 1:
-            continue
-        points.append((v0, _SPECIALIZE_PRIMES[len(points)
-                                              % len(_SPECIALIZE_PRIMES)]))
-    return points
-
-
-def c_dimension_report(n: int, mode: str = "exact", seed: int = 0) -> dict:
-    """Dimension of C(v) with per-point detail in specialized mode."""
-    if mode == "exact":
-        rank = _closure(n).rank
-        return {"n": n, "mode": mode, "dimension": rank, "agree": True}
-    if mode != "specialized":
-        raise ValueError(f"unknown mode: {mode!r}")
-    if n > 4:
-        raise ValueError("specialized closure bounded at n <= 4")
-    ranks = []
-    for v0, p in _specialization_points(seed, 3):
-        ranks.append({"v": str(v0), "prime": p,
-                      "rank": _closure_rank_modp(n + 1, v0, p)})
-    values = [r["rank"] for r in ranks]
-    return {"n": n, "mode": mode, "dimension": max(values),
-            "agree": len(set(values)) == 1, "points": ranks}
-
-
-def c_dimension(n: int, mode: str = "exact") -> int:
-    """dim C(v), by exact elimination (n <= 3) or as the maximal rank over
-    3 rational specializations of v (n <= 4).
-
-    >>> c_dimension(1)
-    3
-    """
-    return c_dimension_report(n, mode)["dimension"]
 
 
 # ---------------------------------------------------------------------------

@@ -317,10 +317,10 @@ def cmd_dim(config: RunConfig) -> tuple[Iterable[str], int]:
 
 
 def cmd_dim_rank(config: RunConfig) -> tuple[Iterable[str], int]:
-    from . import btalg
+    from . import closure
 
-    rank = btalg.c_dimension_report(config.n, mode=config.mode,
-                                    seed=config.seed)
+    rank = closure.c_dimension_report(config.n, mode=config.mode,
+                                      seed=config.seed)
     formula = dim_recurrence(config.n)
     match = bool(rank["agree"]) and rank["dimension"] == formula
     report = {"config": config.public(), "closure": rank,

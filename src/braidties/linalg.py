@@ -8,8 +8,9 @@ r"""Exact linear algebra shared by the algebra modules.
   the minimal column, so that every rank is bit-reproducible.  Inserts
   may carry tags, mirrored by every row operation; `solve` uses them.
   An index from each column to the stored rows that hold it lets a new
-  pivot be cleared from those rows only.  Over `scalars.ModP` it is the
-  mod-p rank certificate of `btalg`.
+  pivot be cleared from those rows only.  Given a prime modulus p it
+  runs over F_p on plain Python ints kept in [0, p): the mod-p rank
+  certificate of `closure`.
 
 >>> from fractions import Fraction
 >>> e = Echelon()
@@ -21,9 +22,16 @@ r"""Exact linear algebra shared by the algebra modules.
 True
 >>> e.rank
 2
+>>> f = Echelon(7)
+>>> f.insert({0: 3, 1: 5}), f.rows
+(0, {0: {1: 4}})
+>>> f.insert({0: -5, 1: 8}) is None
+True
 """
 
 from __future__ import annotations
+
+from math import isqrt
 
 
 def _acc(dst: dict, key, c) -> None:
@@ -37,18 +45,25 @@ def _acc(dst: dict, key, c) -> None:
         del dst[key]
 
 
-def _addmul(dst: dict, src: dict, a, holders=None, owner=None) -> None:
+def _addmul(dst: dict, src: dict, a, holders=None, owner=None,
+            p=None) -> None:
     """dst += a * src for a nonzero a and a zero-free src, keeping no zero,
-    in one pass.  With holders (key -> set of owners), owner joins
+    in one pass; with a modulus p, over F_p, each entry written reduced
+    into [0, p).  With holders (key -> set of owners), owner joins
     holders[key] when key enters dst and leaves it when key cancels."""
     for k, c in src.items():
         y = dst.get(k)
         if y is None:
-            dst[k] = c * a
+            y = c * a
+            if p is not None:
+                y %= p
+            dst[k] = y
             if holders is not None:
                 holders[k].add(owner)
         else:
             y = y + c * a
+            if p is not None:
+                y %= p
             if y:
                 dst[k] = y
             else:
@@ -147,6 +162,11 @@ class Echelon:
     empty), so back-substitution visits only the rows holding the new
     pivot.
 
+    With no modulus the scalars are those of any exact field, used through
+    their own operators.  With a prime modulus p they are Python ints: an
+    insert reads its entries mod p, and every stored entry of a row or a
+    tag lies in [0, p).
+
     >>> from fractions import Fraction
     >>> t = Echelon()
     >>> t.insert({0: Fraction(1)}, {'a': Fraction(1)})
@@ -159,7 +179,11 @@ class Echelon:
     True
     """
 
-    def __init__(self):
+    def __init__(self, modulus: int | None = None):
+        if modulus is not None and (modulus < 2 or any(
+                modulus % d == 0 for d in range(2, isqrt(modulus) + 1))):
+            raise ValueError(f"{modulus} is not prime")
+        self.p = modulus
         self.rows: dict[int, dict] = {}
         self.tags: dict[int, dict] = {}
         self.holders: dict[int, set[int]] = {}
@@ -172,13 +196,30 @@ class Echelon:
         """Residual of vec (zero entries ignored), and tag changed in place,
         after eliminating every pivot: stored rows vanish at the other
         pivots, so one pass will do."""
-        out = {c: x for c, x in vec.items() if x}
+        p = self.p
+        if p is None:
+            out = {c: x for c, x in vec.items() if x}
+        else:
+            out = {c: y for c, x in vec.items() if (y := x % p)}
         for c in [c for c in out if c in self.rows]:
             a = -out.pop(c)
-            _addmul(out, self.rows[c], a)
+            _addmul(out, self.rows[c], a, p=p)
             if tag is not None:
-                _addmul(tag, self.tags[c], a)
+                _addmul(tag, self.tags[c], a, p=p)
         return out, tag
+
+    def _normalized(self, val, row: dict, tag: dict | None):
+        """row and tag (if any) divided by the pivot value val; over F_p,
+        times the one inverse of val."""
+        p = self.p
+        if p is None:
+            return ({c: x / val for c, x in row.items()},
+                    None if tag is None else
+                    {k: x / val for k, x in tag.items()})
+        inv = pow(val, -1, p)
+        return ({c: x * inv % p for c, x in row.items()},
+                None if tag is None else
+                {k: x * inv % p for k, x in tag.items()})
 
     def insert(self, vec: dict, tag: dict | None = None):
         """Insert a vector, with an optional tag; returns its pivot, or None
@@ -187,19 +228,16 @@ class Echelon:
         if not res:
             return None
         pivot = min(res)
-        val = res.pop(pivot)
-        row = {c: x / val for c, x in res.items()}
-        if tag is not None:
-            tag = {k: x / val for k, x in tag.items()}
-        holders = self.holders
+        row, tag = self._normalized(res.pop(pivot), res, tag)
+        p, holders = self.p, self.holders
         for c in row:
             holders.setdefault(c, set()).add(pivot)
         for p0 in holders.pop(pivot, ()):
             r0 = self.rows[p0]
             a = -r0.pop(pivot)
-            _addmul(r0, row, a, holders, p0)
+            _addmul(r0, row, a, holders, p0, p)
             if tag is not None:
-                _addmul(self.tags[p0], tag, a)
+                _addmul(self.tags[p0], tag, a, p=p)
         self.rows[pivot] = row
         if tag is not None:
             self.tags[pivot] = tag
@@ -214,7 +252,8 @@ class Echelon:
         res, tag = self._reduce(vec, {})
         if res:
             return None
-        return {k: -x for k, x in tag.items()}
+        p = self.p
+        return {k: -x if p is None else -x % p for k, x in tag.items()}
 
 
 def solve(columns: list[dict], b: dict, one) -> list:

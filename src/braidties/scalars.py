@@ -1,6 +1,6 @@
 r"""Exact scalar arithmetic for the whole workbench.
 
-Five coefficient domains, all exact and all stored as Python integers:
+Four coefficient domains, all exact and all stored as Python integers:
 
 - rationals: `fractions.Fraction` from the standard library, used as-is;
 - Laurent polynomials $\mathbb{Q}[v, v^{-1}]$: `LaurentPoly`;
@@ -10,9 +10,11 @@ Five coefficient domains, all exact and all stored as Python integers:
 - cyclotomic fields $\mathbb{Q}(\zeta_N)$: `Cyclotomic`, with coordinates
   reduced modulo the $N$-th cyclotomic polynomial $\Phi_N$ (a field, unlike
   $\mathbb{Q}[x]/(x^N-1)$), stored as integer numerators over one positive
-  common denominator;
-- prime fields $\mathbb{F}_p$: `ModP`, a Python int reduced into
-  $[0, p)$, the scalars of the mod-p rank certificate.
+  common denominator.
+
+The prime fields $\mathbb{F}_p$ of the mod-p rank certificate need no
+class here: they are plain Python ints in $[0, p)$, reduced by
+`linalg.Echelon` given the prime modulus.
 
 Both polynomial-backed types split a value into a rational content and an
 integer part (the content and primitive part of a polynomial). A Laurent
@@ -927,59 +929,6 @@ class Cyclotomic:
         for body in parts[1:]:
             out += " - " + body[1:] if body.startswith("-") else " + " + body
         return out
-
-
-# ---------------------------------------------------------------------------
-# prime fields F_p
-# ---------------------------------------------------------------------------
-
-_int_new = int.__new__
-
-
-class ModP(int):
-    """Element of the prime field F_p: a Python int kept in [0, p).  Each
-    prime has its own subclass, `ModP.field(p)`, which carries p; both
-    operands of an operation belong to it.  Equality, hashing and the
-    zero test are those of int, exact because every value is reduced.
-
-    >>> F = ModP.field(7)
-    >>> F(3) / F(5), F(3) - F(5), -F(3), F(4) * F(2) + F(6), F(-1)
-    (2, 5, 4, 0, 6)
-    >>> bool(F(14)), F(3) / F(5) * F(5) == F(3)
-    (False, True)
-    """
-
-    __slots__ = ()
-    p = 0
-
-    def __new__(cls, a: int) -> "ModP":
-        return _int_new(cls, a % cls.p)
-
-    @staticmethod
-    @lru_cache(maxsize=None)
-    def field(p: int) -> type:
-        """The subclass of F_p, one per prime p."""
-        if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
-            raise ValueError(f"{p} is not prime")
-        return type(f"F{p}", (ModP,), {"__slots__": (), "p": p})
-
-    def __add__(self, other: "ModP") -> "ModP":
-        return _int_new(type(self), int.__add__(self, other) % self.p)
-
-    def __sub__(self, other: "ModP") -> "ModP":
-        return _int_new(type(self), int.__sub__(self, other) % self.p)
-
-    def __mul__(self, other: "ModP") -> "ModP":
-        return _int_new(type(self), int.__mul__(self, other) % self.p)
-
-    def __neg__(self) -> "ModP":
-        return _int_new(type(self), int.__neg__(self) % self.p)
-
-    def __truediv__(self, other: "ModP") -> "ModP":
-        if not other:
-            raise ZeroDivisionError("division by zero in F_p")
-        inv = pow(other, -1, self.p)
-        return _int_new(type(self), int.__mul__(self, inv) % self.p)
 
 
 if __name__ == "__main__":

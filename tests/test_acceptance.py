@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from braidties import btalg, cli, hecke, monodromic
+from braidties import btalg, cli, closure, hecke, monodromic
 from braidties.coxeter import (all_perms, dim_C, dimension_rows,
                                perm_length, perm_mul, simple_perm)
 from braidties.finite_model import (delta_in_epsilon_span,
@@ -82,7 +82,7 @@ def test_criterion_2_per_row_tables():
 
 def test_criterion_3_rank_crosscheck_exact():
     t0 = time.perf_counter()
-    values = [btalg.c_dimension(n, "exact") for n in (1, 2, 3)]
+    values = [closure.c_dimension(n, "exact") for n in (1, 2, 3)]
     formulas = [dim_C(n) for n in (1, 2, 3)]
     elapsed = time.perf_counter() - t0
     ok = values == formulas == [3, 20, 217] and elapsed < 120.0
@@ -93,7 +93,7 @@ def test_criterion_3_rank_crosscheck_exact():
 @pytest.mark.slow
 def test_criterion_3_rank_crosscheck_specialized():
     t0 = time.perf_counter()
-    rep = btalg.c_dimension_report(4, "specialized", seed=0)
+    rep = closure.c_dimension_report(4, "specialized", seed=0)
     elapsed = time.perf_counter() - t0
     ok = (rep["dimension"] == 3364 == dim_C(4) and rep["agree"]
           and len(rep["points"]) >= 3 and elapsed < 20.0)

@@ -6,18 +6,15 @@ from math import factorial
 
 import pytest
 
-from braidties import btalg
+from braidties import closure
 from braidties.btalg import (
     BTElement,
     bar,
     bt_mul,
-    c_dimension,
-    c_dimension_report,
     c_simple_bt,
     e_element,
     g_element,
     g_inverse,
-    basis_pairs,
     jr_decomposition,
     jr_literal_dimension,
     jr_span,
@@ -29,6 +26,7 @@ from braidties.btalg import (
     word_combo,
     word_element,
 )
+from braidties.closure import basis_pairs, c_dimension, c_dimension_report
 from braidties.coxeter import (
     all_perms,
     all_set_partitions,
@@ -46,7 +44,7 @@ from braidties.coxeter import (
     w_action,
 )
 from braidties.linalg import Echelon, _acc
-from braidties.scalars import ModP, RationalFunctionScalar as RF
+from braidties.scalars import RationalFunctionScalar as RF
 
 V = RF.V
 Q = V * V
@@ -120,7 +118,7 @@ def test_structure_tables_match_reference_rule(m):
     for i in range(1, m):
         s = simple_perm(i, m)
         pair = pair_partition(i, i + 1, m)
-        table = btalg._action(m, i)
+        table = closure._action(m, i)
         assert tuple(table) == basis_pairs(m)
         for (P, w), (moved, down, joined_sw, joined_w) in table.items():
             sP = w_action(s, P)
@@ -136,8 +134,8 @@ class _RecordingEchelon(Echelon):
     when it gained one, the row stored for it then with its pivot entry 1:
     the row the closure walk carries on."""
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, modulus=None):
+        super().__init__(modulus)
         self.log = []
 
     def insert(self, vec, tag=None):
@@ -163,14 +161,15 @@ def test_modp_candidates_match_reference_rule(m, monkeypatch):
     dim C(v)."""
     echelons = []
 
-    def recording():
-        echelons.append(_RecordingEchelon())
+    def recording(modulus):
+        echelons.append(_RecordingEchelon(modulus))
         return echelons[-1]
 
-    monkeypatch.setattr(btalg, "Echelon", recording)
+    monkeypatch.setattr(closure, "Echelon", recording)
     pairs = basis_pairs(m)
-    for v0, p in btalg._specialization_points(0, 3):
-        assert btalg._closure_rank_modp(m, v0, p) == {2: 3, 3: 20, 4: 217}[m]
+    for v0, p in closure._specialization_points(0, 3):
+        assert closure._closure_rank_modp(m, v0, p) == {2: 3, 3: 20, 4: 217}[m]
+        assert echelons[-1].p == p
         (unit, _, carried), *log = echelons[-1].log
         assert unit == carried == to_vector(BTElement.unit(m))
         log = iter(log)
@@ -184,24 +183,26 @@ def test_modp_candidates_match_reference_rule(m, monkeypatch):
                     y, pivot, carried = next(log)
                     want = {b: _mod_p(c, v0, p)
                             for b, c in to_vector(lmul_g(i, lifted)).items()}
-                    assert y == {b: c for b, c in want.items() if c}
+                    assert all(type(c) is int for c in y.values())
+                    assert ({b: c % p for b, c in y.items() if c % p}
+                            == {b: c for b, c in want.items() if c})
                     if pivot is not None:
                         new.append(carried)
             frontier = new
         assert next(log, None) is None
 
 
-def _raw_closure_echelon(m, c2, one):
+def _raw_closure_echelon(m, c2, one, modulus=None):
     """The closure walk with the frontier keeping each raw candidate g_s x
     that gained a pivot, rather than its reduced row: the oracle for
-    `btalg._closure_echelon`."""
-    idx = btalg._pair_index(m)
+    `closure._closure_echelon`."""
+    idx = closure._pair_index(m)
     tables = [[(idx[moved], down, idx[joined_sw], idx[joined_w])
                for moved, down, joined_sw, joined_w
-               in btalg._action(m, i).values()]
+               in closure._action(m, i).values()]
               for i in range(1, m)]
     unit = {idx[(discrete_partition(m), identity_perm(m))]: one}
-    ech = Echelon()
+    ech = Echelon(modulus)
     ech.insert(unit)
     frontier = [unit]
     while frontier:
@@ -226,7 +227,7 @@ def test_exact_closure_rows_match_raw_candidate_walk(n):
     """Carrying reduced rows ends at the same space as carrying the raw
     candidates, so the reduced row echelon form over Q(v) is the same."""
     raw = _raw_closure_echelon(n + 1, Q - 1, RF.ONE)
-    assert btalg._closure(n).rows == raw.rows
+    assert closure._closure(n).rows == raw.rows
     assert raw.rank == (1, 3, 20, 217)[n]
 
 
@@ -235,23 +236,22 @@ def test_modp_closure_matches_raw_candidate_walk(m):
     """At the points of seeds 0-9 the mod-p closure keeps the rows, and so
     the rank, of the raw-candidate walk."""
     for seed in range(10):
-        for v0, p in btalg._specialization_points(seed, 3):
-            F = ModP.field(p)
-            v = F(v0.numerator) / F(v0.denominator)
-            c2, one = v * v - F(1), F(1)
-            ech = btalg._closure_echelon(m, c2, one)
-            raw = _raw_closure_echelon(m, c2, one)
+        for v0, p in closure._specialization_points(seed, 3):
+            v = v0.numerator * pow(v0.denominator, -1, p) % p
+            c2 = (v * v - 1) % p
+            ech = closure._closure_echelon(m, c2, 1, p)
+            raw = _raw_closure_echelon(m, c2, 1, p)
             assert ech.rows == raw.rows, (seed, v0, p)
-            assert btalg._closure_rank_modp(m, v0, p) == raw.rank
+            assert closure._closure_rank_modp(m, v0, p) == raw.rank
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_modp_closure_at_v_squared_one_spans_the_group_algebra(m):
     """At v0^2 = 1 mod p the weight v^2 - 1 vanishes, each g_s^2 = 1, and
     the closure of 1 is spanned by the g_w: rank (n+1)!."""
-    for p in btalg._SPECIALIZE_PRIMES:
+    for p in closure._SPECIALIZE_PRIMES:
         for v0 in (Fraction(p + 1), Fraction(1, p - 1)):
-            assert btalg._closure_rank_modp(m, v0, p) == factorial(m)
+            assert closure._closure_rank_modp(m, v0, p) == factorial(m)
 
 
 def test_model_dimension_formula():
@@ -415,10 +415,10 @@ def test_jr_decomposition_direct_and_spanning(n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_jr_summands_lie_in_c(n):
     # J_R e_R is inside C(v): jr_decomposition compares dimensions only
-    closure = btalg._closure(n)
+    ech = closure._closure(n)
     for R in all_set_partitions(n + 1):
         for x in jr_span(n, R):
-            assert closure.contains(to_vector(x)), (n, R)
+            assert ech.contains(to_vector(x)), (n, R)
 
 
 def _jr_sum(n: int) -> Echelon:

@@ -519,6 +519,9 @@ def test_jobs_run_without_numpy(args, tmp_path):
     assert not probe["numpy"]
     if args[0] == "dim":
         assert probe["modules"] == ["braidties.cli", "braidties.coxeter"]
+    if "specialized" in args:
+        assert probe["modules"] == ["braidties.cli", "braidties.closure",
+                                    "braidties.coxeter", "braidties.linalg"]
     if args[0] == "finite-model":
         assert "braidties.btalg" not in probe["modules"]
     if args[0] in ("finite-model", "dim-rank") or "presentation" in args:
@@ -542,7 +545,11 @@ print(json.dumps(sorted(sys.modules)))
     (["finite-model", "--n", "1", "--q", "2"],
      ("braidties.btalg", "braidties.hecke", "numpy", "dataclasses",
       "inspect")),
-], ids=["import cli", "finite-model --n 1 --q 2"])
+    (["dim-rank", "--mode", "specialized", "--n", "2"],
+     ("braidties.btalg", "braidties.scalars", "braidties.hecke",
+      "braidties.monodromic", "numpy")),
+], ids=["import cli", "finite-model --n 1 --q 2",
+        "dim-rank --mode specialized --n 2"])
 def test_import_footprint(args, absent, tmp_path):
     src = os.path.dirname(os.path.dirname(braidties.__file__))
     extra = [*args, "--out", str(tmp_path / "out")] if args else []

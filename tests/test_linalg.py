@@ -1,20 +1,22 @@
 """Tests for the sparse-combination core and the exact echelon, over the
-rationals, Q(v), cyclotomic fields and F_p, with a Gauss-Jordan
-elimination on Python ints as the F_p oracle."""
+rationals, Q(v), cyclotomic fields and F_p (Python ints with a prime
+modulus), with a Gauss-Jordan elimination on Python ints as the F_p
+oracle."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from braidties.btalg import (_SPECIALIZE_PRIMES, BTElement, bt_mul,
-                             g_element, kl_lift, lmul_g, to_vector)
+from braidties.btalg import (BTElement, bt_mul, g_element, kl_lift, lmul_g,
+                             to_vector)
+from braidties.closure import _SPECIALIZE_PRIMES
 from braidties.coxeter import all_perms, simple_perm
 from braidties.finite_model import SparseOperator, build_model
 from braidties.hecke import HeckeElement, canonical_basis
 from braidties.linalg import Echelon, _axpy, solve
 from braidties.monodromic import MonodromicElement, pi_L, torus_character
-from braidties.scalars import Cyclotomic, ModP, RationalFunctionScalar as RF
+from braidties.scalars import Cyclotomic, RationalFunctionScalar as RF
 
 
 def _samples():
@@ -201,24 +203,25 @@ def _planted_rank_rows(rng, nrows, ncols, rank, p):
 
 @pytest.mark.parametrize("p", _SPECIALIZE_PRIMES + (7,))
 def test_modp_echelon_matches_integer_elimination(p):
-    """`Echelon` over `ModP.field(p)` keeps the one reduced row echelon
-    form of the rows inserted, every stored entry a nonzero F_p value."""
-    F = ModP.field(p)
+    """`Echelon(p)` keeps the one reduced row echelon form of the rows
+    inserted, each entry given as an int shifted by a multiple of p, and
+    stores every entry as a nonzero int in [0, p)."""
     rng = random.Random(p)
     for trial in range(12):
         ncols = rng.randint(1, 30)
         rank = rng.randint(0, min(ncols, 12))
         nrows = rng.randint(0, 25)
         rows = _planted_rank_rows(rng, nrows, ncols, rank, p)
-        ech = Echelon()
-        gained = sum(ech.insert({j: F(x) for j, x in enumerate(row)})
+        ech = Echelon(p)
+        gained = sum(ech.insert({j: x + p * rng.randint(-3, 3)
+                                 for j, x in enumerate(row)})
                      is not None for row in rows)
         pivots, ref_rows = _rref_mod_p(rows, ncols, p)
         assert ech.rank == gained == len(pivots), trial
         assert sorted(ech.rows) == pivots, trial
         stored = [x for row in ech.rows.values() for x in row.values()]
-        assert all(type(x) is F and 0 < x < p for x in stored), trial
-        dense = [[1 if j == c else int(ech.rows[c].get(j, 0))
+        assert all(type(x) is int and 0 < x < p for x in stored), trial
+        dense = [[1 if j == c else ech.rows[c].get(j, 0)
                   for j in range(ncols)] for c in pivots]
         assert dense == ref_rows, trial
 
@@ -259,27 +262,25 @@ class _RowAtATimeModP:
 
 @pytest.mark.parametrize("p", _SPECIALIZE_PRIMES)
 def test_blocked_echelon_matches_row_at_a_time(p):
-    """Planted ranks 20..40 in 30..60 columns, inserted into `Echelon`
-    over F_p in blocks of rows: each insert reports the pivot of the
-    row-at-a-time elimination, and after each block the pivots and rows
-    are the Gauss-Jordan form of every row so far."""
-    F = ModP.field(p)
+    """Planted ranks 20..40 in 30..60 columns, inserted into `Echelon(p)`
+    in blocks of rows: each insert reports the pivot of the row-at-a-time
+    elimination, and after each block the pivots and rows are the
+    Gauss-Jordan form of every row so far."""
     rng = random.Random(p)
     for trial in range(4):
         ncols = rng.randint(30, 60)
         rank = rng.randint(20, min(ncols, 40))
         nrows = rng.randint(40, 90)
         rows = _planted_rank_rows(rng, nrows, ncols, rank, p)
-        ech, ref, ref_rows = Echelon(), _RowAtATimeModP(p), []
+        ech, ref, ref_rows = Echelon(p), _RowAtATimeModP(p), []
         cuts = sorted({0, nrows, *(rng.randint(1, nrows) for _ in range(3))})
         for lo, hi in zip(cuts, cuts[1:]):
             for row in rows[lo:hi]:
                 vec = dict(enumerate(row))
-                assert (ech.insert({j: F(x) for j, x in vec.items()})
-                        == ref.insert(vec)), trial
+                assert ech.insert(vec) == ref.insert(vec), trial
             pivots, ref_rows = _rref_mod_p(ref_rows + rows[lo:hi], ncols, p)
             assert sorted(ech.rows) == sorted(ref.rows) == pivots, trial
-            dense = [[1 if j == c else int(ech.rows[c].get(j, 0))
+            dense = [[1 if j == c else ech.rows[c].get(j, 0)
                       for j in range(ncols)] for c in pivots]
             assert dense == ref_rows, trial
         assert ech.rank >= 20, trial
@@ -291,30 +292,31 @@ def test_closure_batches_match_row_at_a_time(n, rank, monkeypatch):
     (one per specialization prime), against the row-at-a-time elimination
     on Python ints: the same pivot or the same dependence at each insert,
     and the same row space at the end; the ranks are the paper's dim C(v)."""
-    from braidties import btalg
+    from braidties import closure
 
     class Checked(Echelon):
         def __init__(self, p):
-            super().__init__()
+            super().__init__(p)
             self.ref = _RowAtATimeModP(p)
 
         def insert(self, vec, tag=None):
             pivot = super().insert(vec, tag)
-            assert pivot == self.ref.insert({c: int(x) for c, x in vec.items()})
+            assert pivot == self.ref.insert(vec)
             return pivot
 
-    points = btalg._specialization_points(0, 3)
+    points = closure._specialization_points(0, 3)
     assert sorted(p for _, p in points) == sorted(_SPECIALIZE_PRIMES)
     for v0, p in points:
         made = []
-        monkeypatch.setattr(btalg, "Echelon",
-                            lambda: made.append(Checked(p)) or made[-1])
-        assert btalg._closure_rank_modp(n + 1, v0, p) == rank
+        monkeypatch.setattr(closure, "Echelon",
+                            lambda modulus: made.append(Checked(modulus))
+                            or made[-1])
+        assert closure._closure_rank_modp(n + 1, v0, p) == rank
         (ech,) = made
+        assert ech.p == p
         assert sorted(ech.rows) == sorted(ech.ref.rows)
         for c, row in ech.rows.items():
-            vec = {j: int(x) for j, x in row.items()}
-            assert not ech.ref.reduce({**vec, c: 1})
+            assert not ech.ref.reduce({**row, c: 1})
 
 
 def _holders_by_scan(ech):
@@ -354,16 +356,18 @@ def test_holder_index_tracks_stored_rows(field, tagged):
     holding column c (an empty set where none does), no pivot column has
     holders, entries do cancel along the way, and the rows are the
     Gauss-Jordan form over F_p (for Fraction, of its image mod p); tagged
-    rows are the combination of inserted vectors their tags name."""
+    rows are the combination of inserted vectors their tags name.  F_p is
+    the int engine, `Echelon(p)`, fed the signed integer rows as they
+    are."""
     p = 1048573 if field == "Fraction" else int(field[1:])
-    F = Fraction if field == "Fraction" else ModP.field(p)
+    F = Fraction if field == "Fraction" else int
     rng = random.Random(f"{field} {tagged}")
     dropped = 0
     for trial in range(15):
         ncols = rng.randint(4, 16)
         rows = _cancelling_rows(rng, rng.randint(3, 30), ncols)
         vecs = [{j: F(x) for j, x in enumerate(row)} for row in rows]
-        ech = Echelon()
+        ech = Echelon() if field == "Fraction" else Echelon(p)
         for k, vec in enumerate(vecs):
             before = {c: set(s) for c, s in ech.holders.items()}
             pivot = ech.insert(vec, {k: F(1)} if tagged else None)
@@ -382,5 +386,7 @@ def test_holder_index_tracks_stored_rows(field, tagged):
             total = {}
             for k, a in tag.items():
                 _axpy(total, {j: x for j, x in vecs[k].items() if x}, a)
+            if F is int:
+                total = {j: x % p for j, x in total.items() if x % p}
             assert total == {**ech.rows[c], c: F(1)}, trial
     assert dropped > 0

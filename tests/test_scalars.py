@@ -1,5 +1,7 @@
 """Exact-scalar layer: canonical forms, field axioms, cyclotomics, and
-differential tests against Fraction-coefficient references."""
+differential tests against Fraction-coefficient references; and the
+prime fields F_p, plain ints that `linalg.Echelon` reduces given the
+prime modulus."""
 
 import random
 from fractions import Fraction
@@ -7,10 +9,10 @@ from math import gcd
 
 import pytest
 
+from braidties.linalg import Echelon
 from braidties.scalars import (
     Cyclotomic,
     LaurentPoly,
-    ModP,
     RationalFunctionScalar as RF,
     cyclotomic_poly,
 )
@@ -724,7 +726,7 @@ def test_every_annotation_resolves():
 
 
 # ---------------------------------------------------------------------------
-# prime fields F_p
+# prime fields F_p: plain ints, reduced by `linalg.Echelon` with a modulus
 # ---------------------------------------------------------------------------
 
 # the three specialization primes of the mod-p rank certificate, and 7
@@ -741,55 +743,76 @@ def _modp_inputs(rng, p):
 
 @pytest.mark.parametrize("p", _MODP_PRIMES)
 def test_modp_values_stay_reduced(p):
-    """Every ModP value, built or computed, is an int of the field's class
-    in [0, p), and equals the integer result mod p."""
-    F = ModP.field(p)
+    """Whatever ints the inserts carry, every entry `Echelon(p)` stores
+    after every insert is an int in [0, p), nonzero in a row, and each
+    tag names the combination of inserted vectors, mod p, that its row
+    is (pivot entry 1 included); `combination` answers in [0, p) too."""
     rng = random.Random(p)
     vals = _modp_inputs(rng, p)
-    for a in vals:
-        b = rng.choice(vals)
-        x, y = F(a), F(b)
-        got = [x, -x, x + y, x - y, x * y]
-        want = [a % p, -a % p, (a + b) % p, (a - b) % p, a * b % p]
-        if b % p:
-            got.append(x / y)
-            want.append(a * pow(b, -1, p) % p)
-        assert all(type(z) is F and 0 <= z < p for z in got), (a, b)
-        assert [int(z) for z in got] == want, (a, b)
+    for trial in range(12):
+        ncols = rng.randint(2, 8)
+        ech, vecs = Echelon(p), []
+        for k in range(rng.randint(2, 12)):
+            vecs.append({j: rng.choice(vals) for j in range(ncols)})
+            ech.insert(vecs[-1], {k: 1})
+            rows = [x for row in ech.rows.values() for x in row.values()]
+            tags = [x for tag in ech.tags.values() for x in tag.values()]
+            assert all(type(x) is int and 0 < x < p for x in rows), trial
+            assert all(type(x) is int and 0 <= x < p for x in tags), trial
+        for c, tag in ech.tags.items():
+            total = {j: sum(a * vecs[k].get(j, 0) for k, a in tag.items()) % p
+                     for j in range(ncols)}
+            assert total == {j: 1 if j == c else ech.rows[c].get(j, 0)
+                             for j in range(ncols)}, trial
+        for vec in vecs:
+            combo = ech.combination(vec)
+            assert all(type(x) is int and 0 <= x < p
+                       for x in combo.values()), trial
+            assert all(sum(a * vecs[k].get(j, 0) for k, a in combo.items())
+                       % p == vec[j] % p for j in range(ncols)), trial
 
 
 @pytest.mark.parametrize("p", _MODP_PRIMES)
 def test_modp_inverse(p):
-    F = ModP.field(p)
+    """A new row is divided by its pivot value mod p: inserting (a, b)
+    stores b / a, which times a is b again, for every unit a (shifted by
+    multiples of p)."""
     rng = random.Random(p)
     units = range(1, p) if p < 100 else [1, 2, p - 2, p - 1, *(
         rng.randrange(1, p) for _ in range(200))]
     for a in units:
-        inv = F(1) / F(a)
-        assert inv * F(a) == F(a) * inv == F(1)
-        assert F(a) / F(a) == F(1)
-        assert F(3) / F(a) * F(a) == F(3)
-    with pytest.raises(ZeroDivisionError):
-        F(1) / F(p)
+        for shift in (0, p, -3 * p):
+            ech = Echelon(p)
+            assert ech.insert({0: a + shift, 1: 3, 2: a}) == 0
+            row = ech.rows[0]
+            assert row[1] * a % p == 3 and row[2] == 1
+            assert ech.contains({0: 2 * a - p, 1: 6, 2: 2 * a})
+            assert not ech.contains({0: a, 1: 4, 2: a})
 
 
 @pytest.mark.parametrize("p", _MODP_PRIMES)
 def test_modp_zero_test(p):
-    """The zero test and equality see the residue, not the integer built
-    from."""
-    F = ModP.field(p)
+    """The zero test sees the residue, not the int: multiples of p are
+    zero entries, and entries that cancel mod p leave the row."""
     for k in (-2, -1, 0, 1, 5):
-        assert not F(k * p)
-        assert F(k * p + 1) and F(k * p + 1) == F(1)
-        assert not F(k) - F(k) and not F(k) + -F(k)
-    assert not F(p - 1) * F(p - 1) - F(1)
-    assert F(p - 1) != F(1)
+        ech = Echelon(p)
+        assert ech.insert({0: k * p}) is None
+        assert ech.insert({0: k * p, 1: k * p + 1}) == 1
+        assert ech.rows == {1: {}}
+        assert ech.contains({0: p, 1: 1 - p})
+    assert Echelon(p).insert({0: (p - 1) * (p - 1) - 1}) is None
+    ech = Echelon(p)
+    assert ech.insert({0: 1, 1: 1}) == 0
+    assert ech.insert({0: p - 1, 1: -1}) is None
+    assert ech.insert({0: 1, 1: p - 1}) == 1   # p - 1 is not 1
+    assert ech.rows == {0: {}, 1: {}}
+    assert ech.holders == {}
 
 
-def test_modp_field_is_one_class_per_prime():
-    assert ModP.field(7) is ModP.field(7)
-    assert ModP.field(7) is not ModP.field(11)
-    assert ModP.field(7).p == 7
-    for bad in (0, 1, 4, 9, 786431 * 3):
-        with pytest.raises(ValueError):
-            ModP.field(bad)
+def test_modp_modulus_must_be_prime():
+    for p in (2, 3, *_MODP_PRIMES):
+        assert Echelon(p).p == p
+    assert Echelon().p is None
+    for bad in (-7, 0, 1, 4, 9, 786431 * 3):
+        with pytest.raises(ValueError, match="not prime"):
+            Echelon(bad)
