@@ -27,13 +27,10 @@ The braid-image subalgebra $\mathcal{C}(v)$ is generated by the $g_s$
 alone.  Its dimension, exact over $\mathbb{Q}(v)$ and mod p at
 specializations of $v$, is computed in `closure`, which needs neither
 this module nor `scalars` for the mod-p rank; the exact echelon basis
-`closure._closure` is read here by `jr_decomposition`.  The walk that
-expresses elements as generator words for the monodromic images,
-`_word_closure`, carries the raw products $g_s x$, whose word tags stay
-short.  `jr_span` picks, by exact elimination, independent elements
-spanning the summands $J_R e_R$ of the direct-sum decomposition of
-$\mathcal{C}(v)$.  When every block of
-$R$ is an interval, $J_R$ is spanned by
+`closure._closure` is read here by `jr_decomposition`.  `jr_span`
+picks, by exact elimination, independent elements spanning the summands
+$J_R e_R$ of the direct-sum decomposition of $\mathcal{C}(v)$.  When
+every block of $R$ is an interval, $J_R$ is spanned by
 $g_w(1+g_{r_1})\cdots(1+g_{r_\ell})$ with one reflection $r_j$ from each
 nontrivial block of $R$; for other partitions that literal span is
 strictly larger than the summand (dimension 6 instead of 3 already for
@@ -52,7 +49,9 @@ the support of $w$.  The one-step recursion
 $\mathsf{c}_s \mathsf{c}_{sw} - \sum_y \gamma_y \mathsf{c}_y$ (exposed as
 `kl_lift_via`) is descent-dependent in this algebra and only recovers
 $\mathsf{c}_w$ up to a bar-invariant kernel element of the
-trivial-character surjection.
+trivial-character surjection.  That surjection is read on
+$\mathcal{C}(v)$ through the algebra map `hecke.quotient_image`
+($e_P \mapsto 1$, $g_s \mapsto v^2 - 1 - A_s$), with no generator words.
 
 >>> from braidties.coxeter import simple_perm
 >>> m = 2
@@ -91,7 +90,7 @@ from .coxeter import (
     w_action,
 )
 from .closure import _action, _closure, _pair_index
-from .linalg import Echelon, SparseVector, _acc
+from .linalg import Echelon, SparseVector, _acc, _addmul
 from .scalars import RationalFunctionScalar as RF
 
 V = RF.V
@@ -169,13 +168,18 @@ def lmul_g_word(word, x: BTElement) -> BTElement:
 
 
 def bt_mul(a: BTElement, b: BTElement) -> BTElement:
-    """Bilinear product; e_P g_w acts by e_P (g_w b) with g_w peeled."""
+    """Bilinear product; e_P g_w acts by e_P (g_w b) with g_w peeled, and
+    g_w b is formed once for each w of a, whatever the partitions on it."""
     if a.m != b.m:
         raise ValueError("mixing ambient ranks")
-    out = BTElement.zero(a.m)
+    gb: dict[Perm, BTElement] = {}
+    out: dict[BasisPair, RF] = {}
     for (P, w), c in a.terms.items():
-        out = out + lmul_e(P, lmul_g_word(reduced_word(w), b)).scale(c)
-    return out
+        x = gb.get(w)
+        if x is None:
+            x = gb[w] = lmul_g_word(reduced_word(w), b)
+        _addmul(out, lmul_e(P, x).terms, c)
+    return a._like(out)
 
 
 def g_inverse(i: int, m: int) -> BTElement:
@@ -203,10 +207,10 @@ def _bar_g(w: Perm) -> BTElement:
 def bar(x: BTElement) -> BTElement:
     """The v-semilinear ring automorphism: v -> v^{-1}, g_s -> g_s^{-1},
     e_r -> e_r."""
-    out = BTElement.zero(x.m)
+    out: dict[BasisPair, RF] = {}
     for (P, w), c in x.terms.items():
-        out = out + lmul_e(P, _bar_g(w)).scale(c.bar())
-    return out
+        _addmul(out, lmul_e(P, _bar_g(w)).terms, c.bar())
+    return x._like(out)
 
 
 # ---------------------------------------------------------------------------
@@ -300,40 +304,12 @@ def verify_presentation(n: int) -> list[tuple[str, bool]]:
 
 
 # ---------------------------------------------------------------------------
-# vectorization and generator words
+# vectorization
 # ---------------------------------------------------------------------------
 
 def to_vector(x: BTElement) -> dict[int, RF]:
     idx = _pair_index(x.m)
     return {idx[k]: c for k, c in x.terms.items()}
-
-
-@lru_cache(maxsize=None)
-def _word_closure(n: int) -> Echelon:
-    """Exact echelon basis of C(v) whose rows carry generator words: close
-    span{1} under left multiplication by the g_s, breadth first, over
-    Q(v), each row tagged with the signed word that produced it (letter i
-    stands for a_i = -g_i, so the tag of g_i * x is the tag of x prefixed
-    with i and negated), for `word_combo`.  The frontier keeps the raw
-    products g_s x: their tags stay short words."""
-    if n > 3:
-        raise ValueError("exact closure bounded at n <= 3")
-    m = n + 1
-    ech = Echelon()
-    unit = BTElement.unit(m)
-    tag = {(): RF.ONE}
-    ech.insert(to_vector(unit), tag)
-    frontier = [(unit, tag)]
-    while frontier:
-        new = []
-        for x, combo in frontier:
-            for i in range(1, m):
-                y = lmul_g(i, x)
-                ycombo = {(i,) + word: -c for word, c in combo.items()}
-                if ech.insert(to_vector(y), ycombo) is not None:
-                    new.append((y, ycombo))
-        frontier = new
-    return ech
 
 
 # ---------------------------------------------------------------------------
@@ -472,18 +448,26 @@ def jr_decomposition(n: int) -> dict:
 
 def word_element(word: tuple[int, ...], m: int) -> BTElement:
     """Image of a signed word in the a_s = -g_s generators: letter +i is
-    a_i, letter -i is a_i^{-1}."""
-    x = BTElement.unit(m)
-    for letter in reversed(word):
-        x = lmul_g(abs(letter), x, inverse=letter < 0).scale(-RF.ONE)
-    return x
+    a_i, letter -i is a_i^{-1} = -g_i^{-1}.  The word of g's comes from
+    `_g_word`, and the sign (-1)^len(word) is applied once."""
+    x = _g_word(word, m)
+    return -x if len(word) % 2 else x
+
+
+@lru_cache(maxsize=None)
+def _g_word(word: tuple[int, ...], m: int) -> BTElement:
+    """The product along word of g_i (letter i) and g_i^{-1} (letter -i),
+    peeled from the right, so each suffix of each word is built once."""
+    if not word:
+        return BTElement.unit(m)
+    return lmul_g(abs(word[0]), _g_word(word[1:], m), inverse=word[0] < 0)
 
 
 def combo_element(combo: WordCombo, m: int) -> BTElement:
-    out = BTElement.zero(m)
+    out: dict[BasisPair, RF] = {}
     for word, c in combo.items():
-        out = out + word_element(word, m).scale(c)
-    return out
+        _addmul(out, word_element(word, m).terms, c)
+    return BTElement(m, out)
 
 
 def c_simple_bt(i: int, m: int) -> BTElement:
@@ -529,16 +513,6 @@ def kl_lift(w: Perm) -> BTElement:
         if p:
             x = x + BTElement.basis(P, y).scale(hecke._qpoly_to_rf(p))
     return x.scale(sign * V ** (-lw))
-
-
-def word_combo(x: BTElement) -> WordCombo:
-    """Express x in C(v) as a Q(v)-combination of signed generator words
-    (for mapping through the monodromic surjections); raises ValueError
-    when x is not in the braid-image subalgebra."""
-    combo = _word_closure(x.m - 1).combination(to_vector(x))
-    if combo is None:
-        raise ValueError("element is not in C(v)")
-    return combo
 
 
 def kl_lift_via(w: Perm, s: int) -> BTElement:

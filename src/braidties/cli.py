@@ -192,14 +192,17 @@ def suite_hecke(n: int) -> list[tuple[str, bool]]:
 
 
 def _pi_image(x):
-    """Image of a `btalg.BTElement` of the braid-generated subalgebra in
-    the Hecke algebra (a `hecke.HeckeElement`): the trivial-character
-    corner of the orbit algebra."""
-    from . import btalg, monodromic
+    """Image of a `btalg.BTElement` of the braid-generated subalgebra C(v)
+    in the Hecke algebra (a `hecke.HeckeElement`) under the
+    trivial-character surjection, read off the algebra map
+    `hecke.quotient_image`, which agrees with it on C(v).  Membership in
+    C(v) is checked first, exactly, against the echelon basis
+    `closure._closure`; outside it raises ValueError."""
+    from . import btalg, closure, hecke
 
-    combo = btalg.word_combo(x)
-    return monodromic.hecke_image(
-        monodromic.pi_of_combo(combo, monodromic.trivial_character(x.m)))
+    if not closure._closure(x.m - 1).contains(btalg.to_vector(x)):
+        raise ValueError("element is not in C(v)")
+    return hecke.quotient_image(x)
 
 
 def _kl_lift_records(n: int) -> list[dict]:

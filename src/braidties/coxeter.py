@@ -92,8 +92,9 @@ def perm_inv(a: Perm) -> Perm:
         out[x - 1] = i + 1
     return tuple(out)
 
+@lru_cache(maxsize=None)
 def perm_length(w: Perm) -> int:
-    """Inversion count."""
+    """Inversion count, counted once per permutation."""
     return sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])
 
 def right_descents(w: Perm) -> frozenset[int]:

@@ -32,6 +32,10 @@ Expanding $C_w$ in the $\tilde{A}$ basis, the coefficient of
 $\tilde{A}_x$ is $(-1)^{l(w)-l(x)} v^{l(w)-l(x)} P_{x,w}(v^{-2})$, which
 is how the tests read polynomials back off the oracle.
 
+The algebra of braids and ties maps onto this algebra by
+$e_P \mapsto 1$, $g_s \mapsto v^2 - 1 - A_s$ (`quotient_image`); on its
+braid-generated subalgebra that is the trivial-character surjection.
+
 >>> from braidties.coxeter import simple_perm
 >>> s1 = simple_perm(1, 3)
 >>> hecke_mul(HeckeElement.basis(s1), HeckeElement.basis(s1)).terms[s1]
@@ -43,6 +47,7 @@ v^2 - 1
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from .coxeter import (
     Perm,
@@ -57,12 +62,16 @@ from .coxeter import (
     right_descents,
     simple_perm,
 )
-from .linalg import SparseVector, _acc
+from .linalg import SparseVector, _acc, _addmul, _axpy
 from .scalars import LaurentPoly, RationalFunctionScalar as RF
+
+if TYPE_CHECKING:
+    from . import btalg
 
 V = RF.V
 _Q = V * V
 _QM1 = _Q - 1
+_NQ = -_Q
 QPoly = dict[int, int]  # polynomial in q = v^2, exponent -> integer coefficient
 
 
@@ -113,13 +122,13 @@ def hecke_mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     """Bilinear product; A_w * A_u computed by peeling a reduced word of w."""
     if a.m != b.m:
         raise ValueError("mixing Hecke algebras")
-    out = HeckeElement.zero(a.m)
+    out: dict[Perm, RF] = {}
     for w, c in a.terms.items():
         x = b.scale(c)
         for i in reversed(reduced_word(w)):
             x = _lmul_simple(i, x)
-        out = out + x
-    return out
+        _axpy(out, x.terms)
+    return a._like(out)
 
 
 def a_tilde(w: Perm) -> HeckeElement:
@@ -144,17 +153,18 @@ def basis_inverse(w: Perm) -> HeckeElement:
     return out
 
 
+@lru_cache(maxsize=None)
 def tilde_inverse(w: Perm) -> HeckeElement:
-    """Ã_w^{-1} = v^{l(w)} A_w^{-1}."""
+    """Ã_w^{-1} = v^{l(w)} A_w^{-1}, built once per w."""
     return basis_inverse(w).scale(RF.from_laurent(LaurentPoly.monomial(perm_length(w))))
 
 
 def bar_involution(a: HeckeElement) -> HeckeElement:
     """Semilinear extension of A_w -> A_{w^{-1}}^{-1}, v -> v^{-1}."""
-    out = HeckeElement.zero(a.m)
+    out: dict[Perm, RF] = {}
     for w, c in a.terms.items():
-        out = out + basis_inverse(perm_inv(w)).scale(c.bar())
-    return out
+        _addmul(out, basis_inverse(perm_inv(w)).terms, c.bar())
+    return a._like(out)
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +267,11 @@ def _qpoly_to_rf(p: QPoly) -> RF:
     return RF.from_laurent(LaurentPoly({2 * e: c for e, c in p.items()}))
 
 
+@lru_cache(maxsize=None)
 def canonical_basis(w: Perm) -> HeckeElement:
     """C_w = sum_{x<=w} (-1)^{l(w)-l(x)} v^{l(x)-l(w)} P_{x,w}(v^2)
-    Ã_{x^{-1}}^{-1}; bar-invariant with leading coefficient 1.
+    Ã_{x^{-1}}^{-1}; bar-invariant with leading coefficient 1.  Built
+    once per w, like `canonical_by_bar`.
 
     >>> canonical_basis(simple_perm(1, 2))
     (v^-1)*A[2,1] + (-v)*A[1,2]
@@ -267,7 +279,7 @@ def canonical_basis(w: Perm) -> HeckeElement:
     m = len(w)
     table = kl_table(m)
     lw = perm_length(w)
-    out = HeckeElement.zero(m)
+    out: dict[Perm, RF] = {}
     for x in all_perms(m):
         p = table.poly(x, w)
         if not p:
@@ -276,8 +288,8 @@ def canonical_basis(w: Perm) -> HeckeElement:
         sign = -1 if (lw - lx) % 2 else 1
         coeff = _qpoly_to_rf(p) * RF.from_laurent(
             LaurentPoly.monomial(lx - lw, sign))
-        out = out + tilde_inverse(perm_inv(x)).scale(coeff)
-    return out
+        _addmul(out, tilde_inverse(perm_inv(x)).terms, coeff)
+    return HeckeElement(m, out)
 
 
 def c_simple(i: int, m: int) -> HeckeElement:
@@ -353,6 +365,63 @@ def c_expansion(s: int, u: Perm) -> dict[Perm, int]:
         rem = rem - canonical_basis(y).scale(gamma)
     assert out.get(su) == 1, (s, u, out)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the quotient map E(v) -> H
+# ---------------------------------------------------------------------------
+
+def _lmul_quotient(i: int, x: HeckeElement) -> HeckeElement:
+    """(v^2 - 1 - A_{s_i}) * x: by the quadratic relation a length-up
+    term A_w goes to (v^2 - 1) A_w - A_{sw}, a length-down one to
+    -v^2 A_{sw}."""
+    left = left_action(x.m, i)
+    out: dict[Perm, RF] = {}
+    for w, c in x.terms.items():
+        sw, down = left[w]
+        if down:
+            _acc(out, sw, c * _NQ)
+        else:
+            _acc(out, w, c * _QM1)
+            _acc(out, sw, -c)
+    return x._like(out)
+
+
+@lru_cache(maxsize=None)
+def _quotient_g(w: Perm) -> HeckeElement:
+    """The image of g_w under `quotient_image`: the product of
+    v^2 - 1 - A_s along a reduced word of w, one factor on the image of
+    the shorter element."""
+    m = len(w)
+    word = reduced_word(w)
+    if not word:
+        return HeckeElement.unit(m)
+    return _lmul_quotient(word[0], _quotient_g(left_action(m, word[0])[w][0]))
+
+
+def quotient_image(x: btalg.BTElement) -> HeckeElement:
+    """Image of an element of the algebra of braids and ties under the
+    algebra map E(v) -> H(S_m) with e_P -> 1 and g_s -> v^2 - 1 - A_s.
+
+    It is an algebra map: e_P -> 1 respects every tie relation, and
+    (v^2 - 1 - A_s)^2 = 1 + (v^2 - 1)(v^2 - A_s) is the image of the
+    quadratic relation g_s^2 = 1 + (v^2 - 1) e_s (1 + g_s).  On the g_s,
+    and so on the braid-generated subalgebra C(v), it agrees with the
+    trivial-character surjection `monodromic.pi_L`, whose letter
+    a_s = -g_s acts there by A_s + 1 - v^2.  The image of e_P g_w is the
+    image of g_w, built once per w.
+
+    >>> from braidties.btalg import c_simple_bt
+    >>> quotient_image(c_simple_bt(1, 2)) == c_simple(1, 2)
+    True
+    """
+    by_w: dict[Perm, RF] = {}
+    for (P, w), c in x.terms.items():
+        _acc(by_w, w, c)
+    out: dict[Perm, RF] = {}
+    for w, c in by_w.items():
+        _addmul(out, _quotient_g(w).terms, c)
+    return HeckeElement(x.m, out)
 
 
 if __name__ == "__main__":

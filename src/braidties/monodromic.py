@@ -38,7 +38,9 @@ satisfy the cubic $(\mathsf{a}_s^2-1)(\mathsf{a}_s+v^2) = 0$ identically,
 which is what `pi_consistency` certifies on rewrite-equivalent word pairs.
 At the trivial character every $s$ is in $W^\circ$ and $\pi$ lands in the
 Hecke algebra, where it sends the lifts of `btalg.kl_lift` to the
-Kazhdan-Lusztig basis.
+Kazhdan-Lusztig basis.  There $g_s = -\mathsf{a}_s$ acts by
+$v^2 - 1 - A_s$, so on $\mathcal{C}(v)$ this $\pi$ is the algebra map
+`hecke.quotient_image`, which is what `kl-lift` reads; it needs no words.
 
 >>> theta = torus_character(3, (1, 0))
 >>> w_circle(theta)
@@ -67,7 +69,7 @@ from .coxeter import (
     reduced_word,
     simple_perm,
 )
-from .linalg import SparseVector, _acc
+from .linalg import SparseVector, _acc, _addmul
 from .scalars import RationalFunctionScalar as RF
 
 if TYPE_CHECKING:
@@ -87,13 +89,15 @@ _VI2 = RF.VI * RF.VI
 class TorusCharacter:
     """Character of the diagonal torus, as exponents mod q^k - 1 with the
     last coordinate normalized to zero.  Equal, and hashed, as the pair
-    (modulus, exponents)."""
+    (modulus, exponents), whose hash is taken once: characters key every
+    term of an orbit-algebra element and the cached Weyl action."""
 
-    __slots__ = ("modulus", "exponents")
+    __slots__ = ("modulus", "exponents", "_hash")
 
     def __init__(self, modulus: int, exponents: tuple[int, ...]):
         self.modulus = modulus
         self.exponents = exponents
+        self._hash = hash((modulus, exponents))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -102,7 +106,7 @@ class TorusCharacter:
                                                   other.exponents)
 
     def __hash__(self) -> int:
-        return hash((self.modulus, self.exponents))
+        return self._hash
 
     def __repr__(self):
         body = ",".join(str(b) for b in self.exponents)
@@ -293,51 +297,53 @@ def ho_mul(a: MonodromicElement, b: MonodromicElement) -> MonodromicElement:
     >>> ho_mul(standard_element(s, M), corner_unit(w_act(s, M)))
     0
     """
-    out = MonodromicElement.zero(a.m)
+    out: dict[tuple[Perm, TorusCharacter], RF] = {}
     for (w, L), c in a.terms.items():
         for (u, M), d in b.terms.items():
             if w_act(u, M) != L:
                 continue
-            out = out + lmul_Aw(w, standard_element(u, M)).scale(c * d)
-    return out
+            _addmul(out, lmul_Aw(w, standard_element(u, M)).terms, c * d)
+    return a._like(out)
 
 
 # ---------------------------------------------------------------------------
 # the surjections pi_L on signed generator words
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def pi_L(word: tuple[int, ...], L: TorusCharacter) -> MonodromicElement:
     """Image of a signed generator word under pi_L, as an element of the
     L-corner column of the orbit algebra: the word is read left to right
     as a product of a_{s_i} (letter i) and a_{s_i}^{-1} (letter -i)
-    applied to 1_L.
+    applied to 1_L.  The first letter acts on the image of the rest, so
+    each suffix is built once per character.
 
     >>> pi_L((), torus_character(1, (0, 0)))
     (1)*A[1,2]1L(0,0|1)
     """
-    x = corner_unit(L)
-    for letter in reversed(word):
-        x = _lmul(_LETTER_INV if letter < 0 else _LETTER, abs(letter), x)
-    return x
+    if not word:
+        return corner_unit(L)
+    letter = word[0]
+    return _lmul(_LETTER_INV if letter < 0 else _LETTER, abs(letter),
+                 pi_L(word[1:], L))
 
 
 def pi_of_combo(combo, L: TorusCharacter) -> MonodromicElement:
     """pi_L extended linearly to Q(v)-combinations of words."""
-    m = len(L.exponents)
-    out = MonodromicElement.zero(m)
+    out: dict[tuple[Perm, TorusCharacter], RF] = {}
     for word, c in combo.items():
-        out = out + pi_L(word, L).scale(c)
-    return out
+        _addmul(out, pi_L(word, L).terms, c)
+    return MonodromicElement(len(L.exponents), out)
 
 
 def hecke_image(x: MonodromicElement) -> hecke.HeckeElement:
     """Read an element over a one-character orbit as a Hecke element."""
     from . import hecke
 
-    out = hecke.HeckeElement.zero(x.m)
+    out: dict[Perm, RF] = {}
     for (w, L), c in x.terms.items():
-        out = out + hecke.HeckeElement.basis(w, c)
-    return out
+        _acc(out, w, c)
+    return hecke.HeckeElement(x.m, out)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from braidties.coxeter import (all_perms, dim_C, dimension_rows,
 from braidties.finite_model import (delta_in_epsilon_span,
                                     monodromic_crosscheck,
                                     verify_main_identity)
-from braidties.monodromic import trivial_character
 
 DIMENSION_SEQUENCE = (1, 3, 20, 217, 3364, 71098, 1960867, 67886033,
                       2871659468, 145498348666, 8683447971439,
@@ -36,12 +35,6 @@ def _report(num: int, ok: bool, detail: str) -> None:
     line = f"criterion {num}: {'PASS' if ok else 'FAIL'} - {detail}"
     print(line)
     assert ok, line
-
-
-def _pi_image(x: btalg.BTElement) -> hecke.HeckeElement:
-    combo = btalg.word_combo(x)
-    return monodromic.hecke_image(
-        monodromic.pi_of_combo(combo, trivial_character(x.m)))
 
 
 def test_criterion_1_dimension_sequence(tmp_path):
@@ -149,12 +142,12 @@ def test_criterion_6_kl_lift():
         cw = btalg.kl_lift(w)
         bar_ok = bar_ok and btalg.bar(cw) == cw
         target = hecke.canonical_basis(w)
-        img_ok = img_ok and _pi_image(cw) == target
+        img_ok = img_ok and cli._pi_image(cw) == target
         if perm_length(w) >= 2:
             for s in range(1, m):
                 if perm_length(perm_mul(simple_perm(s, m), w)) \
                         < perm_length(w):
-                    if _pi_image(btalg.kl_lift_via(w, s)) != target:
+                    if cli._pi_image(btalg.kl_lift_via(w, s)) != target:
                         descent_ok = False
     elapsed = time.perf_counter() - t0
     ok = bar_ok and img_ok and descent_ok

@@ -23,7 +23,6 @@ from braidties.btalg import (
     lmul_g,
     to_vector,
     verify_presentation,
-    word_combo,
     word_element,
 )
 from braidties.closure import basis_pairs, c_dimension, c_dimension_report
@@ -45,6 +44,7 @@ from braidties.coxeter import (
 )
 from braidties.linalg import Echelon, _acc
 from braidties.scalars import RationalFunctionScalar as RF
+from word_oracle import word_combo
 
 V = RF.V
 Q = V * V
@@ -298,6 +298,37 @@ def test_associativity_random_triples():
         assert bt_mul(bt_mul(a, b), c) == bt_mul(a, bt_mul(b, c))
 
 
+def _term_product(P, w, b):
+    """e_P g_w b, formed on its own: g_w peeled letter by letter, then
+    every partition joined with P."""
+    x = b
+    for i in reversed(reduced_word(w)):
+        x = lmul_g(i, x)
+    out = {}
+    for (Q, u), d in x.terms.items():
+        _acc(out, (partition_join(P, Q), u), d)
+    return BTElement(b.m, out)
+
+
+def test_bt_mul_matches_the_term_by_term_product():
+    # bt_mul forms g_w b once per w of the left factor; the reference
+    # forms e_P g_w b anew for every term.  The left factors hold several
+    # partitions on one w and several w on one partition.
+    rng = random.Random(5)
+    for m in (3, 4):
+        perms, parts = all_perms(m), all_set_partitions(m)
+        P, w = rng.choice(parts[1:]), rng.choice(perms[1:])
+        lefts = [random_element(m, rng, nterms=12) for _ in range(4)]
+        lefts.append(BTElement(m, {(P, u): RF.ONE for u in perms}))
+        lefts.append(BTElement(m, {(Q, w): RF.ONE for Q in parts}))
+        for a in lefts:
+            b = random_element(m, rng, nterms=3)
+            want = BTElement.zero(m)
+            for (Q, u), c in a.terms.items():
+                want = want + _term_product(Q, u, b).scale(c)
+            assert bt_mul(a, b) == want
+
+
 # ---------------------------------------------------------------------------
 # inverses and the bar involution
 # ---------------------------------------------------------------------------
@@ -510,6 +541,25 @@ def test_kl_lift_recursion_is_descent_dependent():
         assert bar(defect) == defect
 
 
+def test_word_element_is_the_product_letter_by_letter():
+    # every signed word of length <= 4 at n = 2, with a_i = -g_i and
+    # a_i^{-1} = -g_i^{-1} multiplied in one at a time
+    m = 3
+    letters = {}
+    for i in (1, 2):
+        letters[i] = -g_element(simple_perm(i, m))
+        letters[-i] = -g_inverse(i, m)
+    products = {(): BTElement.unit(m)}
+    words = [()]
+    for _ in range(4):
+        words = [(a,) + word for a in letters for word in words]
+        for word in words:
+            products[word] = bt_mul(letters[word[0]], products[word[1:]])
+    assert len(products) == 341
+    for word, x in products.items():
+        assert word_element(word, m) == x, word
+
+
 def test_kl_lift_combo_reproduces_element():
     for w in all_perms(3):
         combo = word_combo(kl_lift(w))
@@ -520,9 +570,16 @@ def test_kl_lift_combo_reproduces_element():
         assert acc == kl_lift(w)
 
 
-def test_word_combo_rejects_elements_outside_c():
-    with pytest.raises(ValueError):
-        word_combo(e_element(pair_partition(1, 2, 2)))
+def test_kl_lift_path_rejects_elements_outside_c():
+    # e_{12} at n = 1 is not in C(v): the word oracle and the image that
+    # kl-lift computes refuse it alike, and the command exits 2 with it
+    from braidties import cli
+
+    x = e_element(pair_partition(1, 2, 2))
+    with pytest.raises(ValueError, match=r"^element is not in C\(v\)$"):
+        word_combo(x)
+    with pytest.raises(ValueError, match=r"^element is not in C\(v\)$"):
+        cli._pi_image(x)
 
 
 def test_kl_lift_words_land_in_c_subalgebra():

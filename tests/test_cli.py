@@ -168,12 +168,19 @@ def test_dim_output_digest(args, digest, tmp_path):
      "61922fd2e8cee59e011811aec41b2c0a2fadb316e57e9e5de6c0d2d1c22d961c"),
     (["kl-lift", "--n", "2", "--format", "json"],
      "67ae3940ac4699e208e4d7eca1ce130bda6e4bb596815fc99fd95a07ca59f16e"),
+    (["kl-lift", "--n", "3", "--format", "json"],
+     "36750ab829ccf6eac010b5990ea48c6b1e11ced83a6b4fe3b432970f14f6bafe"),
+    (["kl-lift", "--n", "3", "--format", "csv"],
+     "9dd98292f288d78fdcaa2d3a6e19a8db7cc83aa1dc96efbac61931513f4e7725"),
 ], ids=["finite SL2(F4) json", "finite SL2(F5) csv", "finite SL3(F2) json",
-        "finite SL2(F9) json", "verify finite SL2(F3) csv", "kl-lift n2 json"])
+        "finite SL2(F9) json", "verify finite SL2(F3) csv", "kl-lift n2 json",
+        "kl-lift n3 json", "kl-lift n3 csv"])
 def test_finite_and_kl_lift_output_digest(args, digest, tmp_path):
-    # sha256 of the output file as written at commit 71fd732; the SL2(F4)
-    # report holds the monodromic crosschecks with their kappa reprs, and
-    # the two CSV files hold the same check list, all passed
+    # sha256 of the output file as written at commit 71fd732 (the two
+    # kl-lift n3 files at 9f73557, whose images went through generator
+    # words); the SL2(F4) report holds the monodromic crosschecks with
+    # their kappa reprs, and the two CSV files hold the same check list,
+    # all passed
     out = tmp_path / "out"
     assert cli.main([*args, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
@@ -355,6 +362,29 @@ def test_kl_lift_records(tmp_path):
     assert longest["w"] == [3, 2, 1]
     assert all("blocks" in t and "perm" in t and "coeff" in t
                for t in longest["terms"])
+
+
+def test_kl_lift_outside_c_exits_2(monkeypatch, tmp_path, capsys):
+    # a lift outside C(v) is refused by the membership check before its
+    # image is read: one line on stderr, exit 2, and no output file
+    from braidties import btalg
+    from braidties.coxeter import pair_partition
+
+    monkeypatch.setattr(btalg, "kl_lift",
+                        lambda w: btalg.e_element(pair_partition(1, 2, 2)))
+    out = tmp_path / "out"
+    assert cli.main(["kl-lift", "--n", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: element is not in C(v)\n"
+    assert not out.exists()
+
+
+def test_hecke_suite_builds_each_canonical_basis_element_once():
+    from braidties import hecke
+
+    hecke.canonical_basis.cache_clear()
+    assert all(ok for _, ok in cli.suite_hecke(3))
+    info = hecke.canonical_basis.cache_info()
+    assert info.misses == 24 and info.hits > 0
 
 
 def test_kl_lift_csv(tmp_path):
@@ -548,8 +578,12 @@ print(json.dumps(sorted(sys.modules)))
     (["dim-rank", "--mode", "specialized", "--n", "2"],
      ("braidties.btalg", "braidties.scalars", "braidties.hecke",
       "braidties.monodromic", "numpy")),
+    (["kl-lift", "--n", "2"], ("braidties.monodromic", "numpy")),
+    (["verify", "--suite", "kl-lift", "--n", "2"],
+     ("braidties.monodromic", "numpy")),
 ], ids=["import cli", "finite-model --n 1 --q 2",
-        "dim-rank --mode specialized --n 2"])
+        "dim-rank --mode specialized --n 2", "kl-lift --n 2",
+        "verify --suite kl-lift --n 2"])
 def test_import_footprint(args, absent, tmp_path):
     src = os.path.dirname(os.path.dirname(braidties.__file__))
     extra = [*args, "--out", str(tmp_path / "out")] if args else []

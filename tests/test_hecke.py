@@ -7,6 +7,8 @@ import pytest
 from braidties.coxeter import (
     Perm,
     all_perms,
+    all_reflections,
+    all_set_partitions,
     perm_inv,
     perm_length,
     perm_mul,
@@ -24,6 +26,7 @@ from braidties.hecke import (
     canonical_by_bar,
     hecke_mul,
     kl_table,
+    quotient_image,
     tilde_inverse,
 )
 from braidties.scalars import LaurentPoly, RationalFunctionScalar as RF
@@ -223,3 +226,116 @@ def test_kl_s5_degree_bound_and_oracle_sample():
         w = rng.choice(perms)
         x = rng.choice(perms)
         assert kl_from_bar_oracle(x, w) == t.poly(x, w)
+
+
+# --- the quotient map E(v) -> H ------------------------------------------
+
+def _quotient_generators(m):
+    """The images of g_s (by s), of g_s^{-1} (by -s) and of e_r (by r)."""
+    from braidties import btalg
+    from braidties.coxeter import pair_partition
+
+    gens = {}
+    for i in range(1, m):
+        gens[i] = quotient_image(btalg.g_element(simple_perm(i, m)))
+        gens[-i] = quotient_image(btalg.g_inverse(i, m))
+    for r in all_reflections(m):
+        gens[r] = quotient_image(btalg.e_element(pair_partition(*r, m)))
+    return gens
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_quotient_map_respects_the_presentation(n):
+    # every relation `btalg.verify_presentation` checks, evaluated in H on
+    # the images of the generators
+    from braidties import btalg
+    from braidties.coxeter import transposition_perm
+
+    m = n + 1
+    one = HeckeElement.unit(m)
+    img = _quotient_generators(m)
+
+    def mul(*xs):
+        out = one
+        for x in xs:
+            out = hecke_mul(out, x)
+        return out
+
+    def conj(s, r):
+        t = perm_mul(perm_mul(s, transposition_perm(*r, m)), s)
+        return tuple(sorted(j + 1 for j in range(m) if t[j] != j + 1))
+
+    for i in range(1, m):
+        for j in range(i + 1, m):
+            gi, gj = img[i], img[j]
+            if j == i + 1:
+                assert mul(gi, gj, gi) == mul(gj, gi, gj)
+            else:
+                assert mul(gi, gj) == mul(gj, gi)
+    for r1 in all_reflections(m):
+        assert mul(img[r1], img[r1]) == img[r1]
+        for r2 in all_reflections(m):
+            r3 = conj(transposition_perm(*r1, m), r2)
+            assert (mul(img[r1], img[r2]) == mul(img[r2], img[r1])
+                    == mul(img[r1], img[r3]))
+    for i in range(1, m):
+        gi, ei = img[i], img[(i, i + 1)]
+        for r in all_reflections(m):
+            assert mul(gi, img[r]) == mul(img[conj(simple_perm(i, m), r)], gi)
+        assert mul(gi, gi) == one + mul(ei, one + gi).scale(V * V - 1)
+        a = -gi
+        assert not mul(mul(a, a) - one, a + one.scale(V * V))
+        assert mul(gi, img[-i]) == one == mul(img[-i], gi)
+        assert bar_involution(gi) == img[-i]
+    rng = random.Random(2)
+    pairs = [(P, w) for P in all_set_partitions(m) for w in all_perms(m)]
+    samples = [btalg.BTElement(m, {rng.choice(pairs): RF.ONE + V ** k
+                                   for k in (-2, 0, 1)}) for _ in range(6)]
+    for x in samples:
+        assert quotient_image(btalg.bar(x)) == bar_involution(quotient_image(x))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_quotient_map_is_multiplicative(n):
+    # pi(X b) = pi(X) pi(b) for every generator X (g_s and e_r) and every
+    # basis element b = e_P g_w: so the map is an algebra map of E(v)
+    from braidties import btalg
+    from braidties.coxeter import pair_partition
+
+    m = n + 1
+    img = _quotient_generators(m)
+    gens = [(btalg.g_element(simple_perm(i, m)), img[i]) for i in range(1, m)]
+    gens += [(btalg.e_element(pair_partition(*r, m)), img[r])
+             for r in all_reflections(m)]
+    assert quotient_image(btalg.BTElement.unit(m)) == HeckeElement.unit(m)
+    for P in all_set_partitions(m):
+        for w in all_perms(m):
+            b = btalg.BTElement.basis(P, w)
+            pb = quotient_image(b)
+            for x, px in gens:
+                assert quotient_image(btalg.bt_mul(x, b)) == hecke_mul(px, pb)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_quotient_map_agrees_with_the_word_oracle(n):
+    # on every lift c_w and every descent recursion, the image kl-lift
+    # reads (membership checked, then the quotient map) equals the word
+    # oracle's: the tagged closure's words sent through pi at the trivial
+    # character
+    from braidties import btalg, cli
+    from braidties.coxeter import left_action
+    from word_oracle import word_image
+
+    m = n + 1
+    seen = 0
+    for w in all_perms(m):
+        elems = [btalg.kl_lift(w)]
+        if perm_length(w) >= 2:
+            elems += [btalg.kl_lift_via(w, s) for s in range(1, m)
+                      if left_action(m, s)[w][1]]
+        for x in elems:
+            want = word_image(x)
+            assert quotient_image(x) == want
+            assert cli._pi_image(x) == want
+            seen += 1
+    assert seen == {1: 2, 2: 10, 3: 57}[n]

@@ -11,6 +11,7 @@ from braidties.coxeter import all_perms, perm_length, perm_mul, simple_perm
 from braidties.linalg import Echelon, _acc
 from braidties.monodromic import TorusCharacter, orbit_of, pi_L
 from braidties.scalars import RationalFunctionScalar as RF
+from word_oracle import word_combo
 
 V = RF.V
 Q = V * V
@@ -198,7 +199,7 @@ def test_pi_consistency_small():
 def test_pi_trivial_sends_lifts_to_canonical_basis_s3():
     triv = mono.trivial_character(3)
     for w in all_perms(3):
-        combo = btalg.word_combo(btalg.kl_lift(w))
+        combo = word_combo(btalg.kl_lift(w))
         img = mono.hecke_image(mono.pi_of_combo(combo, triv))
         assert img == hecke.canonical_basis(w)
 
@@ -207,7 +208,7 @@ def test_pi_trivial_sends_lifts_to_canonical_basis_s3():
 def test_pi_trivial_sends_lifts_to_canonical_basis_s4():
     triv = mono.trivial_character(4)
     for w in all_perms(4):
-        combo = btalg.word_combo(btalg.kl_lift(w))
+        combo = word_combo(btalg.kl_lift(w))
         img = mono.hecke_image(mono.pi_of_combo(combo, triv))
         assert img == hecke.canonical_basis(w)
 

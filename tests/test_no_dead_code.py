@@ -37,8 +37,6 @@ ALLOWLIST = {
         "the paper's N_I of a subset I; commands compute N per class",
     "coxeter.partitions_P":
         "the paper's P(n) with the number of subsets realizing each class",
-    "linalg.Echelon.contains":
-        "span membership, the exact echelon's query beside insert",
     "cli.main":
         "the console-script entry point; argv serves in-process callers",
 }
