@@ -15,13 +15,15 @@ all hold in the model (`verify_presentation` evaluates every one), and
 multiplication is computed from them by peeling reduced words:
 $g_s\,g_u = g_{su}$ when $l(su) > l(u)$, else
 $g_s\,g_u = g_{su} + (v^2-1)e_s g_{su} + (v^2-1)e_s g_u$.
-That rule lives in one cached table per rank and generator,
-`closure._action`: for each basis pair $(P, w)$ the moved pair
-$(s(P), sw)$, the join $s(P) \vee \{i, i+1\}$, and whether
-$l(sw) < l(w)$ (the last, with $sw$, read from `coxeter.left_action`).
-`lmul_g` (for $g_s$ and, with the $v^{-2}-1$ weight on length-up terms,
-$g_s^{-1}$) reads it on basis pairs, and the rank walk of `closure` on
-basis indices; `lmul_e` reads the cached `coxeter.partition_join`.
+On a basis pair $(P, w)$ that rule has two cached halves per rank and
+generator: `closure.tie_action` gives $s(P)$ and the join
+$s(P) \vee \{i, i+1\}$ from $P$ alone, and `coxeter.left_action` gives
+$sw$ and whether $l(sw) < l(w)$ from $w$ alone.  `lmul_g` (for $g_s$
+and, with the $v^{-2}-1$ weight on length-up terms, $g_s^{-1}$) reads
+both; `lmul_e` reads the cached `coxeter.partition_join`.  Words of
+$g_s^{\pm 1}$ are built once per suffix (`_g_word`); $\overline{g_w}$
+is the word of the $g_s^{-1}$ along a reduced word of $w$.  Basis
+indices, for elimination, come from `closure.to_vector`.
 
 The braid-image subalgebra $\mathcal{C}(v)$ is generated by the $g_s$
 alone.  Its dimension, exact over $\mathbb{Q}(v)$ and mod p at
@@ -80,7 +82,6 @@ from .coxeter import (
     partition_block_sizes,
     partition_from_blocks,
     partition_join,
-    perm_inv,
     perm_length,
     perm_mul,
     reduced_word,
@@ -89,7 +90,7 @@ from .coxeter import (
     transposition_perm,
     w_action,
 )
-from .closure import _action, _closure, _pair_index
+from .closure import _closure, tie_action, to_vector
 from .linalg import Echelon, SparseVector, _acc, _addmul
 from .scalars import RationalFunctionScalar as RF
 
@@ -97,7 +98,6 @@ V = RF.V
 _QM1 = V * V - 1          # v^2 - 1
 _QIM1 = RF.VI * RF.VI - 1  # v^{-2} - 1
 
-BasisPair = tuple[SetPartition, Perm]
 WordCombo = dict[tuple[int, ...], RF]  # signed letters: +i = a_i, -i = a_i^{-1}
 
 
@@ -137,7 +137,7 @@ def e_element(P: SetPartition) -> BTElement:
 
 
 def lmul_e(P: SetPartition, x: BTElement) -> BTElement:
-    out: dict[BasisPair, RF] = {}
+    out: dict[tuple, RF] = {}
     for (Q, w), c in x.terms.items():
         _acc(out, (partition_join(P, Q), w), c)
     return x._like(out)
@@ -148,15 +148,17 @@ def lmul_g(i: int, x: BTElement, inverse: bool = False) -> BTElement:
     (s(P), s w); a length-down term (length-up for the inverse) also adds
     (v^2 - 1), resp. (v^{-2} - 1), times e_{s(P) v s} (g_{sw} + g_w)."""
     weight = _QIM1 if inverse else _QM1
-    act = _action(x.m, i)
-    out: dict[BasisPair, RF] = {}
-    for key, c in x.terms.items():
-        moved, down, joined_sw, joined_w = act[key]
-        _acc(out, moved, c)
+    ties = tie_action(x.m, i)
+    left = left_action(x.m, i)
+    out: dict[tuple, RF] = {}
+    for (P, w), c in x.terms.items():
+        sP, joined = ties[P]
+        sw, down = left[w]
+        _acc(out, (sP, sw), c)
         if down != inverse:
             cc = c * weight
-            _acc(out, joined_sw, cc)
-            _acc(out, joined_w, cc)
+            _acc(out, (joined, sw), cc)
+            _acc(out, (joined, w), cc)
     return x._like(out)
 
 
@@ -173,7 +175,7 @@ def bt_mul(a: BTElement, b: BTElement) -> BTElement:
     if a.m != b.m:
         raise ValueError("mixing ambient ranks")
     gb: dict[Perm, BTElement] = {}
-    out: dict[BasisPair, RF] = {}
+    out: dict[tuple, RF] = {}
     for (P, w), c in a.terms.items():
         x = gb.get(w)
         if x is None:
@@ -194,22 +196,14 @@ def g_inverse(i: int, m: int) -> BTElement:
     })
 
 
-@lru_cache(maxsize=None)
-def _bar_g(w: Perm) -> BTElement:
-    """bar(g_w) = g_{s_{i_1}}^{-1} ... g_{s_{i_k}}^{-1} along a reduced word;
-    so g_y^{-1} is bar(g_{y^{-1}})."""
-    x = BTElement.unit(len(w))
-    for i in reversed(reduced_word(w)):
-        x = lmul_g(i, x, inverse=True)
-    return x
-
-
 def bar(x: BTElement) -> BTElement:
     """The v-semilinear ring automorphism: v -> v^{-1}, g_s -> g_s^{-1},
-    e_r -> e_r."""
-    out: dict[BasisPair, RF] = {}
+    e_r -> e_r; bar(g_w) is the product of the g_s^{-1} along a reduced
+    word of w."""
+    out: dict[tuple, RF] = {}
     for (P, w), c in x.terms.items():
-        _addmul(out, lmul_e(P, _bar_g(w)).terms, c.bar())
+        bar_g = _g_word(tuple(-i for i in reduced_word(w)), x.m)
+        _addmul(out, lmul_e(P, bar_g).terms, c.bar())
     return x._like(out)
 
 
@@ -304,15 +298,6 @@ def verify_presentation(n: int) -> list[tuple[str, bool]]:
 
 
 # ---------------------------------------------------------------------------
-# vectorization
-# ---------------------------------------------------------------------------
-
-def to_vector(x: BTElement) -> dict[int, RF]:
-    idx = _pair_index(x.m)
-    return {idx[k]: c for k, c in x.terms.items()}
-
-
-# ---------------------------------------------------------------------------
 # the J_R e_R decomposition
 # ---------------------------------------------------------------------------
 
@@ -372,7 +357,8 @@ def _jr_spanning_elements(n: int, R: SetPartition,
         P0 = _canonical_interval_partition(R, m)
         y = _canonical_conjugator(P0, R, m)
     pre = () if y is None else reduced_word(y)
-    post = None if y is None else _bar_g(perm_inv(y))
+    # g_y^{-1}: the g_s^{-1} along the reversed reduced word of y
+    post = None if y is None else _g_word(tuple(-i for i in reversed(pre)), m)
     out = []
     for x in _partition_products(P0, m):
         for w in all_perms(m):
@@ -464,7 +450,7 @@ def _g_word(word: tuple[int, ...], m: int) -> BTElement:
 
 
 def combo_element(combo: WordCombo, m: int) -> BTElement:
-    out: dict[BasisPair, RF] = {}
+    out: dict[tuple, RF] = {}
     for word, c in combo.items():
         _addmul(out, word_element(word, m).terms, c)
     return BTElement(m, out)

@@ -198,9 +198,9 @@ def _pi_image(x):
     `hecke.quotient_image`, which agrees with it on C(v).  Membership in
     C(v) is checked first, exactly, against the echelon basis
     `closure._closure`; outside it raises ValueError."""
-    from . import btalg, closure, hecke
+    from . import closure, hecke
 
-    if not closure._closure(x.m - 1).contains(btalg.to_vector(x)):
+    if not closure._closure(x.m - 1).contains(closure.to_vector(x)):
         raise ValueError("element is not in C(v)")
     return hecke.quotient_image(x)
 
@@ -259,16 +259,18 @@ def suite_monodromic(n: int, seed: int) -> list[tuple[str, bool]]:
     return checks
 
 
-def _finite_checks(n: int, q: int, k: int) -> tuple[list, dict]:
+def _finite_checks(n: int, q: int, k: int) -> tuple[list, dict, dict]:
     """The main-identity checks on one finite model, then the base-point
-    span solve as one more check; returns the checks and the solve."""
+    span solve as one more check; returns the checks, the solve and the
+    base columns of op_ks(i) E_theta per character theta."""
     from .finite_model import delta_in_epsilon_span, verify_main_identity
 
-    checks = list(verify_main_identity(n, q, k)["checks"])
+    report = verify_main_identity(n, q, k)
+    checks = list(report["checks"])
     span = delta_in_epsilon_span(n, q, k)
     checks.append(("base-point delta solved in character span",
                    span["solved"]))
-    return checks, span
+    return checks, span, report["columns"]
 
 
 def suite_finite(n: int, q: int, k: int) -> list[tuple[str, bool]]:
@@ -360,12 +362,13 @@ def cmd_finite_model(config: RunConfig) -> tuple[Iterable[str], int]:
                                perfect_square_root)
 
     n, q, k = config.n, config.q, config.k
-    checks, span = _finite_checks(n, q, k)
+    checks, span, columns = _finite_checks(n, q, k)
     crosschecks = []
     model = build_model(n, q, k)
     if perfect_square_root(model.qk) is not None and n <= 2:
         for theta in model.all_characters():
-            c = monodromic_crosscheck(n, q, k, theta.exponents)
+            c = monodromic_crosscheck(n, q, k, theta.exponents,
+                                      columns[theta])
             crosschecks.append(c)
             checks.append((f"monodromic comparison at exponents "
                            f"{tuple(c['exponents'])}", c["ok"]))

@@ -3,14 +3,19 @@ indices.
 
 The algebra of braids and ties $\mathcal{E}(v)$ (`btalg`) has the basis
 $e_P\, g_w$, indexed by pairs $(P, w)$ of a set partition $P$ of
-$\{1, \dots, n+1\}$ and $w \in S_{n+1}$; `basis_pairs` lists them in the
-order that fixes every elimination pivot.  A generator $g_s$ sends
-$e_P g_w$ to $e_{s(P)} g_{sw}$ when $l(sw) > l(w)$, and else adds
-$(v^2-1)\, e_{s(P) \vee \{i, i+1\}} (g_{sw} + g_w)$.  That rule is one
-cached table per rank and generator, `_action`: for each basis pair the
-moved pair $(s(P), sw)$, whether $l(sw) < l(w)$, and the two joined
-pairs.  `btalg.lmul_g` reads it on pairs, and the rank walk here reads
-it on indices.
+$\{1, \dots, n+1\}$ and $w \in S_{n+1}$.  Sorted, the pair $(P, w)$ sits
+at index $\mathrm{rank}(P) \cdot m! + \mathrm{rank}(w)$ with $m = n+1$,
+each rank taken in its own sorted list; `to_vector` is the one place
+that formula lives, and the order fixes every elimination pivot.  The
+unit $e_{\{1\},\dots,\{m\}}\, g_{\mathrm{id}}$ is index 0.
+
+A generator $g_s$, $s = s_i$, sends $e_P g_w$ to $e_{s(P)} g_{sw}$ when
+$l(sw) > l(w)$, and else adds $(v^2-1)\, e_{s(P) \vee \{i, i+1\}}
+(g_{sw} + g_w)$.  The rule has two halves: $s(P)$ and the join depend
+on $P$ alone (`tie_action`, Bell(m) entries), and $sw$ with the descent
+on $w$ alone (`coxeter.left_action`, $m!$ entries).  `btalg.lmul_g`
+reads both on pairs; the rank walk here reads both on ranks
+(`_index_tables`), splitting an index with `divmod(b, m!)`.
 
 $\mathcal{C}(v)$ is generated by the $g_s$ alone, so its dimension is the
 rank of the closure of $\mathrm{span}\{1\}$ under left multiplication by
@@ -32,14 +37,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .coxeter import (
-    Perm,
     SetPartition,
     all_perms,
     all_set_partitions,
-    discrete_partition,
-    identity_perm,
     left_action,
     pair_partition,
     partition_join,
@@ -48,58 +51,63 @@ from .coxeter import (
 )
 from .linalg import Echelon
 
-BasisPair = tuple[SetPartition, Perm]
-
 
 @lru_cache(maxsize=None)
-def basis_pairs(m: int) -> tuple[BasisPair, ...]:
-    """All (P, w) pairs, sorted; the sort order fixes elimination pivots."""
-    return tuple(sorted((P, w) for P in all_set_partitions(m)
-                        for w in all_perms(m)))
+def tie_action(m: int, i: int) -> dict[SetPartition, tuple]:
+    """For every set partition P of {1..m}: (s(P), s(P) v {i, i+1}) with
+    s = s_i, the partition half of g_s on e_P g_w.
 
-
-@lru_cache(maxsize=None)
-def _pair_index(m: int) -> dict[BasisPair, int]:
-    return {k: j for j, k in enumerate(basis_pairs(m))}
-
-
-@lru_cache(maxsize=None)
-def _action(m: int, i: int) -> dict[BasisPair, tuple]:
-    """How g_{s_i} acts on each basis pair (P, w), in `basis_pairs` order:
-    (moved, down, joined_sw, joined_w) with moved = (s(P), s w), down
-    whether l(s w) < l(w), and joined_* the pairs (s(P) v {i, i+1}, s w)
-    and (s(P) v {i, i+1}, w) that the quadratic relation adds."""
+    >>> tie_action(3, 1)[((1, 3), (2,))]
+    (((1,), (2, 3)), ((1, 2, 3),))
+    """
     s = simple_perm(i, m)
     pair = pair_partition(i, i + 1, m)
-    # s(P) and the join depend on P alone, s w and the descent on w alone
-    sP = {P: w_action(s, P) for P in all_set_partitions(m)}
-    joined = {P: partition_join(Q, pair) for P, Q in sP.items()}
-    left = left_action(m, i)
     out = {}
-    for P, w in basis_pairs(m):
-        sw, down = left[w]
-        out[(P, w)] = ((sP[P], sw), down, (joined[P], sw), (joined[P], w))
+    for P in all_set_partitions(m):
+        sP = w_action(s, P)
+        out[P] = (sP, partition_join(sP, pair))
     return out
 
 
 @lru_cache(maxsize=None)
-def _index_tables(m: int) -> tuple[list[list[tuple]], int]:
-    """The `_action` tables of g_1, ..., g_{m-1} on basis indices, and the
-    index of the unit e_{discrete} g_{identity}; built once per rank."""
-    idx = _pair_index(m)
-    tables = [[(idx[moved], down, idx[joined_sw], idx[joined_w])
-               for moved, down, joined_sw, joined_w in _action(m, i).values()]
-              for i in range(1, m)]
-    return tables, idx[(discrete_partition(m), identity_perm(m))]
+def _ranks(m: int) -> tuple[dict, dict]:
+    """The position of each set partition and of each permutation of
+    {1..m} in its sorted list."""
+    return ({P: j for j, P in enumerate(all_set_partitions(m))},
+            {w: j for j, w in enumerate(all_perms(m))})
+
+
+def to_vector(x) -> dict:
+    """The coefficients of x, a `btalg.BTElement`, on basis indices: e_P
+    g_w sits at rank(P)·m! + rank(w), its position among the pairs (P, w)
+    sorted, the order that fixes every elimination pivot."""
+    p_rank, w_rank = _ranks(x.m)
+    f = factorial(x.m)
+    return {p_rank[P] * f + w_rank[w]: c for (P, w), c in x.terms.items()}
+
+
+@lru_cache(maxsize=None)
+def _index_tables(m: int) -> list[tuple[list, list]]:
+    """The two halves of g_{s_1}, ..., g_{s_{m-1}} on ranks: for each
+    partition rank, rank(s(P))·m! and rank(s(P) v {i, i+1})·m!; for each
+    permutation rank, rank(s w) and whether l(s w) < l(w)."""
+    p_rank, w_rank = _ranks(m)
+    f = factorial(m)
+    return [([(p_rank[sP] * f, p_rank[joined] * f)
+              for sP, joined in tie_action(m, i).values()],
+             [(w_rank[sw], down) for sw, down in left_action(m, i).values()])
+            for i in range(1, m)]
 
 
 def _closure_echelon(m: int, c2, one, modulus: int | None = None) -> Echelon:
     """Echelon basis of the closure of span{1} under the g_s, over the
     field of `one` (F_p on ints when a prime modulus is given) with c2
     standing for v^2 - 1: a breadth-first walk on rows indexed as in
-    `basis_pairs`, each g_s x read off `_action`.  A candidate may hold
-    zero entries, or ints past the modulus; `Echelon.insert` drops and
-    reduces them.
+    `to_vector`, each g_s x read off the two halves of `_index_tables`
+    after `divmod(b, m!)` splits index b into its two ranks.  The unit
+    e_{discrete} g_{identity} is index 0.  A candidate may hold zero
+    entries, or ints past the modulus; `Echelon.insert` drops and reduces
+    them.
 
     The frontier carries, for each candidate that gains a pivot, a copy
     of the row stored for it then, pivot entry 1 included (later inserts
@@ -108,27 +116,30 @@ def _closure_echelon(m: int, c2, one, modulus: int | None = None) -> Echelon:
     carried rows span what the candidates span at every step, the walk
     ends at the same g-stable subspace, and the reduced rows are the ones
     the raw candidates give; the carried rows are just shorter."""
-    tables, unit_index = _index_tables(m)
-    unit = {unit_index: one}
+    tables = _index_tables(m)
+    f = factorial(m)
+    unit = {0: one}
     ech = Echelon(modulus)
     ech.insert(unit)
     frontier = [unit]
     while frontier:
         new = []
         for x in frontier:
-            for table in tables:
+            for ties, perms in tables:
                 y: dict = {}
                 get = y.get
                 for b, c in x.items():
-                    moved, down, joined_sw, joined_w = table[b]
-                    t = get(moved)
-                    y[moved] = c if t is None else t + c
+                    p, w = divmod(b, f)
+                    moved_p, joined_p = ties[p]
+                    sw, down = perms[w]
+                    t = get(k := moved_p + sw)
+                    y[k] = c if t is None else t + c
                     if down:
                         cc = c * c2
-                        t = get(joined_sw)
-                        y[joined_sw] = cc if t is None else t + cc
-                        t = get(joined_w)
-                        y[joined_w] = cc if t is None else t + cc
+                        t = get(k := joined_p + sw)
+                        y[k] = cc if t is None else t + cc
+                        t = get(k := joined_p + w)
+                        y[k] = cc if t is None else t + cc
                 pivot = ech.insert(y)
                 if pivot is not None:
                     row = dict(ech.rows[pivot])

@@ -1006,19 +1006,23 @@ def verify_epsilon_eigenvectors(model: FiniteModel) -> list:
     return checks
 
 
-def verify_case_values(model: FiniteModel) -> list:
+def verify_case_values(model: FiniteModel) -> tuple[list, dict]:
     """Direct values of op_ks on every eps_theta: at a torus point t the
     value is (1-q^-k) theta(t) inside the circle and 0 outside; on the
     s-cell point tus it is -q^-k theta(t) inside and q^-k G theta(t)
-    outside, with G the Gauss sum; zero elsewhere."""
+    outside, with G the Gauss sum; zero elsewhere.  Returns the checks
+    and, per character theta, the base columns of op_ks(i) E_theta for
+    i = 1..m-1, which `monodromic_crosscheck` reads."""
     checks = []
     qk = model.qk
     one = Cyclotomic.one(model.N)
     ok_torus = ok_cell = ok_support = ok_gauss = True
+    columns = {}
     for theta in model.all_characters():
         E = model.E_theta(theta)
-        for i in range(1, model.m):
-            out = model.base_column(model.op_ks(i) * E)
+        columns[theta] = [model.base_column(model.op_ks(i) * E)
+                          for i in range(1, model.m)]
+        for i, out in enumerate(columns[theta], 1):
             inside = monodromic.simple_in_circle(i, theta)
             alpha = (one.scale(Fraction(qk - 1, qk)) if inside
                      else Cyclotomic.zero(model.N))
@@ -1051,7 +1055,7 @@ def verify_case_values(model: FiniteModel) -> list:
     checks.append(("op_ks eps_theta supported on torus and s-cell",
                    ok_support))
     checks.append(("Gauss sum times conjugate equals q^k", ok_gauss))
-    return checks
+    return checks, columns
 
 
 def verify_projection_lemma(model: FiniteModel) -> list:
@@ -1123,7 +1127,8 @@ def verify_main_identity(n: int, q: int, k: int) -> dict:
     """Full verification report for one configuration: the convolution
     operator equals the Juyumaya generator entrywise, both presentations
     hold, the tie dictionary specializes, and the explicit values on
-    every eps_theta come out as computed in closed form."""
+    every eps_theta come out as computed in closed form.  The report
+    carries the base columns of `verify_case_values` as "columns"."""
     model = build_model(n, q, k)
     checks = [("op_ks equals L_s entrywise", op_ks_equals_L(model)),
               ("op_es equals E_s entrywise", op_es_equals_E(model))]
@@ -1131,13 +1136,14 @@ def verify_main_identity(n: int, q: int, k: int) -> dict:
     checks += verify_juyumaya_relations(model)
     checks += verify_tie_dictionary(model)
     checks += verify_epsilon_eigenvectors(model)
-    checks += verify_case_values(model)
+    case_checks, columns = verify_case_values(model)
+    checks += case_checks
     checks += verify_projection_lemma(model)
     checks += verify_left_translation(model)
     checks += verify_word_independence(model)
     return {"config": {"n": n, "q": q, "k": k, "qk": model.qk,
                        "size_x": model.size_x},
-            "checks": checks,
+            "checks": checks, "columns": columns,
             "ok": all(ok for _, ok in checks)}
 
 
@@ -1174,10 +1180,11 @@ def perfect_square_root(a: int) -> int | None:
     return r if r * r == a else None
 
 
-def monodromic_crosscheck(n: int, q: int, k: int,
-                          exponents: tuple[int, ...]) -> dict:
-    """Match the values of op_ks on eps_theta against the one-letter
-    images of the orbit-algebra surjection pi_L.
+def monodromic_crosscheck(n: int, q: int, k: int, exponents: tuple[int, ...],
+                          columns: list[dict]) -> dict:
+    """Match the values of op_ks on eps_theta, given as the base columns
+    of op_ks(i) E_theta for i = 1..m-1 (see `verify_case_values`), against
+    the one-letter images of the orbit-algebra surjection pi_L.
 
     The comparison dictionary: specialize the coefficient of A_w 1_L at
     v_0 = q^{-k/2} (equivalently, apply the bar involution and evaluate
@@ -1194,11 +1201,9 @@ def monodromic_crosscheck(n: int, q: int, k: int,
         raise ValueError("crosscheck requires q^k to be a perfect square")
     v0 = Fraction(1, root)
     theta = torus_character(qk - 1, exponents)
-    E = model.E_theta(theta)
     per_letter = []
     ok = True
-    for i in range(1, model.m):
-        out = model.base_column(model.op_ks(i) * E)
+    for i, out in enumerate(columns, 1):
         inside = monodromic.simple_in_circle(i, theta)
         x = monodromic.pi_L((i,), theta)
         e_key = (identity_perm(model.m), theta)

@@ -71,7 +71,6 @@ if TYPE_CHECKING:
 V = RF.V
 _Q = V * V
 _QM1 = _Q - 1
-_NQ = -_Q
 QPoly = dict[int, int]  # polynomial in q = v^2, exponent -> integer coefficient
 
 
@@ -104,17 +103,26 @@ class HeckeElement(SparseVector):
         return " + ".join(bits)
 
 
-def _lmul_simple(i: int, x: HeckeElement) -> HeckeElement:
-    """A_{s_i} * x via the quadratic relation."""
+# Left multiplication of a term A_w by A_s, or by v^2 - 1 - A_s (the image
+# of g_s under `quotient_image`), gives a A_{sw} + b A_w with weights (a, b)
+# keyed by l(sw) < l(w); b is None where no A_w term arises.  By the
+# quadratic relation A_s A_w is A_{sw} when the length goes up, and
+# v^2 A_{sw} + (v^2 - 1) A_w when it goes down.
+_A_S = {False: (RF.ONE, None), True: (_Q, _QM1)}
+_G_S = {False: (-RF.ONE, _QM1), True: (-_Q, None)}
+
+
+def _lmul(weights: dict, i: int, x: HeckeElement) -> HeckeElement:
+    """Left multiplication by A_{s_i} or by v^2 - 1 - A_{s_i}, per
+    `weights`."""
     left = left_action(x.m, i)
     out: dict[Perm, RF] = {}
     for w, c in x.terms.items():
         sw, down = left[w]
-        if down:
-            _acc(out, w, c * _QM1)
-            _acc(out, sw, c * _Q)
-        else:
-            _acc(out, sw, c)
+        a, b = weights[down]
+        _acc(out, sw, c if a is RF.ONE else c * a)
+        if b is not None:
+            _acc(out, w, c * b)
     return x._like(out)
 
 
@@ -126,7 +134,7 @@ def hecke_mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     for w, c in a.terms.items():
         x = b.scale(c)
         for i in reversed(reduced_word(w)):
-            x = _lmul_simple(i, x)
+            x = _lmul(_A_S, i, x)
         _axpy(out, x.terms)
     return a._like(out)
 
@@ -371,22 +379,6 @@ def c_expansion(s: int, u: Perm) -> dict[Perm, int]:
 # the quotient map E(v) -> H
 # ---------------------------------------------------------------------------
 
-def _lmul_quotient(i: int, x: HeckeElement) -> HeckeElement:
-    """(v^2 - 1 - A_{s_i}) * x: by the quadratic relation a length-up
-    term A_w goes to (v^2 - 1) A_w - A_{sw}, a length-down one to
-    -v^2 A_{sw}."""
-    left = left_action(x.m, i)
-    out: dict[Perm, RF] = {}
-    for w, c in x.terms.items():
-        sw, down = left[w]
-        if down:
-            _acc(out, sw, c * _NQ)
-        else:
-            _acc(out, w, c * _QM1)
-            _acc(out, sw, -c)
-    return x._like(out)
-
-
 @lru_cache(maxsize=None)
 def _quotient_g(w: Perm) -> HeckeElement:
     """The image of g_w under `quotient_image`: the product of
@@ -396,7 +388,7 @@ def _quotient_g(w: Perm) -> HeckeElement:
     word = reduced_word(w)
     if not word:
         return HeckeElement.unit(m)
-    return _lmul_quotient(word[0], _quotient_g(left_action(m, word[0])[w][0]))
+    return _lmul(_G_S, word[0], _quotient_g(left_action(m, word[0])[w][0]))
 
 
 def quotient_image(x: btalg.BTElement) -> HeckeElement:

@@ -188,8 +188,9 @@ def test_criterion_8_monodromic_suite():
     t0 = time.perf_counter()
     rel_ok = all(flag for n in (1, 2)
                  for _, flag in monodromic.verify_ho_relations(n, 3))
-    cross = [monodromic_crosscheck(1, 2, 2, exps)
-             for exps in ((0, 0), (1, 0), (2, 0))]
+    columns = verify_main_identity(1, 2, 2)["columns"]
+    cross = [monodromic_crosscheck(1, 2, 2, theta.exponents, cols)
+             for theta, cols in columns.items()]
     cross_ok = all(c["ok"] for c in cross) \
         and all("v = 2" in c["specialization"] for c in cross)
     cons = monodromic.pi_consistency(2, 120, seed=0, modulus=3)

@@ -21,11 +21,15 @@ from braidties.btalg import (
     kl_lift,
     kl_lift_via,
     lmul_g,
-    to_vector,
     verify_presentation,
     word_element,
 )
-from braidties.closure import basis_pairs, c_dimension, c_dimension_report
+from braidties.closure import (
+    c_dimension,
+    c_dimension_report,
+    tie_action,
+    to_vector,
+)
 from braidties.coxeter import (
     all_perms,
     all_set_partitions,
@@ -50,8 +54,14 @@ V = RF.V
 Q = V * V
 
 
+def _sorted_pairs(m):
+    """The basis pairs (P, w) of the model, sorted: the order of the basis
+    indices, written out here as the reference for `closure.to_vector`."""
+    return sorted((P, w) for P in all_set_partitions(m) for w in all_perms(m))
+
+
 def random_element(m, rng, nterms=2):
-    pairs = basis_pairs(m)
+    pairs = _sorted_pairs(m)
     x = BTElement.zero(m)
     for _ in range(nterms):
         P, w = pairs[rng.randrange(len(pairs))]
@@ -109,24 +119,29 @@ def test_lmul_g_matches_reference_rule(m):
             assert lmul_g(i, x, inverse=True) == _ref_lmul_g_inv(i, x)
 
 
-@pytest.mark.parametrize("m", [2, 3, 4])
-def test_structure_tables_match_reference_rule(m):
-    """The per-generator table `_action(m, i)` that `lmul_g` and the mod-p
-    closure read lists every basis pair in `basis_pairs` order with the
-    reference edges of g_{s_i}: the moved pair, the descent, and the two
-    joined pairs the quadratic relation adds."""
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_tie_action_matches_reference_rule(m):
+    """The partition half `tie_action(m, i)` that `lmul_g` and the closure
+    walk read sends every set partition P, in sorted order, to s(P) and to
+    the join of s(P) with the block {i, i+1} that the quadratic relation
+    adds."""
     for i in range(1, m):
         s = simple_perm(i, m)
         pair = pair_partition(i, i + 1, m)
-        table = closure._action(m, i)
-        assert tuple(table) == basis_pairs(m)
-        for (P, w), (moved, down, joined_sw, joined_w) in table.items():
-            sP = w_action(s, P)
-            sw = perm_mul(s, w)
-            joined = partition_join(sP, pair)
-            assert moved == (sP, sw)
-            assert down == (perm_length(sw) < perm_length(w))
-            assert joined_sw == (joined, sw) and joined_w == (joined, w)
+        table = tie_action(m, i)
+        assert list(table) == sorted(all_set_partitions(m))
+        for P, (sP, joined) in table.items():
+            assert sP == w_action(s, P)
+            assert joined == partition_join(w_action(s, P), pair)
+
+
+def test_index_tables_at_n5_hold_bell_plus_factorial_entries():
+    """At n = 5 the walk's tables of each generator hold Bell(6) + 6!
+    entries, 203 + 720, not one per basis pair."""
+    tables = closure._index_tables(6)
+    assert len(tables) == 5
+    assert all(len(ties) == 203 and len(perms) == 720
+               for ties, perms in tables)
 
 
 class _RecordingEchelon(Echelon):
@@ -166,7 +181,7 @@ def test_modp_candidates_match_reference_rule(m, monkeypatch):
         return echelons[-1]
 
     monkeypatch.setattr(closure, "Echelon", recording)
-    pairs = basis_pairs(m)
+    pairs = _sorted_pairs(m)
     for v0, p in closure._specialization_points(0, 3):
         assert closure._closure_rank_modp(m, v0, p) == {2: 3, 3: 20, 4: 217}[m]
         assert echelons[-1].p == p
@@ -192,16 +207,34 @@ def test_modp_candidates_match_reference_rule(m, monkeypatch):
         assert next(log, None) is None
 
 
+def _reference_tables(m):
+    """Per generator g_{s_i}, for each pair (P, w) of `_sorted_pairs`: the
+    indices of (s(P), s w), of (J, s w) and of (J, w) with J the join of
+    s(P) and {i, i+1}, and whether l(s w) < l(w); from the reference rule
+    alone, pair by pair."""
+    pairs = _sorted_pairs(m)
+    idx = {k: j for j, k in enumerate(pairs)}
+    tables = []
+    for i in range(1, m):
+        s = simple_perm(i, m)
+        pair = pair_partition(i, i + 1, m)
+        table = []
+        for P, w in pairs:
+            sP = w_action(s, P)
+            sw = perm_mul(s, w)
+            joined = partition_join(sP, pair)
+            table.append((idx[(sP, sw)], perm_length(sw) < perm_length(w),
+                          idx[(joined, sw)], idx[(joined, w)]))
+        tables.append(table)
+    return tables, idx[(discrete_partition(m), identity_perm(m))]
+
+
 def _raw_closure_echelon(m, c2, one, modulus=None):
-    """The closure walk with the frontier keeping each raw candidate g_s x
-    that gained a pivot, rather than its reduced row: the oracle for
-    `closure._closure_echelon`."""
-    idx = closure._pair_index(m)
-    tables = [[(idx[moved], down, idx[joined_sw], idx[joined_w])
-               for moved, down, joined_sw, joined_w
-               in closure._action(m, i).values()]
-              for i in range(1, m)]
-    unit = {idx[(discrete_partition(m), identity_perm(m))]: one}
+    """The closure walk on `_reference_tables`, with the frontier keeping
+    each raw candidate g_s x that gained a pivot, rather than its reduced
+    row: the oracle for `closure._closure_echelon`."""
+    tables, unit_index = _reference_tables(m)
+    unit = {unit_index: one}
     ech = Echelon(modulus)
     ech.insert(unit)
     frontier = [unit]
@@ -255,8 +288,15 @@ def test_modp_closure_at_v_squared_one_spans_the_group_algebra(m):
 
 
 def test_model_dimension_formula():
-    for m in (2, 3, 4):
-        assert len(basis_pairs(m)) == factorial(m) * len(all_set_partitions(m))
+    """e_P g_w has index rank(P)·m! + rank(w): its position among the
+    pairs (P, w) sorted, for m = 1..5.  So the indices fill
+    range(m!·Bell(m)), and the unit is index 0."""
+    for m in range(1, 6):
+        pairs = _sorted_pairs(m)
+        assert len(pairs) == factorial(m) * len(all_set_partitions(m))
+        for j, (P, w) in enumerate(pairs):
+            assert to_vector(BTElement.basis(P, w)) == {j: RF.ONE}
+        assert to_vector(BTElement.unit(m)) == {0: RF.ONE}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

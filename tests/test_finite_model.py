@@ -13,8 +13,9 @@ from braidties.coxeter import all_perms
 from braidties.finite_model import (
     SmallField, build_model, delta_in_epsilon_span, expected_size_x,
     mat_identity, mat_mul, monodromic_crosscheck, op_es_equals_E,
-    op_ks_equals_L, verify_main_identity)
+    op_ks_equals_L, verify_case_values, verify_main_identity)
 from braidties.linalg import solve
+from braidties.monodromic import torus_character
 from braidties.scalars import Cyclotomic
 
 
@@ -364,9 +365,33 @@ def test_delta_in_epsilon_span():
     assert rep["solved"] and rep["count"] == 1
 
 
+def _crosscheck(n, q, k, exps):
+    """The crosscheck at one character, on the base columns of
+    op_ks(i) E_theta that `verify_case_values` forms, as the
+    finite-model command hands them over."""
+    model = build_model(n, q, k)
+    columns = verify_case_values(model)[1]
+    return monodromic_crosscheck(
+        n, q, k, exps, columns[torus_character(model.qk - 1, exps)])
+
+
+def test_crosscheck_forms_no_operator_product(monkeypatch):
+    """The crosscheck reads the base columns handed to it and multiplies
+    no operators itself."""
+    model = build_model(1, 2, 2)
+    columns = verify_case_values(model)[1]
+    calls = []
+    mul = FM.SparseOperator.__mul__
+    monkeypatch.setattr(FM.SparseOperator, "__mul__",
+                        lambda a, b: calls.append(1) or mul(a, b))
+    for theta, cols in columns.items():
+        assert monodromic_crosscheck(1, 2, 2, theta.exponents, cols)["ok"]
+    assert calls == []
+
+
 def test_crosscheck_all_characters_rank_one():
     for exps in [(0, 0), (1, 0), (2, 0)]:
-        rep = monodromic_crosscheck(1, 2, 2, exps)
+        rep = _crosscheck(1, 2, 2, exps)
         assert rep["ok"], rep
         letter = rep["letters"][0]
         assert letter["inside_circle"] == (exps[0] == exps[1])
@@ -375,23 +400,20 @@ def test_crosscheck_all_characters_rank_one():
 def test_crosscheck_kappa_is_real_at_f4():
     # The Gauss sum of the quadratic-free cubic character over GF(4)
     # equals 2, so the per-corner phase is exactly -1.
-    rep = monodromic_crosscheck(1, 2, 2, (1, 0))
+    rep = _crosscheck(1, 2, 2, (1, 0))
     assert rep["letters"][0]["kappa"] == "-1"
     m = build_model(1, 2, 2)
-    from braidties.monodromic import torus_character
     G = m.gauss_sum(1, torus_character(3, (1, 0)))
     assert G == Cyclotomic.from_rational(m.N, 2)
 
 
 def test_crosscheck_requires_square_field():
     with pytest.raises(ValueError):
-        monodromic_crosscheck(1, 2, 1, (0, 0))
+        monodromic_crosscheck(1, 2, 1, (0, 0), [])
 
 
 def test_gauss_sum_trivial_character():
     # With the trivial character the Gauss sum collapses to -1.
-    from braidties.monodromic import torus_character
-
     for cfg in [(1, 2, 1), (1, 2, 2), (2, 2, 1)]:
         m = build_model(*cfg)
         theta = torus_character(max(m.qk - 1, 1), (0,) * m.m)
@@ -870,7 +892,7 @@ def test_main_identity_sl3_f4():
 @pytest.mark.slow
 def test_crosscheck_rank_two():
     for exps in [(0, 0, 0), (1, 1, 0), (1, 2, 0)]:
-        rep = monodromic_crosscheck(2, 2, 2, exps)
+        rep = _crosscheck(2, 2, 2, exps)
         assert rep["ok"], rep
 
 

@@ -8,9 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from braidties.btalg import (BTElement, bt_mul, g_element, kl_lift, lmul_g,
-                             to_vector)
-from braidties.closure import _SPECIALIZE_PRIMES
+from braidties.btalg import BTElement, bt_mul, g_element, kl_lift, lmul_g
+from braidties.closure import _SPECIALIZE_PRIMES, to_vector
 from braidties.coxeter import all_perms, simple_perm
 from braidties.finite_model import SparseOperator, build_model
 from braidties.hecke import HeckeElement, canonical_basis

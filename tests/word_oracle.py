@@ -10,7 +10,8 @@ exact closure over Q(v) and `monodromic.pi_L`, letter by letter.
 from functools import lru_cache
 
 from braidties import monodromic
-from braidties.btalg import BTElement, WordCombo, lmul_g, to_vector
+from braidties.btalg import BTElement, WordCombo, lmul_g
+from braidties.closure import to_vector
 from braidties.hecke import HeckeElement
 from braidties.linalg import Echelon
 from braidties.scalars import RationalFunctionScalar as RF
