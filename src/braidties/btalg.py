@@ -15,15 +15,17 @@ all hold in the model (`verify_presentation` evaluates every one), and
 multiplication is computed from them by peeling reduced words:
 $g_s\,g_u = g_{su}$ when $l(su) > l(u)$, else
 $g_s\,g_u = g_{su} + (v^2-1)e_s g_{su} + (v^2-1)e_s g_u$.
-On a basis pair $(P, w)$ that rule has two cached halves per rank and
-generator: `closure.tie_action` gives $s(P)$ and the join
-$s(P) \vee \{i, i+1\}$ from $P$ alone, and `coxeter.left_action` gives
-$sw$ and whether $l(sw) < l(w)$ from $w$ alone.  `lmul_g` (for $g_s$
-and, with the $v^{-2}-1$ weight on length-up terms, $g_s^{-1}$) reads
-both; `lmul_e` reads the cached `coxeter.partition_join`.  Words of
-$g_s^{\pm 1}$ are built once per suffix (`_g_word`); $\overline{g_w}$
-is the word of the $g_s^{-1}$ along a reduced word of $w$.  Basis
-indices, for elimination, come from `closure.to_vector`.
+An element is keyed by basis indices: $e_P\, g_w$ is
+$\mathrm{rank}(P) \cdot m! + \mathrm{rank}(w)$, each rank taken in its
+sorted list (`closure.sorted_basis`), so an element is also a row for
+`linalg.Echelon`.  `lmul_g` (for $g_s$ and, with the $v^{-2}-1$ weight
+on length-up terms, $g_s^{-1}$) is one call to `closure.g_action`, the
+loop that the closure walk runs too; it reads the rule's partition half
+$s(P)$, $s(P) \vee \{i, i+1\}$ and its permutation half $sw$,
+$l(sw) < l(w)$ on ranks.  `lmul_e` reads a cached join of partition
+ranks.  Words of $g_s^{\pm 1}$ are built once per suffix (`_g_word`);
+$\overline{g_w}$ is the word of the $g_s^{-1}$ along a reduced word of
+$w$.
 
 The braid-image subalgebra $\mathcal{C}(v)$ is generated by the $g_s$
 alone.  Its dimension, exact over $\mathbb{Q}(v)$ and mod p at
@@ -90,7 +92,7 @@ from .coxeter import (
     transposition_perm,
     w_action,
 )
-from .closure import _closure, tie_action, to_vector
+from .closure import _closure, basis_index, basis_pair, g_action, sorted_basis
 from .linalg import Echelon, SparseVector, _acc, _addmul
 from .scalars import RationalFunctionScalar as RF
 
@@ -102,7 +104,8 @@ WordCombo = dict[tuple[int, ...], RF]  # signed letters: +i = a_i, -i = a_i^{-1}
 
 
 class BTElement(SparseVector):
-    """Finitely supported map (SetPartition, Permutation) -> RF."""
+    """Finitely supported map from basis index to RF: e_P g_w is index
+    rank(P)·m! + rank(w) (`closure.basis_pair` decodes it)."""
 
     __slots__ = ("m",)
     _ambient = "m"
@@ -110,18 +113,18 @@ class BTElement(SparseVector):
 
     @classmethod
     def unit(cls, m: int) -> "BTElement":
-        return cls(m, {(discrete_partition(m), identity_perm(m)): RF.ONE})
+        return cls(m, {0: RF.ONE})
 
     @classmethod
     def basis(cls, P: SetPartition, w: Perm) -> "BTElement":
-        return cls(len(w), {(P, w): RF.ONE})
+        return cls(len(w), {basis_index(P, w): RF.ONE})
 
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
         bits = []
-        for P, w in sorted(self.terms):
-            c = self.terms[(P, w)]
+        for k, c in sorted(self.terms.items()):
+            P, w = basis_pair(self.m, k)
             pp = "|".join("".join(map(str, b)) for b in P)
             bits.append(f"({c!r})*e[{pp}]g[{','.join(map(str, w))}]")
         return " + ".join(bits)
@@ -136,30 +139,28 @@ def e_element(P: SetPartition) -> BTElement:
     return BTElement.basis(P, identity_perm(m))
 
 
-def lmul_e(P: SetPartition, x: BTElement) -> BTElement:
-    out: dict[tuple, RF] = {}
-    for (Q, w), c in x.terms.items():
-        _acc(out, (partition_join(P, Q), w), c)
+@lru_cache(maxsize=None)
+def _join_rank(m: int, p: int, q: int) -> int:
+    """The rank of the join of the set partitions of ranks p and q."""
+    parts, _, rank = sorted_basis(m)
+    return rank[partition_join(parts[p], parts[q])]
+
+
+def lmul_e(p: int, x: BTElement) -> BTElement:
+    """e_P * x for the set partition P of rank p."""
+    f = len(sorted_basis(x.m)[1])
+    out: dict[int, RF] = {}
+    for k, c in x.terms.items():
+        q, w = divmod(k, f)
+        _acc(out, _join_rank(x.m, p, q) * f + w, c)
     return x._like(out)
 
 
 def lmul_g(i: int, x: BTElement, inverse: bool = False) -> BTElement:
-    """g_{s_i} * x, or g_{s_i}^{-1} * x when inverse.  Every term moves to
-    (s(P), s w); a length-down term (length-up for the inverse) also adds
-    (v^2 - 1), resp. (v^{-2} - 1), times e_{s(P) v s} (g_{sw} + g_w)."""
-    weight = _QIM1 if inverse else _QM1
-    ties = tie_action(x.m, i)
-    left = left_action(x.m, i)
-    out: dict[tuple, RF] = {}
-    for (P, w), c in x.terms.items():
-        sP, joined = ties[P]
-        sw, down = left[w]
-        _acc(out, (sP, sw), c)
-        if down != inverse:
-            cc = c * weight
-            _acc(out, (joined, sw), cc)
-            _acc(out, (joined, w), cc)
-    return x._like(out)
+    """g_{s_i} * x, or g_{s_i}^{-1} * x when inverse: `closure.g_action`
+    with weight v^2 - 1, resp. v^{-2} - 1."""
+    return BTElement(x.m, g_action(x.m, i, x.terms,
+                                   _QIM1 if inverse else _QM1, inverse))
 
 
 def lmul_g_word(word, x: BTElement) -> BTElement:
@@ -174,13 +175,15 @@ def bt_mul(a: BTElement, b: BTElement) -> BTElement:
     g_w b is formed once for each w of a, whatever the partitions on it."""
     if a.m != b.m:
         raise ValueError("mixing ambient ranks")
-    gb: dict[Perm, BTElement] = {}
-    out: dict[tuple, RF] = {}
-    for (P, w), c in a.terms.items():
+    _, perms, _ = sorted_basis(a.m)
+    gb: dict[int, BTElement] = {}
+    out: dict[int, RF] = {}
+    for k, c in a.terms.items():
+        p, w = divmod(k, len(perms))
         x = gb.get(w)
         if x is None:
-            x = gb[w] = lmul_g_word(reduced_word(w), b)
-        _addmul(out, lmul_e(P, x).terms, c)
+            x = gb[w] = lmul_g_word(reduced_word(perms[w]), b)
+        _addmul(out, lmul_e(p, x).terms, c)
     return a._like(out)
 
 
@@ -190,9 +193,9 @@ def g_inverse(i: int, m: int) -> BTElement:
     s = simple_perm(i, m)
     pair = pair_partition(i, i + 1, m)
     return BTElement(m, {
-        (discrete_partition(m), s): RF.ONE,
-        (pair, s): _QIM1,
-        (pair, identity_perm(m)): _QIM1,
+        basis_index(discrete_partition(m), s): RF.ONE,
+        basis_index(pair, s): _QIM1,
+        basis_index(pair, identity_perm(m)): _QIM1,
     })
 
 
@@ -200,10 +203,12 @@ def bar(x: BTElement) -> BTElement:
     """The v-semilinear ring automorphism: v -> v^{-1}, g_s -> g_s^{-1},
     e_r -> e_r; bar(g_w) is the product of the g_s^{-1} along a reduced
     word of w."""
-    out: dict[tuple, RF] = {}
-    for (P, w), c in x.terms.items():
-        bar_g = _g_word(tuple(-i for i in reduced_word(w)), x.m)
-        _addmul(out, lmul_e(P, bar_g).terms, c.bar())
+    _, perms, _ = sorted_basis(x.m)
+    out: dict[int, RF] = {}
+    for k, c in x.terms.items():
+        p, w = divmod(k, len(perms))
+        bar_g = _g_word(tuple(-i for i in reduced_word(perms[w])), x.m)
+        _addmul(out, lmul_e(p, bar_g).terms, c.bar())
     return x._like(out)
 
 
@@ -286,7 +291,7 @@ def verify_presentation(n: int) -> list[tuple[str, bool]]:
     samples = []
     for _ in range(6):
         samples.append(BTElement(m, {
-            (rng.choice(parts), rng.choice(perms)):
+            basis_index(rng.choice(parts), rng.choice(perms)):
                 RF.ONE + V.__pow__(rng.randint(-2, 2))
             for _ in range(3)}))
     inv_ok = all(bar(bar(x)) == x for x in samples)
@@ -348,10 +353,9 @@ def _partition_products(P: SetPartition, m: int) -> list[BTElement]:
     return out
 
 
-def _jr_spanning_elements(n: int, R: SetPartition,
-                          literal: bool = False) -> list[BTElement]:
+def _jr_spanning_elements(n: int, R: SetPartition) -> list[BTElement]:
     m = n + 1
-    if literal or _is_interval_partition(R):
+    if _is_interval_partition(R):
         P0, y = R, None
     else:
         P0 = _canonical_interval_partition(R, m)
@@ -375,8 +379,9 @@ def jr_span(n: int, R: SetPartition) -> list[BTElement]:
     For an interval partition this is the span of the literal products
     g_w (1+g_{r_1})...(1+g_{r_l}) e_R with one reflection r_j inside each
     nontrivial block of R.  For any other partition that literal span is
-    strictly larger than the common dimension of the conjugacy class (see
-    `jr_literal_dimension`), so the summand is transported instead:
+    strictly larger than the common dimension of the conjugacy class (6
+    against 3 for the blocks {1,3},{2}), so the summand is transported
+    instead:
     g_y X g_y^{-1} over the interval-partition spanning set X, with y the
     minimal-length relabelling onto R.  Transport preserves dimension, and
     `jr_decomposition` checks the resulting sum is direct.
@@ -385,21 +390,7 @@ def jr_span(n: int, R: SetPartition) -> list[BTElement]:
         raise ValueError("exact span bounded at n <= 3")
     ech = Echelon()
     return [x for x in _jr_spanning_elements(n, R)
-            if ech.insert(to_vector(x)) is not None]
-
-
-def jr_literal_dimension(n: int, R: SetPartition) -> int:
-    """Dimension of the literal span of g_w (1+g_{r_1})...(1+g_{r_l}) e_R
-    with the reflections r_j drawn from the blocks of R itself.
-
-    Agrees with `len(jr_span(n, R))` exactly when R is an interval
-    partition; otherwise it is strictly larger (6 against 3 for the
-    blocks {1,3},{2}), which is why `jr_span` transports by conjugation.
-    """
-    ech = Echelon()
-    for x in _jr_spanning_elements(n, R, literal=True):
-        ech.insert(to_vector(x))
-    return ech.rank
+            if ech.insert(x.terms) is not None]
 
 
 def jr_decomposition(n: int) -> dict:
@@ -412,7 +403,7 @@ def jr_decomposition(n: int) -> dict:
     inserted = 0
     for R in sorted(spans):
         for x in spans[R]:
-            if total.insert(to_vector(x)) is not None:
+            if total.insert(x.terms) is not None:
                 inserted += 1
     dims = {R: len(sp) for R, sp in spans.items()}
     dim_sum = sum(dims.values())
@@ -450,7 +441,7 @@ def _g_word(word: tuple[int, ...], m: int) -> BTElement:
 
 
 def combo_element(combo: WordCombo, m: int) -> BTElement:
-    out: dict[tuple, RF] = {}
+    out: dict[int, RF] = {}
     for word, c in combo.items():
         _addmul(out, word_element(word, m).terms, c)
     return BTElement(m, out)
@@ -460,8 +451,8 @@ def c_simple_bt(i: int, m: int) -> BTElement:
     """c_s = (a_s^2 - 1)/(v - v^3) = -e_s(1 + g_s)/v."""
     pair = pair_partition(i, i + 1, m)
     c = -RF.VI
-    return BTElement(m, {(pair, identity_perm(m)): c,
-                         (pair, simple_perm(i, m)): c})
+    return BTElement(m, {basis_index(pair, identity_perm(m)): c,
+                         basis_index(pair, simple_perm(i, m)): c})
 
 
 @lru_cache(maxsize=None)

@@ -200,7 +200,7 @@ def _pi_image(x):
     `closure._closure`; outside it raises ValueError."""
     from . import closure, hecke
 
-    if not closure._closure(x.m - 1).contains(closure.to_vector(x)):
+    if not closure._closure(x.m - 1).contains(x.terms):
         raise ValueError("element is not in C(v)")
     return hecke.quotient_image(x)
 
@@ -209,7 +209,7 @@ def _kl_lift_records(n: int) -> list[dict]:
     """Per w in S_{n+1}, by length: the lift's terms and its three checks
     (bar-invariance, image under the trivial-character surjection, and
     that every descent recursion has the same image)."""
-    from . import btalg, hecke
+    from . import btalg, closure, hecke
 
     m = n + 1
     records = []
@@ -224,9 +224,11 @@ def _kl_lift_records(n: int) -> list[dict]:
                 _, down = left_action(m, s)[w]
                 if down and _pi_image(btalg.kl_lift_via(w, s)) != target:
                     descent_ok = False
-        terms = [{"blocks": [list(b) for b in P], "perm": list(u),
-                  "coeff": repr(cw.terms[(P, u)])}
-                 for P, u in sorted(cw.terms)]
+        terms = []
+        for k, c in sorted(cw.terms.items()):
+            P, u = closure.basis_pair(m, k)
+            terms.append({"blocks": [list(b) for b in P], "perm": list(u),
+                          "coeff": repr(c)})
         records.append({"w": list(w), "length": perm_length(w),
                         "terms": terms, "bar_invariant": bar_ok,
                         "image_matches": img_ok,

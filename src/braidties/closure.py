@@ -5,17 +5,20 @@ The algebra of braids and ties $\mathcal{E}(v)$ (`btalg`) has the basis
 $e_P\, g_w$, indexed by pairs $(P, w)$ of a set partition $P$ of
 $\{1, \dots, n+1\}$ and $w \in S_{n+1}$.  Sorted, the pair $(P, w)$ sits
 at index $\mathrm{rank}(P) \cdot m! + \mathrm{rank}(w)$ with $m = n+1$,
-each rank taken in its own sorted list; `to_vector` is the one place
-that formula lives, and the order fixes every elimination pivot.  The
-unit $e_{\{1\},\dots,\{m\}}\, g_{\mathrm{id}}$ is index 0.
+each rank taken in its own sorted list (`sorted_basis`, which
+`basis_index` and `basis_pair` read to encode and decode an index);
+`btalg.BTElement` is keyed by these indices, and their order fixes every
+elimination pivot.  The unit $e_{\{1\},\dots,\{m\}}\, g_{\mathrm{id}}$ is
+index 0.
 
 A generator $g_s$, $s = s_i$, sends $e_P g_w$ to $e_{s(P)} g_{sw}$ when
 $l(sw) > l(w)$, and else adds $(v^2-1)\, e_{s(P) \vee \{i, i+1\}}
 (g_{sw} + g_w)$.  The rule has two halves: $s(P)$ and the join depend
 on $P$ alone (`tie_action`, Bell(m) entries), and $sw$ with the descent
-on $w$ alone (`coxeter.left_action`, $m!$ entries).  `btalg.lmul_g`
-reads both on pairs; the rank walk here reads both on ranks
-(`_index_tables`), splitting an index with `divmod(b, m!)`.
+on $w$ alone (`coxeter.left_action`, $m!$ entries), both read on ranks
+from `_index_tables`.  `g_action` is the one loop that applies the rule
+(and that of $g_s^{-1}$), on any scalars: `btalg.lmul_g` calls it over
+$\mathbb{Q}(v)$, and the closure walk here once per candidate.
 
 $\mathcal{C}(v)$ is generated by the $g_s$ alone, so its dimension is the
 rank of the closure of $\mathrm{span}\{1\}$ under left multiplication by
@@ -37,7 +40,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 
 from .coxeter import (
     SetPartition,
@@ -70,41 +72,77 @@ def tie_action(m: int, i: int) -> dict[SetPartition, tuple]:
 
 
 @lru_cache(maxsize=None)
-def _ranks(m: int) -> tuple[dict, dict]:
-    """The position of each set partition and of each permutation of
-    {1..m} in its sorted list."""
-    return ({P: j for j, P in enumerate(all_set_partitions(m))},
-            {w: j for j, w in enumerate(all_perms(m))})
+def sorted_basis(m: int) -> tuple[tuple, list, dict]:
+    """The set partitions and the permutations of {1..m}, each sorted, and
+    the position of every one of them in its own list."""
+    parts, perms = all_set_partitions(m), all_perms(m)
+    return parts, perms, {k: j for seq in (parts, perms)
+                          for j, k in enumerate(seq)}
 
 
-def to_vector(x) -> dict:
-    """The coefficients of x, a `btalg.BTElement`, on basis indices: e_P
-    g_w sits at rank(P)·m! + rank(w), its position among the pairs (P, w)
-    sorted, the order that fixes every elimination pivot."""
-    p_rank, w_rank = _ranks(x.m)
-    f = factorial(x.m)
-    return {p_rank[P] * f + w_rank[w]: c for (P, w), c in x.terms.items()}
+def basis_index(P: SetPartition, w: tuple) -> int:
+    """The basis index of e_P g_w."""
+    _, perms, rank = sorted_basis(len(w))
+    return rank[P] * len(perms) + rank[w]
+
+
+def basis_pair(m: int, b: int) -> tuple[SetPartition, tuple]:
+    """The pair (P, w) of basis index b: e_P g_w.
+
+    >>> basis_pair(3, 8)
+    (((1,), (2, 3)), (2, 1, 3))
+    """
+    parts, perms, _ = sorted_basis(m)
+    f = len(perms)
+    return parts[b // f], perms[b % f]
 
 
 @lru_cache(maxsize=None)
-def _index_tables(m: int) -> list[tuple[list, list]]:
-    """The two halves of g_{s_1}, ..., g_{s_{m-1}} on ranks: for each
-    partition rank, rank(s(P))·m! and rank(s(P) v {i, i+1})·m!; for each
-    permutation rank, rank(s w) and whether l(s w) < l(w)."""
-    p_rank, w_rank = _ranks(m)
-    f = factorial(m)
-    return [([(p_rank[sP] * f, p_rank[joined] * f)
+def _index_tables(m: int) -> list[tuple[list, list, int]]:
+    """The two halves of g_{s_1}, ..., g_{s_{m-1}} on ranks, each with m!:
+    for each partition rank, rank(s(P))·m! and rank(s(P) v {i, i+1})·m!;
+    for each permutation rank, rank(s w) and whether l(s w) < l(w)."""
+    _, perms, rank = sorted_basis(m)
+    f = len(perms)
+    return [([(rank[sP] * f, rank[joined] * f)
               for sP, joined in tie_action(m, i).values()],
-             [(w_rank[sw], down) for sw, down in left_action(m, i).values()])
+             [(rank[sw], down) for sw, down in left_action(m, i).values()],
+             f)
             for i in range(1, m)]
+
+
+def g_action(m: int, i: int, x: dict, weight, inverse: bool = False
+             ) -> dict:
+    """g_{s_i} x, or g_{s_i}^{-1} x when inverse, for x a dict from basis
+    index to scalar, with weight standing for v^2 - 1, resp. v^{-2} - 1.
+    Every term moves to (s(P), s w); a length-down term (length-up for
+    the inverse) also adds weight times e_{s(P) v {i, i+1}} (g_{sw} + g_w).
+    The halves are read off `_index_tables` after b // m! and b % m!
+    split index b into its two ranks.  The result may hold zero
+    entries."""
+    ties, perms, f = _index_tables(m)[i - 1]
+    y: dict = {}
+    get = y.get
+    for b, c in x.items():
+        p, w = b // f, b % f
+        moved_p, joined_p = ties[p]
+        sw, down = perms[w]
+        t = get(k := moved_p + sw)
+        y[k] = c if t is None else t + c
+        if down != inverse:
+            cc = c * weight
+            t = get(k := joined_p + sw)
+            y[k] = cc if t is None else t + cc
+            t = get(k := joined_p + w)
+            y[k] = cc if t is None else t + cc
+    return y
 
 
 def _closure_echelon(m: int, c2, one, modulus: int | None = None) -> Echelon:
     """Echelon basis of the closure of span{1} under the g_s, over the
     field of `one` (F_p on ints when a prime modulus is given) with c2
-    standing for v^2 - 1: a breadth-first walk on rows indexed as in
-    `to_vector`, each g_s x read off the two halves of `_index_tables`
-    after `divmod(b, m!)` splits index b into its two ranks.  The unit
+    standing for v^2 - 1: a breadth-first walk on rows keyed by basis
+    index, each candidate g_s x formed by `g_action`.  The unit
     e_{discrete} g_{identity} is index 0.  A candidate may hold zero
     entries, or ints past the modulus; `Echelon.insert` drops and reduces
     them.
@@ -116,8 +154,6 @@ def _closure_echelon(m: int, c2, one, modulus: int | None = None) -> Echelon:
     carried rows span what the candidates span at every step, the walk
     ends at the same g-stable subspace, and the reduced rows are the ones
     the raw candidates give; the carried rows are just shorter."""
-    tables = _index_tables(m)
-    f = factorial(m)
     unit = {0: one}
     ech = Echelon(modulus)
     ech.insert(unit)
@@ -125,22 +161,8 @@ def _closure_echelon(m: int, c2, one, modulus: int | None = None) -> Echelon:
     while frontier:
         new = []
         for x in frontier:
-            for ties, perms in tables:
-                y: dict = {}
-                get = y.get
-                for b, c in x.items():
-                    p, w = divmod(b, f)
-                    moved_p, joined_p = ties[p]
-                    sw, down = perms[w]
-                    t = get(k := moved_p + sw)
-                    y[k] = c if t is None else t + c
-                    if down:
-                        cc = c * c2
-                        t = get(k := joined_p + sw)
-                        y[k] = cc if t is None else t + cc
-                        t = get(k := joined_p + w)
-                        y[k] = cc if t is None else t + cc
-                pivot = ech.insert(y)
+            for i in range(1, m):
+                pivot = ech.insert(g_action(m, i, x, c2))
                 if pivot is not None:
                     row = dict(ech.rows[pivot])
                     row[pivot] = one
@@ -183,7 +205,13 @@ def _specialization_points(seed: int, count: int
 
 
 def c_dimension_report(n: int, mode: str = "exact", seed: int = 0) -> dict:
-    """Dimension of C(v) with per-point detail in specialized mode."""
+    """dim C(v), by exact elimination (n <= 3) or as the maximal rank over
+    3 rational specializations of v (n <= 4), with per-point detail in
+    specialized mode.
+
+    >>> c_dimension_report(1)["dimension"]
+    3
+    """
     if mode == "exact":
         rank = _closure(n).rank
         return {"n": n, "mode": mode, "dimension": rank, "agree": True}
@@ -198,16 +226,6 @@ def c_dimension_report(n: int, mode: str = "exact", seed: int = 0) -> dict:
     values = [r["rank"] for r in ranks]
     return {"n": n, "mode": mode, "dimension": max(values),
             "agree": len(set(values)) == 1, "points": ranks}
-
-
-def c_dimension(n: int, mode: str = "exact") -> int:
-    """dim C(v), by exact elimination (n <= 3) or as the maximal rank over
-    3 rational specializations of v (n <= 4).
-
-    >>> c_dimension(1)
-    3
-    """
-    return c_dimension_report(n, mode)["dimension"]
 
 
 if __name__ == "__main__":

@@ -401,15 +401,18 @@ def quotient_image(x: btalg.BTElement) -> HeckeElement:
     and so on the braid-generated subalgebra C(v), it agrees with the
     trivial-character surjection `monodromic.pi_L`, whose letter
     a_s = -g_s acts there by A_s + 1 - v^2.  The image of e_P g_w is the
-    image of g_w, built once per w.
+    image of g_w, built once per w, with w read off each basis index by
+    `closure.basis_pair`.
 
     >>> from braidties.btalg import c_simple_bt
     >>> quotient_image(c_simple_bt(1, 2)) == c_simple(1, 2)
     True
     """
+    from .closure import basis_pair
+
     by_w: dict[Perm, RF] = {}
-    for (P, w), c in x.terms.items():
-        _acc(by_w, w, c)
+    for k, c in x.terms.items():
+        _acc(by_w, basis_pair(x.m, k)[1], c)
     out: dict[Perm, RF] = {}
     for w, c in by_w.items():
         _addmul(out, _quotient_g(w).terms, c)

@@ -75,7 +75,7 @@ def test_criterion_2_per_row_tables():
 
 def test_criterion_3_rank_crosscheck_exact():
     t0 = time.perf_counter()
-    values = [closure.c_dimension(n, "exact") for n in (1, 2, 3)]
+    values = [closure.c_dimension_report(n)["dimension"] for n in (1, 2, 3)]
     formulas = [dim_C(n) for n in (1, 2, 3)]
     elapsed = time.perf_counter() - t0
     ok = values == formulas == [3, 20, 217] and elapsed < 120.0

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from braidties import closure
 from braidties.btalg import (
     BTElement,
+    _partition_products,
     bar,
     bt_mul,
     c_simple_bt,
@@ -16,20 +18,15 @@ from braidties.btalg import (
     g_element,
     g_inverse,
     jr_decomposition,
-    jr_literal_dimension,
     jr_span,
     kl_lift,
     kl_lift_via,
     lmul_g,
+    lmul_g_word,
     verify_presentation,
     word_element,
 )
-from braidties.closure import (
-    c_dimension,
-    c_dimension_report,
-    tie_action,
-    to_vector,
-)
+from braidties.closure import c_dimension_report, tie_action
 from braidties.coxeter import (
     all_perms,
     all_set_partitions,
@@ -54,10 +51,25 @@ V = RF.V
 Q = V * V
 
 
+@lru_cache(maxsize=None)
 def _sorted_pairs(m):
-    """The basis pairs (P, w) of the model, sorted: the order of the basis
-    indices, written out here as the reference for `closure.to_vector`."""
-    return sorted((P, w) for P in all_set_partitions(m) for w in all_perms(m))
+    """The basis pairs (P, w) of the model, sorted: pair j is e_P g_w, the
+    element at basis index j, written out here as the reference for the
+    keys of `BTElement`."""
+    return tuple(sorted((P, w) for P in all_set_partitions(m)
+                        for w in all_perms(m)))
+
+
+def _pair_terms(x):
+    """The terms of x keyed by their pairs (P, w)."""
+    pairs = _sorted_pairs(x.m)
+    return {pairs[b]: c for b, c in x.terms.items()}
+
+
+def _element(m, pair_terms):
+    """The element with the given terms keyed by pairs (P, w)."""
+    index = {k: j for j, k in enumerate(_sorted_pairs(m))}
+    return BTElement(m, {index[k]: c for k, c in pair_terms.items()})
 
 
 def random_element(m, rng, nterms=2):
@@ -81,7 +93,7 @@ def _ref_lmul_g(i, x):
     s = simple_perm(i, x.m)
     pair = pair_partition(i, i + 1, x.m)
     out = {}
-    for (P, w), c in x.terms.items():
+    for (P, w), c in _pair_terms(x).items():
         sP = w_action(s, P)
         sw = perm_mul(s, w)
         _acc(out, (sP, sw), c)
@@ -90,14 +102,14 @@ def _ref_lmul_g(i, x):
             cc = c * (Q - 1)
             _acc(out, (joined, sw), cc)
             _acc(out, (joined, w), cc)
-    return BTElement(x.m, out)
+    return _element(x.m, out)
 
 
 def _ref_lmul_g_inv(i, x):
     s = simple_perm(i, x.m)
     pair = pair_partition(i, i + 1, x.m)
     out = {}
-    for (P, w), c in x.terms.items():
+    for (P, w), c in _pair_terms(x).items():
         sP = w_action(s, P)
         sw = perm_mul(s, w)
         _acc(out, (sP, sw), c)
@@ -106,7 +118,7 @@ def _ref_lmul_g_inv(i, x):
             cc = c * (RF.VI * RF.VI - 1)
             _acc(out, (joined, sw), cc)
             _acc(out, (joined, w), cc)
-    return BTElement(x.m, out)
+    return _element(x.m, out)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -121,10 +133,10 @@ def test_lmul_g_matches_reference_rule(m):
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_tie_action_matches_reference_rule(m):
-    """The partition half `tie_action(m, i)` that `lmul_g` and the closure
-    walk read sends every set partition P, in sorted order, to s(P) and to
-    the join of s(P) with the block {i, i+1} that the quadratic relation
-    adds."""
+    """The partition half `tie_action(m, i)` of the g_s rule, which
+    `closure.g_action` reads on ranks, sends every set partition P, in
+    sorted order, to s(P) and to the join of s(P) with the block
+    {i, i+1} that the quadratic relation adds."""
     for i in range(1, m):
         s = simple_perm(i, m)
         pair = pair_partition(i, i + 1, m)
@@ -140,8 +152,8 @@ def test_index_tables_at_n5_hold_bell_plus_factorial_entries():
     entries, 203 + 720, not one per basis pair."""
     tables = closure._index_tables(6)
     assert len(tables) == 5
-    assert all(len(ties) == 203 and len(perms) == 720
-               for ties, perms in tables)
+    assert all(len(ties) == 203 and len(perms) == 720 and f == 720
+               for ties, perms, f in tables)
 
 
 class _RecordingEchelon(Echelon):
@@ -169,11 +181,11 @@ def _mod_p(c, v0, p):
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_modp_candidates_match_reference_rule(m, monkeypatch):
     """Replays the walk of the mod-p closure at the three points of seed
-    0: each candidate g_s x it inserts equals lmul_g(s, x) over Q(v),
-    every coefficient specialized at v0 and reduced mod p, where x is a
-    carried row (the stored row of an earlier candidate that gained a
-    pivot, with its pivot entry 1), and the ranks are the paper's
-    dim C(v)."""
+    0: each candidate g_s x it inserts equals the reference rule
+    `_ref_lmul_g` over Q(v), every coefficient specialized at v0 and
+    reduced mod p, where x is a carried row (the stored row of an earlier
+    candidate that gained a pivot, with its pivot entry 1), and the ranks
+    are the paper's dim C(v)."""
     echelons = []
 
     def recording(modulus):
@@ -181,23 +193,22 @@ def test_modp_candidates_match_reference_rule(m, monkeypatch):
         return echelons[-1]
 
     monkeypatch.setattr(closure, "Echelon", recording)
-    pairs = _sorted_pairs(m)
     for v0, p in closure._specialization_points(0, 3):
         assert closure._closure_rank_modp(m, v0, p) == {2: 3, 3: 20, 4: 217}[m]
         assert echelons[-1].p == p
         (unit, _, carried), *log = echelons[-1].log
-        assert unit == carried == to_vector(BTElement.unit(m))
+        assert unit == carried == BTElement.unit(m).terms
         log = iter(log)
         frontier = [carried]
         while frontier:
             new = []
             for x in frontier:
-                lifted = BTElement(m, {pairs[b]: RF.const(int(c))
+                lifted = BTElement(m, {b: RF.const(int(c))
                                        for b, c in x.items()})
                 for i in range(1, m):
                     y, pivot, carried = next(log)
                     want = {b: _mod_p(c, v0, p)
-                            for b, c in to_vector(lmul_g(i, lifted)).items()}
+                            for b, c in _ref_lmul_g(i, lifted).terms.items()}
                     assert all(type(c) is int for c in y.values())
                     assert ({b: c % p for b, c in y.items() if c % p}
                             == {b: c for b, c in want.items() if c})
@@ -288,15 +299,15 @@ def test_modp_closure_at_v_squared_one_spans_the_group_algebra(m):
 
 
 def test_model_dimension_formula():
-    """e_P g_w has index rank(P)·m! + rank(w): its position among the
-    pairs (P, w) sorted, for m = 1..5.  So the indices fill
+    """e_P g_w is keyed by index rank(P)·m! + rank(w): its position among
+    the pairs (P, w) sorted, for m = 1..5.  So the indices fill
     range(m!·Bell(m)), and the unit is index 0."""
     for m in range(1, 6):
         pairs = _sorted_pairs(m)
         assert len(pairs) == factorial(m) * len(all_set_partitions(m))
         for j, (P, w) in enumerate(pairs):
-            assert to_vector(BTElement.basis(P, w)) == {j: RF.ONE}
-        assert to_vector(BTElement.unit(m)) == {0: RF.ONE}
+            assert BTElement.basis(P, w).terms == {j: RF.ONE}
+        assert BTElement.unit(m).terms == {0: RF.ONE}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -345,9 +356,9 @@ def _term_product(P, w, b):
     for i in reversed(reduced_word(w)):
         x = lmul_g(i, x)
     out = {}
-    for (Q, u), d in x.terms.items():
+    for (Q, u), d in _pair_terms(x).items():
         _acc(out, (partition_join(P, Q), u), d)
-    return BTElement(b.m, out)
+    return _element(b.m, out)
 
 
 def test_bt_mul_matches_the_term_by_term_product():
@@ -359,12 +370,12 @@ def test_bt_mul_matches_the_term_by_term_product():
         perms, parts = all_perms(m), all_set_partitions(m)
         P, w = rng.choice(parts[1:]), rng.choice(perms[1:])
         lefts = [random_element(m, rng, nterms=12) for _ in range(4)]
-        lefts.append(BTElement(m, {(P, u): RF.ONE for u in perms}))
-        lefts.append(BTElement(m, {(Q, w): RF.ONE for Q in parts}))
+        lefts.append(_element(m, {(P, u): RF.ONE for u in perms}))
+        lefts.append(_element(m, {(Q, w): RF.ONE for Q in parts}))
         for a in lefts:
             b = random_element(m, rng, nterms=3)
             want = BTElement.zero(m)
-            for (Q, u), c in a.terms.items():
+            for (Q, u), c in _pair_terms(a).items():
                 want = want + _term_product(Q, u, b).scale(c)
             assert bt_mul(a, b) == want
 
@@ -433,10 +444,10 @@ def test_bar_involutive_and_multiplicative():
 # ---------------------------------------------------------------------------
 
 def test_c_dimension_exact_small():
-    assert c_dimension(0) == 1
-    assert c_dimension(1) == 3
-    assert c_dimension(2) == 20
-    assert c_dimension(3) == 217
+    assert c_dimension_report(0)["dimension"] == 1
+    assert c_dimension_report(1)["dimension"] == 3
+    assert c_dimension_report(2)["dimension"] == 20
+    assert c_dimension_report(3)["dimension"] == 217
 
 
 def test_c_dimension_specialized_matches_exact():
@@ -465,14 +476,27 @@ def test_jr_span_dims_n2():
     assert dims[partition_from_blocks([(1, 2, 3)])] == 5
 
 
+def _jr_literal_dimension(n, R):
+    """Dimension of the literal span of g_w (1+g_{r_1})...(1+g_{r_l}) e_R
+    with the reflections r_j drawn from the blocks of R itself."""
+    m = n + 1
+    ech = Echelon()
+    for x in _partition_products(R, m):
+        for w in all_perms(m):
+            ech.insert(lmul_g_word(reduced_word(w), x).terms)
+    return ech.rank
+
+
 def test_jr_literal_span_is_larger_off_intervals():
+    # why jr_span conjugates: off interval partitions the literal span is
+    # larger than the summand
     R = partition_from_blocks([(1, 3), (2,)])
-    assert jr_literal_dimension(2, R) == 6
+    assert _jr_literal_dimension(2, R) == 6
     assert len(jr_span(2, R)) == 3
     # on interval partitions the literal span IS the summand
     for P in (partition_from_blocks([(1, 2), (3,)]),
               partition_from_blocks([(1, 2, 3)])):
-        assert jr_literal_dimension(2, P) == len(jr_span(2, P))
+        assert _jr_literal_dimension(2, P) == len(jr_span(2, P))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -480,7 +504,8 @@ def test_jr_decomposition_direct_and_spanning(n):
     dec = jr_decomposition(n)
     assert dec["direct"] is True
     assert dec["spans_closure"] is True
-    assert dec["sum"] == dec["closure_dimension"] == c_dimension(n)
+    assert (dec["sum"] == dec["closure_dimension"]
+            == c_dimension_report(n)["dimension"])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -489,7 +514,7 @@ def test_jr_summands_lie_in_c(n):
     ech = closure._closure(n)
     for R in all_set_partitions(n + 1):
         for x in jr_span(n, R):
-            assert ech.contains(to_vector(x)), (n, R)
+            assert ech.contains(x.terms), (n, R)
 
 
 def _jr_sum(n: int) -> Echelon:
@@ -497,7 +522,7 @@ def _jr_sum(n: int) -> Echelon:
     total = Echelon()
     for R in all_set_partitions(n + 1):
         for x in jr_span(n, R):
-            total.insert(to_vector(x))
+            total.insert(x.terms)
     return total
 
 
@@ -509,7 +534,7 @@ def test_membership_of_braid_words():
         for _ in range(10):
             word = tuple(rng.choice([1, -1]) * rng.randint(1, n) for _ in range(4))
             x = word_element(word, m)
-            assert total.contains(to_vector(x))
+            assert total.contains(x.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -521,9 +546,7 @@ def test_c_simple_pinned_form():
     c = c_simple_bt(1, m)
     P = pair_partition(1, 2, m)
     e, s = identity_perm(m), simple_perm(1, m)
-    assert c.coeff((P, e)) == -(V ** -1)
-    assert c.coeff((P, s)) == -(V ** -1)
-    assert len(c.terms) == 2
+    assert _pair_terms(c) == {(P, e): -(V ** -1), (P, s): -(V ** -1)}
     assert kl_lift((2, 1)) == c
 
 
@@ -546,7 +569,7 @@ def test_kl_lift_bar_invariant_s4():
 def test_kl_lift_linearly_independent_s4():
     ech = Echelon()
     for w in all_perms(4):
-        assert ech.insert(to_vector(kl_lift(w))) is not None
+        assert ech.insert(kl_lift(w).terms) is not None
     assert ech.rank == 24
 
 
@@ -555,7 +578,7 @@ def test_kl_lift_single_tie_block():
     from braidties.coxeter import support_partition
 
     for w in all_perms(4):
-        parts = {P for (P, u) in kl_lift(w).terms}
+        parts = {P for (P, u) in _pair_terms(kl_lift(w))}
         assert parts == {support_partition(w)}
 
 
@@ -625,4 +648,4 @@ def test_kl_lift_path_rejects_elements_outside_c():
 def test_kl_lift_words_land_in_c_subalgebra():
     total = _jr_sum(2)
     for w in all_perms(3):
-        assert total.contains(to_vector(kl_lift(w)))
+        assert total.contains(kl_lift(w).terms)

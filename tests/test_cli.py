@@ -172,15 +172,26 @@ def test_dim_output_digest(args, digest, tmp_path):
      "36750ab829ccf6eac010b5990ea48c6b1e11ced83a6b4fe3b432970f14f6bafe"),
     (["kl-lift", "--n", "3", "--format", "csv"],
      "9dd98292f288d78fdcaa2d3a6e19a8db7cc83aa1dc96efbac61931513f4e7725"),
+    (["kl-lift", "--n", "1", "--format", "csv"],
+     "1a8e534edd11d8c81026a120c7e188e00ccfc77d322108b18232269c4524f970"),
+    (["verify", "--suite", "presentation", "--n", "3", "--format", "json"],
+     "2e27c5bc5b51c8194cd4d9df44fd4e7c8c42a7014686a4a0627b3f9947aa00a9"),
+    (["verify", "--suite", "kl-lift", "--n", "3", "--format", "json"],
+     "582fae7e625d4d5cfa08996350ad739c789b89c10568a52605d6ad002f8494e1"),
+    (["verify", "--suite", "all", "--format", "json"],
+     "3a7f74d62527b85b16a38e711193fa21a110f55f4572c635dddabb0500327e84"),
 ], ids=["finite SL2(F4) json", "finite SL2(F5) csv", "finite SL3(F2) json",
         "finite SL2(F9) json", "verify finite SL2(F3) csv", "kl-lift n2 json",
-        "kl-lift n3 json", "kl-lift n3 csv"])
+        "kl-lift n3 json", "kl-lift n3 csv", "kl-lift n1 csv",
+        "verify presentation n3 json", "verify kl-lift n3 json",
+        "verify all json"])
 def test_finite_and_kl_lift_output_digest(args, digest, tmp_path):
     # sha256 of the output file as written at commit 71fd732 (the two
     # kl-lift n3 files at 9f73557, whose images went through generator
-    # words); the SL2(F4) report holds the monodromic crosschecks with
-    # their kappa reprs, and the two CSV files hold the same check list,
-    # all passed
+    # words; the last four at 8279942, before `BTElement` was keyed by
+    # basis index); the SL2(F4) report holds the monodromic crosschecks
+    # with their kappa reprs, and the two CSV files hold the same check
+    # list, all passed
     out = tmp_path / "out"
     assert cli.main([*args, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from braidties.btalg import BTElement, bt_mul, g_element, kl_lift, lmul_g
-from braidties.closure import _SPECIALIZE_PRIMES, to_vector
+from braidties.closure import _SPECIALIZE_PRIMES
 from braidties.coxeter import all_perms, simple_perm
 from braidties.finite_model import SparseOperator, build_model
 from braidties.hecke import HeckeElement, canonical_basis
@@ -69,7 +69,7 @@ def _closure_vectors(m):
     ech = Echelon()
     unit = BTElement.unit(m)
     offered = [unit]
-    ech.insert(to_vector(unit))
+    ech.insert(unit.terms)
     frontier = [unit]
     while frontier:
         new = []
@@ -77,7 +77,7 @@ def _closure_vectors(m):
             for i in range(1, m):
                 y = lmul_g(i, x)
                 offered.append(y)
-                if ech.insert(to_vector(y)) is not None:
+                if ech.insert(y.terms) is not None:
                     new.append(y)
         frontier = new
     return offered
@@ -86,8 +86,8 @@ def _closure_vectors(m):
 def test_tagged_echelon_matches_untagged_on_s3_closure():
     elems = _closure_vectors(3)
     plain, tagged = Echelon(), Echelon()
-    pivots = [plain.insert(to_vector(x)) for x in elems]
-    tagged_pivots = [tagged.insert(to_vector(x), {j: RF.ONE})
+    pivots = [plain.insert(x.terms) for x in elems]
+    tagged_pivots = [tagged.insert(x.terms, {j: RF.ONE})
                      for j, x in enumerate(elems)]
     assert pivots == tagged_pivots
     assert plain.rank == tagged.rank == 20
@@ -98,10 +98,10 @@ def test_combination_reconstructs_the_vector():
     elems = _closure_vectors(3)
     ech = Echelon()
     for j, x in enumerate(elems):
-        ech.insert(to_vector(x), {j: RF.ONE})
+        ech.insert(x.terms, {j: RF.ONE})
     for w in all_perms(3):
         target = kl_lift(w)
-        combo = ech.combination(to_vector(target))
+        combo = ech.combination(target.terms)
         assert combo is not None
         total = BTElement.zero(3)
         for j, c in combo.items():

@@ -27,10 +27,6 @@ TESTS = sorted((ROOT / "tests").glob("*.py"))
 ALLOWLIST = {
     "btalg.jr_decomposition":
         "the paper's direct sum of the J_R e_R, which no command runs yet",
-    "btalg.jr_literal_dimension":
-        "why jr_span conjugates: the literal span is too large off intervals",
-    "closure.c_dimension":
-        "the paper's dim C(v) as one number; the CLI prints the full report",
     "coxeter.d_subset":
         "the paper's D_I of a subset I; commands compute D per class",
     "coxeter.howlett_order":

@@ -11,7 +11,6 @@ from functools import lru_cache
 
 from braidties import monodromic
 from braidties.btalg import BTElement, WordCombo, lmul_g
-from braidties.closure import to_vector
 from braidties.hecke import HeckeElement
 from braidties.linalg import Echelon
 from braidties.scalars import RationalFunctionScalar as RF
@@ -31,7 +30,7 @@ def _word_closure(n: int) -> Echelon:
     ech = Echelon()
     unit = BTElement.unit(m)
     tag = {(): RF.ONE}
-    ech.insert(to_vector(unit), tag)
+    ech.insert(unit.terms, tag)
     frontier = [(unit, tag)]
     while frontier:
         new = []
@@ -39,7 +38,7 @@ def _word_closure(n: int) -> Echelon:
             for i in range(1, m):
                 y = lmul_g(i, x)
                 ycombo = {(i,) + word: -c for word, c in combo.items()}
-                if ech.insert(to_vector(y), ycombo) is not None:
+                if ech.insert(y.terms, ycombo) is not None:
                     new.append((y, ycombo))
         frontier = new
     return ech
@@ -48,7 +47,7 @@ def _word_closure(n: int) -> Echelon:
 def word_combo(x: BTElement) -> WordCombo:
     """Express x in C(v) as a Q(v)-combination of signed generator words;
     raises ValueError when x is not in the braid-image subalgebra."""
-    combo = _word_closure(x.m - 1).combination(to_vector(x))
+    combo = _word_closure(x.m - 1).combination(x.terms)
     if combo is None:
         raise ValueError("element is not in C(v)")
     return combo
