@@ -1,10 +1,13 @@
 r"""The generalized algebra of braids and ties $\mathcal{E}(v)$ in type $A_n$.
 
-Working model: the free $\mathbb{Q}(v)$-module on pairs $(P, w)$ with $P$ a
-set partition of $\{1, \dots, n+1\}$ and $w \in S_{n+1}$, realizing the
-basis $\{e_P\, g_w\}$.  Generators: $g_s$ for simple $s$, $e_r$ for each
-reflection $r$ (with $e_P$ the product of $e_r$ over transpositions inside
-the blocks of $P$).  The defining relations,
+Working model: the free module on pairs $(P, w)$ with $P$ a set partition
+of $\{1, \dots, n+1\}$ and $w \in S_{n+1}$, realizing the basis
+$\{e_P\, g_w\}$, with coefficients in the Laurent ring
+$\mathbb{Q}[v, v^{-1}]$ (`scalars.LaurentPoly`): every structure constant
+lies there, and every element a command forms has Laurent coefficients.
+Generators: $g_s$ for simple $s$, $e_r$ for each reflection $r$ (with
+$e_P$ the product of $e_r$ over transpositions inside the blocks of
+$P$).  The defining relations,
 
 - braid relations among the $g_s$,
 - $e_r^2 = e_r$, $e_{r_1}e_{r_2} = e_{r_2}e_{r_1} = e_{r_1}e_{r_1r_2r_1}$,
@@ -28,19 +31,9 @@ $\overline{g_w}$ is the word of the $g_s^{-1}$ along a reduced word of
 $w$.
 
 The braid-image subalgebra $\mathcal{C}(v)$ is generated by the $g_s$
-alone.  Its dimension, exact over $\mathbb{Q}(v)$ and mod p at
-specializations of $v$, is computed in `closure`, which needs neither
-this module nor `scalars` for the mod-p rank; the exact echelon basis
-`closure._closure` is read here by `jr_decomposition`.  `jr_span`
-picks, by exact elimination, independent elements spanning the summands
-$J_R e_R$ of the direct-sum decomposition of $\mathcal{C}(v)$.  When
-every block of $R$ is an interval, $J_R$ is spanned by
-$g_w(1+g_{r_1})\cdots(1+g_{r_\ell})$ with one reflection $r_j$ from each
-nontrivial block of $R$; for other partitions that literal span is
-strictly larger than the summand (dimension 6 instead of 3 already for
-blocks $\{1,3\},\{2\}$) and the summand is obtained instead by
-conjugating the interval case with $g_y$ for a minimal-length relabelling
-$y$, which preserves dimension and makes the sum direct.
+alone.  Its dimension, and the certified basis that decides membership
+in it, are computed in `closure`, which needs neither this module nor
+`scalars`.
 
 Signed generators: $\mathsf{a}_s = -g_s$ satisfies the cubic
 $(\mathsf{a}_s^2 - 1)(\mathsf{a}_s + v^2) = 0$, and
@@ -81,8 +74,6 @@ from .coxeter import (
     identity_perm,
     left_action,
     pair_partition,
-    partition_block_sizes,
-    partition_from_blocks,
     partition_join,
     perm_length,
     perm_mul,
@@ -90,34 +81,35 @@ from .coxeter import (
     simple_perm,
     support_partition,
     transposition_perm,
-    w_action,
 )
-from .closure import _closure, basis_index, basis_pair, g_action, sorted_basis
-from .linalg import Echelon, SparseVector, _acc, _addmul
-from .scalars import RationalFunctionScalar as RF
+from .closure import basis_index, basis_pair, g_action, sorted_basis
+from .linalg import SparseVector, _acc, _addmul
+from .scalars import LaurentPoly
 
-V = RF.V
-_QM1 = V * V - 1          # v^2 - 1
-_QIM1 = RF.VI * RF.VI - 1  # v^{-2} - 1
+V = LaurentPoly.V
+_ONE = LaurentPoly.one()
+_QM1 = V * V - 1  # v^2 - 1
+_QIM1 = V ** -2 - 1  # v^{-2} - 1
 
-WordCombo = dict[tuple[int, ...], RF]  # signed letters: +i = a_i, -i = a_i^{-1}
+# signed letters: +i = a_i, -i = a_i^{-1}
+WordCombo = dict[tuple[int, ...], LaurentPoly]
 
 
 class BTElement(SparseVector):
-    """Finitely supported map from basis index to RF: e_P g_w is index
-    rank(P)·m! + rank(w) (`closure.basis_pair` decodes it)."""
+    """Finitely supported map from basis index to LaurentPoly: e_P g_w is
+    index rank(P)·m! + rank(w) (`closure.basis_pair` decodes it)."""
 
     __slots__ = ("m",)
     _ambient = "m"
-    ZERO = RF.ZERO
+    ZERO = LaurentPoly.zero()
 
     @classmethod
     def unit(cls, m: int) -> "BTElement":
-        return cls(m, {0: RF.ONE})
+        return cls(m, {0: _ONE})
 
     @classmethod
     def basis(cls, P: SetPartition, w: Perm) -> "BTElement":
-        return cls(len(w), {basis_index(P, w): RF.ONE})
+        return cls(len(w), {basis_index(P, w): _ONE})
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -149,7 +141,7 @@ def _join_rank(m: int, p: int, q: int) -> int:
 def lmul_e(p: int, x: BTElement) -> BTElement:
     """e_P * x for the set partition P of rank p."""
     f = len(sorted_basis(x.m)[1])
-    out: dict[int, RF] = {}
+    out: dict[int, LaurentPoly] = {}
     for k, c in x.terms.items():
         q, w = divmod(k, f)
         _acc(out, _join_rank(x.m, p, q) * f + w, c)
@@ -177,7 +169,7 @@ def bt_mul(a: BTElement, b: BTElement) -> BTElement:
         raise ValueError("mixing ambient ranks")
     _, perms, _ = sorted_basis(a.m)
     gb: dict[int, BTElement] = {}
-    out: dict[int, RF] = {}
+    out: dict[int, LaurentPoly] = {}
     for k, c in a.terms.items():
         p, w = divmod(k, len(perms))
         x = gb.get(w)
@@ -193,7 +185,7 @@ def g_inverse(i: int, m: int) -> BTElement:
     s = simple_perm(i, m)
     pair = pair_partition(i, i + 1, m)
     return BTElement(m, {
-        basis_index(discrete_partition(m), s): RF.ONE,
+        basis_index(discrete_partition(m), s): _ONE,
         basis_index(pair, s): _QIM1,
         basis_index(pair, identity_perm(m)): _QIM1,
     })
@@ -204,7 +196,7 @@ def bar(x: BTElement) -> BTElement:
     e_r -> e_r; bar(g_w) is the product of the g_s^{-1} along a reduced
     word of w."""
     _, perms, _ = sorted_basis(x.m)
-    out: dict[int, RF] = {}
+    out: dict[int, LaurentPoly] = {}
     for k, c in x.terms.items():
         p, w = divmod(k, len(perms))
         bar_g = _g_word(tuple(-i for i in reduced_word(perms[w])), x.m)
@@ -276,7 +268,7 @@ def verify_presentation(n: int) -> list[tuple[str, bool]]:
         gi, ei = G(i), E((i, i + 1))
         quad = bt_mul(gi, gi) - one - bt_mul(ei, one + gi).scale(_QM1)
         checks.append((f"quadratic g{i}^2", not quad))
-        a = gi.scale(-RF.ONE)
+        a = gi.scale(-_ONE)
         a2 = bt_mul(a, a)
         cubic = bt_mul(a2 - one, a + one.scale(V * V))
         checks.append((f"cubic a{i}", not cubic))
@@ -292,7 +284,7 @@ def verify_presentation(n: int) -> list[tuple[str, bool]]:
     for _ in range(6):
         samples.append(BTElement(m, {
             basis_index(rng.choice(parts), rng.choice(perms)):
-                RF.ONE + V.__pow__(rng.randint(-2, 2))
+                _ONE + V ** rng.randint(-2, 2)
             for _ in range(3)}))
     inv_ok = all(bar(bar(x)) == x for x in samples)
     checks.append(("bar involutive on samples", inv_ok))
@@ -300,123 +292,6 @@ def verify_presentation(n: int) -> list[tuple[str, bool]]:
                  for x, y in zip(samples[:3], samples[3:]))
     checks.append(("bar multiplicative on samples", hom_ok))
     return checks
-
-
-# ---------------------------------------------------------------------------
-# the J_R e_R decomposition
-# ---------------------------------------------------------------------------
-
-def _is_interval_partition(R: SetPartition) -> bool:
-    return all(b[-1] - b[0] + 1 == len(b) for b in R)
-
-
-def _canonical_interval_partition(R: SetPartition, m: int) -> SetPartition:
-    """Interval partition with the same block sizes, largest first."""
-    blocks, start = [], 1
-    for size in partition_block_sizes(R):
-        blocks.append(tuple(range(start, start + size)))
-        start += size
-    blocks.extend((i,) for i in range(start, m + 1))
-    return partition_from_blocks(blocks)
-
-
-@lru_cache(maxsize=None)
-def _canonical_conjugator(P0: SetPartition, R: SetPartition, m: int) -> Perm:
-    """Minimal (length, one-line) permutation y with y(P0) = R."""
-    best = None
-    for y in all_perms(m):
-        if w_action(y, P0) == R:
-            key = (perm_length(y), y)
-            if best is None or key < best:
-                best = key
-    if best is None:
-        raise ValueError(f"{R} is not a relabelling of {P0}")
-    return best[1]
-
-
-def _partition_products(P: SetPartition, m: int) -> list[BTElement]:
-    """The elements (1+g_{r_1})...(1+g_{r_l}) e_P, one reflection r_j from
-    each nontrivial block of P, over all such choices."""
-    blocks = [b for b in P if len(b) > 1]
-    choice_sets = [[(b[i], b[j]) for i in range(len(b))
-                    for j in range(i + 1, len(b))] for b in blocks]
-    choices = [()]
-    for cs in choice_sets:
-        choices = [got + (r,) for got in choices for r in cs]
-    out = []
-    for choice in choices:
-        x = e_element(P)
-        for (a, b) in reversed(choice):
-            gr = g_element(transposition_perm(a, b, m))
-            x = bt_mul(gr, x) + x
-        out.append(x)
-    return out
-
-
-def _jr_spanning_elements(n: int, R: SetPartition) -> list[BTElement]:
-    m = n + 1
-    if _is_interval_partition(R):
-        P0, y = R, None
-    else:
-        P0 = _canonical_interval_partition(R, m)
-        y = _canonical_conjugator(P0, R, m)
-    pre = () if y is None else reduced_word(y)
-    # g_y^{-1}: the g_s^{-1} along the reversed reduced word of y
-    post = None if y is None else _g_word(tuple(-i for i in reversed(pre)), m)
-    out = []
-    for x in _partition_products(P0, m):
-        for w in all_perms(m):
-            t = lmul_g_word(pre + reduced_word(w), x)
-            if post is not None:
-                t = bt_mul(t, post)
-            out.append(t)
-    return out
-
-
-def jr_span(n: int, R: SetPartition) -> list[BTElement]:
-    """Linearly independent elements spanning the summand J_R e_R of C(v).
-
-    For an interval partition this is the span of the literal products
-    g_w (1+g_{r_1})...(1+g_{r_l}) e_R with one reflection r_j inside each
-    nontrivial block of R.  For any other partition that literal span is
-    strictly larger than the common dimension of the conjugacy class (6
-    against 3 for the blocks {1,3},{2}), so the summand is transported
-    instead:
-    g_y X g_y^{-1} over the interval-partition spanning set X, with y the
-    minimal-length relabelling onto R.  Transport preserves dimension, and
-    `jr_decomposition` checks the resulting sum is direct.
-    """
-    if n > 3:
-        raise ValueError("exact span bounded at n <= 3")
-    ech = Echelon()
-    return [x for x in _jr_spanning_elements(n, R)
-            if ech.insert(x.terms) is not None]
-
-
-def jr_decomposition(n: int) -> dict:
-    """Exact direct-sum check: dims of every J_R e_R, their sum, the rank of
-    the concatenation (sum == rank means the sum is direct), and agreement
-    with the closure dimension (n <= 3)."""
-    m = n + 1
-    spans = {R: jr_span(n, R) for R in all_set_partitions(m)}
-    total = Echelon()
-    inserted = 0
-    for R in sorted(spans):
-        for x in spans[R]:
-            if total.insert(x.terms) is not None:
-                inserted += 1
-    dims = {R: len(sp) for R, sp in spans.items()}
-    dim_sum = sum(dims.values())
-    closure_rank = _closure(n).rank
-    return {
-        "n": n,
-        "dims": dims,
-        "sum": dim_sum,
-        "concatenated_rank": total.rank,
-        "direct": total.rank == dim_sum == inserted,
-        "closure_dimension": closure_rank,
-        "spans_closure": total.rank == closure_rank,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +316,7 @@ def _g_word(word: tuple[int, ...], m: int) -> BTElement:
 
 
 def combo_element(combo: WordCombo, m: int) -> BTElement:
-    out: dict[int, RF] = {}
+    out: dict[int, LaurentPoly] = {}
     for word, c in combo.items():
         _addmul(out, word_element(word, m).terms, c)
     return BTElement(m, out)
@@ -450,7 +325,7 @@ def combo_element(combo: WordCombo, m: int) -> BTElement:
 def c_simple_bt(i: int, m: int) -> BTElement:
     """c_s = (a_s^2 - 1)/(v - v^3) = -e_s(1 + g_s)/v."""
     pair = pair_partition(i, i + 1, m)
-    c = -RF.VI
+    c = -V.inv()
     return BTElement(m, {basis_index(pair, identity_perm(m)): c,
                          basis_index(pair, simple_perm(i, m)): c})
 
@@ -483,12 +358,12 @@ def kl_lift(w: Perm) -> BTElement:
     table = hecke.kl_table(m)
     P = support_partition(w)
     lw = perm_length(w)
-    sign = RF.ONE if lw % 2 == 0 else -RF.ONE
+    sign = _ONE if lw % 2 == 0 else -_ONE
     x = BTElement.zero(m)
     for y in all_perms(m):
         p = table.poly(y, w)
         if p:
-            x = x + BTElement.basis(P, y).scale(hecke._qpoly_to_rf(p))
+            x = x + BTElement.basis(P, y).scale(hecke._qpoly_to_laurent(p))
     return x.scale(sign * V ** (-lw))
 
 
@@ -514,7 +389,7 @@ def kl_lift_via(w: Perm, s: int) -> BTElement:
     for y, gamma in hecke.c_expansion(s, sw).items():
         if y == w or not gamma:
             continue
-        elem = elem - kl_lift(y).scale(RF.const(gamma))
+        elem = elem - kl_lift(y).scale(LaurentPoly.const(gamma))
     return elem
 
 

@@ -13,13 +13,16 @@ Subcommands:
   in chunks straight to the output, with the bytes that encoding the
   whole report at once would give, and never held as one string.
 - ``dim-rank``: cross-check of the closed-form total (`dim_recurrence`)
-  against the rank of the generated subalgebra computed by linear
-  closure, exact or at sampled specializations of $v$.
+  against the dimension of the generated subalgebra computed by linear
+  closure over $\mathbb{F}_p$: certified exactly from one point
+  (`closure.certificate`), or as the ranks at sampled specializations of
+  $v$.
 - ``verify``: run a named identity suite and report one pass/fail line
   per identity; exit code 0 only when every line passes.
 - ``kl-lift``: emit the bar-invariant lifts $c_w$ with exact
   coefficients in the (partition, permutation) basis, together with
-  their bar-invariance and image checks.
+  their bar-invariance and image checks; membership in the subalgebra
+  is tested against the certified basis.
 - ``finite-model``: full operator-identity report over one finite basic
   affine space, plus the base-point span solve and (over square fields)
   the monodromic comparison.
@@ -117,9 +120,8 @@ def _dim_chunks(report: dict, rows: list, fmt: str) -> Iterator[str]:
         yield "I,N_I,R_I,D_I\n"
         for batch in batches:
             yield "".join(
-                f"{' '.join(map(word.__getitem__, r.subset))},"
-                f"{r.normalizer_order},{r.subgroup_count},{r.descent_count}\n"
-                for r in batch)
+                f"{' '.join(map(word.__getitem__, subset))},{N},{R},{D}\n"
+                for subset, _, N, R, D in batch)
         return
     item = [f"\n        {i}" for i in range(n + 1)]
 
@@ -131,11 +133,12 @@ def _dim_chunks(report: dict, rows: list, fmt: str) -> Iterator[str]:
     sep = "\n"
     for batch in batches:
         yield sep + ",\n".join(
-            f'    {{\n      "D_I": {r.descent_count},\n'
-            f'      "I": {array(r.subset)},\n'
-            f'      "N_I": {r.normalizer_order},\n'
-            f'      "R_I": {r.subgroup_count},\n'
-            f'      "lambda": {array(r.lam)}\n    }}' for r in batch)
+            f'    {{\n      "D_I": {D},\n'
+            f'      "I": {array(subset)},\n'
+            f'      "N_I": {N},\n'
+            f'      "R_I": {R},\n'
+            f'      "lambda": {array(lam)}\n    }}'
+            for subset, lam, N, R, D in batch)
         sep = ",\n"
     yield "\n  ]" + tail
 
@@ -196,11 +199,15 @@ def _pi_image(x):
     in the Hecke algebra (a `hecke.HeckeElement`) under the
     trivial-character surjection, read off the algebra map
     `hecke.quotient_image`, which agrees with it on C(v).  Membership in
-    C(v) is checked first, exactly, against the echelon basis
-    `closure._closure`; outside it raises ValueError."""
+    C(v) is checked first, exactly and with no division, against the
+    certified basis of `closure.certificate`, whose span is C(v); outside
+    it raises ValueError."""
     from . import closure, hecke
 
-    if not closure._closure(x.m - 1).contains(x.terms):
+    basis = closure.certificate(x.m - 1)[1]
+    if basis is None:
+        raise ArithmeticError(f"C(v) at n = {x.m - 1} has no certificate")
+    if not basis.contains(x.terms):
         raise ValueError("element is not in C(v)")
     return hecke.quotient_image(x)
 
@@ -313,7 +320,7 @@ _ALL_BATTERY = (("presentation", {"n": 2}),
 
 def cmd_dim(config: RunConfig) -> tuple[Iterable[str], int]:
     rows = dimension_rows(config.n)
-    cross = sum(r.subgroup_count * r.descent_count for r in rows)
+    cross = sum(R * D for _, _, _, R, D in rows)
     # subset mode also sums over the classes its prefix walk finds
     total = (dim_C(config.n, "subset-enumeration") if config.mode == "subset"
              else cross)

@@ -18,18 +18,30 @@ on $P$ alone (`tie_action`, Bell(m) entries), and $sw$ with the descent
 on $w$ alone (`coxeter.left_action`, $m!$ entries), both read on ranks
 from `_index_tables`.  `g_action` is the one loop that applies the rule
 (and that of $g_s^{-1}$), on any scalars: `btalg.lmul_g` calls it over
-$\mathbb{Q}(v)$, and the closure walk here once per candidate.
+the Laurent ring, and the closure walk here once per candidate.
 
 $\mathcal{C}(v)$ is generated by the $g_s$ alone, so its dimension is the
 rank of the closure of $\mathrm{span}\{1\}$ under left multiplication by
 the generators.  One breadth-first walk, `_closure_echelon`, runs it on
-`linalg.Echelon` with $v^2-1$ either in $\mathbb{Q}(v)$ (mode ``exact``,
-$n \le 3$; `scalars` is imported only there) or in $\mathbb{F}_p$ as a
-Python int at seeded rational specializations of $v$ (mode
-``specialized``, $n \le 4$, a lower-bound certificate reported per point,
-on `Echelon` with the prime modulus p).  Each candidate that gains a
-pivot is carried on as its reduced row.  This module imports only
-`coxeter` and `linalg`.
+`linalg.Echelon` over $\mathbb{F}_p$, with $v^2-1$ a Python int at a
+rational specialization of $v$; each candidate that gains a pivot is
+carried on as its reduced row.  Mode ``specialized`` reports the rank at
+3 seeded points ($n \le 4$), a lower bound per point.  Mode ``exact``
+reads `certificate`, which needs no arithmetic in $\mathbb{Q}(v)$:
+
+- the lower bound is the rank over $\mathbb{F}_p$ at one fixed point
+  $v_0 = 51/98$, $p = 1048573$, since a specialized rank is at most the
+  generic one;
+- the upper bound lifts that walk's reduced echelon basis to $\pm 1$
+  (any other entry means no certificate) and checks, with integers
+  only, that it is a $\mathbb{Q}$-basis $L$ whose $\mathbb{Q}(v)$-span is
+  $g$-stable and contains 1, so contains $\mathcal{C}(v)$: for every row
+  $b$ and generator, both integer parts of $g_s b = A + (v^2-1) B$
+  reduce to zero against $L$, and so does 1.
+
+When both hold, $\dim \mathcal{C}(v) = \mathrm{rank}\, L$ and the span
+of $L$ is $\mathcal{C}(v)$, which is how ``kl-lift`` tests membership.
+This module imports only `coxeter` and `linalg`.
 
 >>> c_dimension_report(2, "specialized", seed=0)["points"][0]
 {'v': '51/98', 'prime': 1048573, 'rank': 20}
@@ -138,14 +150,12 @@ def g_action(m: int, i: int, x: dict, weight, inverse: bool = False
     return y
 
 
-def _closure_echelon(m: int, c2, one, modulus: int | None = None) -> Echelon:
-    """Echelon basis of the closure of span{1} under the g_s, over the
-    field of `one` (F_p on ints when a prime modulus is given) with c2
-    standing for v^2 - 1: a breadth-first walk on rows keyed by basis
-    index, each candidate g_s x formed by `g_action`.  The unit
-    e_{discrete} g_{identity} is index 0.  A candidate may hold zero
-    entries, or ints past the modulus; `Echelon.insert` drops and reduces
-    them.
+def _closure_echelon(m: int, c2: int, p: int) -> Echelon:
+    """Echelon basis over F_p of the closure of span{1} under the g_s,
+    with the int c2 standing for v^2 - 1: a breadth-first walk on rows
+    keyed by basis index, each candidate g_s x formed by `g_action`.  The
+    unit e_{discrete} g_{identity} is index 0.  A candidate may hold zero
+    entries, or ints past p; `Echelon.insert` drops and reduces them.
 
     The frontier carries, for each candidate that gains a pivot, a copy
     of the row stored for it then, pivot entry 1 included (later inserts
@@ -154,8 +164,8 @@ def _closure_echelon(m: int, c2, one, modulus: int | None = None) -> Echelon:
     carried rows span what the candidates span at every step, the walk
     ends at the same g-stable subspace, and the reduced rows are the ones
     the raw candidates give; the carried rows are just shorter."""
-    unit = {0: one}
-    ech = Echelon(modulus)
+    unit = {0: 1}
+    ech = Echelon(p)
     ech.insert(unit)
     frontier = [unit]
     while frontier:
@@ -165,27 +175,70 @@ def _closure_echelon(m: int, c2, one, modulus: int | None = None) -> Echelon:
                 pivot = ech.insert(g_action(m, i, x, c2))
                 if pivot is not None:
                     row = dict(ech.rows[pivot])
-                    row[pivot] = one
+                    row[pivot] = 1
                     new.append(row)
         frontier = new
     return ech
 
 
-@lru_cache(maxsize=None)
-def _closure(n: int) -> Echelon:
-    """Exact echelon basis of C(v), eliminating over Q(v)."""
-    if n > 3:
-        raise ValueError("exact closure bounded at n <= 3")
-    from .scalars import RationalFunctionScalar as RF
-
-    return _closure_echelon(n + 1, RF.V * RF.V - 1, RF.ONE)
-
-
-def _closure_rank_modp(m: int, v0: Fraction, p: int) -> int:
-    """Rank of the closure of span{1} under the g_s over F_p, with v
-    specialized to v0, so that v^2 - 1 is c2 = v0^2 - 1 mod p."""
+def _closure_modp(m: int, v0: Fraction, p: int) -> Echelon:
+    """The closure of span{1} under the g_s over F_p, with v specialized
+    to v0, so that v^2 - 1 is c2 = v0^2 - 1 mod p."""
     v = v0.numerator * pow(v0.denominator, -1, p) % p
-    return _closure_echelon(m, (v * v - 1) % p, 1, p).rank
+    return _closure_echelon(m, (v * v - 1) % p, p)
+
+
+# the one point of the exact certificate: the first point of seed 0
+_CERTIFICATE_POINT = (Fraction(51, 98), 1048573)
+
+
+def _certified(m: int, rows: dict[int, dict]) -> Echelon | None:
+    """The Q-basis `rows` (pivot -> integer entries, the pivot entry 1
+    left out, each row vanishing at the other pivots) as an `Echelon`,
+    when its Q(v)-span is g-stable and contains 1; else None.
+
+    For a row b and a generator g_s, `g_action` with weights 0 and 1
+    gives the integer vectors A and A + B of g_s b = A + (v^2 - 1) B, so
+    b's image lies in the Q(v)-span exactly when A and A + B, hence A and
+    B, lie in the Q-span.  Each test reduces an integer vector against
+    rows with pivot entry 1: integer arithmetic, no division."""
+    basis = Echelon()
+    basis.rows = rows
+    if not basis.contains({0: 1}):
+        return None
+    for pivot, row in rows.items():
+        b = {pivot: 1, **row}
+        for i in range(1, m):
+            for weight in (0, 1):
+                if not basis.contains(g_action(m, i, b, weight)):
+                    return None
+    return basis
+
+
+@lru_cache(maxsize=None)
+def certificate(n: int) -> tuple[int, Echelon | None]:
+    """(lower, basis): the rank over F_p of the closure at v0 = 51/98 mod
+    p = 1048573, a lower bound for dim C(v) (a specialized rank is at
+    most the generic one); and the reduced echelon basis of that walk
+    lifted to entries +1 and -1, if it is a Q-basis whose Q(v)-span is
+    g-stable and contains 1 (`_certified`), hence contains C(v).  Then
+    dim C(v) <= rank L = lower, so dim C(v) = lower exactly and C(v) is
+    that span; basis is None when any entry is neither 1 nor p - 1 mod p,
+    or the checks fail.
+
+    >>> lower, basis = certificate(1)
+    >>> lower, basis.rows
+    (3, {0: {}, 1: {}, 2: {3: 1}})
+    """
+    m = n + 1
+    v0, p = _CERTIFICATE_POINT
+    ech = _closure_modp(m, v0, p)
+    lift = {1: 1, p - 1: -1}
+    rows = {pivot: {c: lift.get(x) for c, x in row.items()}
+            for pivot, row in ech.rows.items()}
+    if any(None in row.values() for row in rows.values()):
+        return ech.rank, None
+    return ech.rank, _certified(m, rows)
 
 
 _SPECIALIZE_PRIMES = (1048573, 999983, 786433)
@@ -205,16 +258,19 @@ def _specialization_points(seed: int, count: int
 
 
 def c_dimension_report(n: int, mode: str = "exact", seed: int = 0) -> dict:
-    """dim C(v), by exact elimination (n <= 3) or as the maximal rank over
-    3 rational specializations of v (n <= 4), with per-point detail in
-    specialized mode.
+    """dim C(v): in mode exact from `certificate`, with agree meaning that
+    its lower and upper bounds meet; in mode specialized as the maximal
+    rank over 3 rational specializations of v (n <= 4), with per-point
+    detail.
 
     >>> c_dimension_report(1)["dimension"]
     3
     """
     if mode == "exact":
-        rank = _closure(n).rank
-        return {"n": n, "mode": mode, "dimension": rank, "agree": True}
+        lower, basis = certificate(n)
+        upper = None if basis is None else basis.rank
+        return {"n": n, "mode": mode, "dimension": lower,
+                "agree": lower == upper}
     if mode != "specialized":
         raise ValueError(f"unknown mode: {mode!r}")
     if n > 4:
@@ -222,7 +278,7 @@ def c_dimension_report(n: int, mode: str = "exact", seed: int = 0) -> dict:
     ranks = []
     for v0, p in _specialization_points(seed, 3):
         ranks.append({"v": str(v0), "prime": p,
-                      "rank": _closure_rank_modp(n + 1, v0, p)})
+                      "rank": _closure_modp(n + 1, v0, p).rank})
     values = [r["rank"] for r in ranks]
     return {"n": n, "mode": mode, "dimension": max(values),
             "agree": len(set(values)) == 1, "points": ranks}

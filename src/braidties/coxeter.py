@@ -32,9 +32,11 @@ functions attach to $I$:
   over subsets $T$ of block positions, which factorizes as
   $(n+1)!\prod_i \big(1 - 1/(\lambda_i+1)!\big)$.  The product form is the
   value; for $k \leq 12$ and $n \leq 25$ the $2^k$ inclusion-exclusion
-  terms are summed as exact integers and asserted to agree (each
+  terms are summed as exact integers and checked to agree (each
   $\prod_{i \in T}(\lambda_i+1)!$ divides $(n+1)!$, since
-  $\sum_i (\lambda_i+1) \leq n+1$).
+  $\sum_i (\lambda_i+1) \leq n+1$).  A failed check raises
+  `ArithmeticError`, an internal error for the command line (exit 3),
+  also under ``python -O``.
 
 The dimension of the braid-generated subalgebra is
 $\sum_{\lambda \in P(n)} R_\lambda D_\lambda$, summed over the *distinct*
@@ -64,7 +66,6 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import comb, factorial
-from typing import NamedTuple
 
 Perm = tuple[int, ...]
 SetPartition = tuple[tuple[int, ...], ...]
@@ -278,10 +279,6 @@ def all_set_partitions(m: int) -> tuple[SetPartition, ...]:
             out.append(partition_from_blocks(blocks))
     return tuple(sorted(out))
 
-def partition_block_sizes(p: SetPartition) -> tuple[int, ...]:
-    """Non-singleton block sizes, decreasing."""
-    return tuple(sorted((len(b) for b in p if len(b) > 1), reverse=True))
-
 
 # ---------------------------------------------------------------------------
 # subsets of simple reflections and the counting functions
@@ -345,7 +342,7 @@ def d_subset(n: int, I) -> int:
     block of I, by the factorized product form
     $(n+1)! \\prod_b (1 - 1/(|b|+1)!)$; at desk scale the raw
     inclusion-exclusion over block subsets, summed as exact integers,
-    is asserted to agree.
+    is checked to agree.
 
     >>> d_subset(4, {1, 2, 4})
     50
@@ -359,7 +356,9 @@ def d_subset(n: int, I) -> int:
 def _d_value_lambda(n: int, lam: tuple[int, ...]) -> int:
     # the blocks of sizes lam_i + 1 fit side by side in {1..n+1}, so every
     # product of their factorials divides (n+1)! (multinomial coefficient)
-    assert sum(lam) + len(lam) <= n + 1, (n, lam)
+    if not sum(lam) + len(lam) <= n + 1:
+        raise ArithmeticError(f"the blocks of lambda = {lam} do not fit "
+                              f"in S_{n + 1}")
     total = factorial(n + 1)
     num = total
     den = 1
@@ -367,7 +366,9 @@ def _d_value_lambda(n: int, lam: tuple[int, ...]) -> int:
         f = factorial(part + 1)
         num *= f - 1
         den *= f
-    assert num % den == 0, (n, lam)
+    if not num % den == 0:
+        raise ArithmeticError(f"D's product form is not an integer at "
+                              f"n = {n}, lambda = {lam}")
     value = num // den
     if len(lam) <= 12 and n <= 25:
         # cross-check the product form against raw inclusion-exclusion
@@ -381,7 +382,10 @@ def _d_value_lambda(n: int, lam: tuple[int, ...]) -> int:
             f = factorial(part + 1)
             signed += [-d * f for d in signed]
         acc = sum(total // d for d in signed)
-        assert acc == value, (n, lam, acc, value)
+        if not acc == value:
+            raise ArithmeticError(f"inclusion-exclusion gives {acc}, the "
+                                  f"product form {value}, at n = {n}, "
+                                  f"lambda = {lam}")
     return value
 
 
@@ -400,24 +404,18 @@ def partitions_P(n: int) -> list[tuple[tuple[int, ...], int]]:
     >>> dict(partitions_P(4))[(1, 1)]
     3
     """
-    return [(r.lam, _realizing_count(n, r.lam))
-            for r in reversed(dimension_rows(n))]
+    return [(lam, _realizing_count(n, lam))
+            for _, lam, _, _, _ in reversed(dimension_rows(n))]
 
-class DimensionRow(NamedTuple):
-    """One conjugacy class of parabolic subgroups: its representative
-    subset (leftmost packing, decreasing run lengths), lambda, and the
-    three counts (normalizer order N, class size R = (n+1)!/N, descent
-    count D)."""
-    subset: tuple[int, ...]
-    lam: tuple[int, ...]
-    normalizer_order: int
-    subgroup_count: int
-    descent_count: int
-
-def dimension_rows(n: int) -> list[DimensionRow]:
+def dimension_rows(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...],
+                                         int, int, int]]:
     """The per-class table behind dim_C(n): one row per lambda in P(n),
     reverse-lexicographic (each prefix after its extensions), ending with
-    the empty set.
+    the empty set.  A row is the plain tuple (subset, lam, N, R, D) of one
+    conjugacy class of parabolic subgroups: its representative subset
+    (leftmost packing, decreasing run lengths), lambda, and the three
+    counts (normalizer order N, class size R = (n+1)!/N, descent count
+    D).
 
     One depth-first walk over P(n).  Appending a part p to a prefix
     appends the run of p places after a one-place gap to the subset,
@@ -425,14 +423,13 @@ def dimension_rows(n: int) -> list[DimensionRow]:
     formula by c (p+1)!, where c counts the trailing parts equal to p,
     and multiplies the numerator and denominator of D's product form by
     (p+1)! - 1 and (p+1)!.  A row then costs one multiply for N, one
-    divide for R and one divide for D, whose remainder is asserted zero.
-    Under the bounds of `_d_value_lambda` (k <= 12, n <= 25) the signed
-    inclusion-exclusion list doubles once per part, and its sum is
-    asserted to equal D.
+    divide for R and one divide for D, whose remainder is checked to be
+    zero.  Under the bounds of `_d_value_lambda` (k <= 12, n <= 25) the
+    signed inclusion-exclusion list doubles once per part, and its sum
+    is checked to equal D.
 
-    >>> rows = dimension_rows(2)
-    >>> [(r.subset, r.normalizer_order, r.subgroup_count, r.descent_count) for r in rows]
-    [((1, 2), 6, 1, 5), ((1,), 2, 3, 3), ((), 6, 1, 6)]
+    >>> dimension_rows(2)
+    [((1, 2), (2,), 6, 1, 5), ((1,), (1,), 2, 3, 3), ((), (), 6, 1, 6)]
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -440,7 +437,7 @@ def dimension_rows(n: int) -> list[DimensionRow]:
     for i in range(1, n + 2):
         fact.append(fact[-1] * i)
     total = fact[n + 1]
-    rows: list[DimensionRow] = []
+    rows = []
 
     def descend(lam, subset, free, run, prod, num, den, signed):
         # free = n + 1 - sum(lam) - len(lam) points lie outside the blocks
@@ -457,11 +454,15 @@ def dimension_rows(n: int) -> list[DimensionRow]:
                     if signed is not None and len(lam) < 12 else None)
         order = fact[free] * prod
         value, rest = divmod(num, den)
-        assert rest == 0, (n, lam)
+        if not rest == 0:
+            raise ArithmeticError(f"D's product form is not an integer at "
+                                  f"n = {n}, lambda = {lam}")
         # each d divides (n+1)! (see _d_value_lambda), so every term is exact
-        assert signed is None or sum(total // d for d in signed) == value, \
-            (n, lam)
-        rows.append(DimensionRow(subset, lam, order, total // order, value))
+        if not (signed is None
+                or sum(total // d for d in signed) == value):
+            raise ArithmeticError(f"inclusion-exclusion disagrees with D "
+                                  f"at n = {n}, lambda = {lam}")
+        rows.append((subset, lam, order, total // order, value))
 
     descend((), (), n + 1, 0, 1, total, 1, [1] if n <= 25 else None)
     return rows
@@ -496,8 +497,7 @@ def dim_C(n: int, mode: str = "partition-aggregation") -> int:
     if mode == "partition-aggregation":
         if n > 50:
             raise ValueError("partition-aggregation bounded at n <= 50")
-        return sum(r.subgroup_count * r.descent_count
-                   for r in dimension_rows(n))
+        return sum(R * D for _, _, _, R, D in dimension_rows(n))
     if mode != "subset-enumeration":
         raise ValueError(f"unknown mode {mode!r}")
     if n > 20:

@@ -1209,10 +1209,10 @@ def monodromic_crosscheck(n: int, q: int, k: int, exponents: tuple[int, ...],
         e_key = (identity_perm(model.m), theta)
         s_key = (simple_perm(i, model.m), theta)
         alpha_pi = Cyclotomic.from_rational(
-            model.N, x.coeff(e_key).specialize(v0))
+            model.N, x.coeff(e_key)(v0))
         beta_pi = Cyclotomic.from_rational(
             model.N,
-            x.coeff(s_key).specialize(v0) * Fraction(-1, qk))
+            x.coeff(s_key)(v0) * Fraction(-1, qk))
         if inside:
             kappa = Cyclotomic.one(model.N)
         else:

@@ -1,6 +1,7 @@
 r"""The Iwahori-Hecke algebra of type $A_n$ and its Kazhdan-Lusztig basis.
 
-Standard basis $\{A_w\}_{w \in S_m}$ over $\mathbb{Q}(v)$ with
+Standard basis $\{A_w\}_{w \in S_m}$ with coefficients in the Laurent ring
+$\mathbb{Q}[v, v^{-1}]$ (`scalars.LaurentPoly`), with
 $A_s^2 = (v^2-1)A_s + v^2$ and $A_sA_w = A_{sw}$ when lengths add.
 The normalized basis is $\tilde{A}_w = v^{-l(w)}A_w$, with
 $(\tilde{A}_s - v)(\tilde{A}_s + v^{-1}) = 0$, so
@@ -63,35 +64,36 @@ from .coxeter import (
     simple_perm,
 )
 from .linalg import SparseVector, _acc, _addmul, _axpy
-from .scalars import LaurentPoly, RationalFunctionScalar as RF
+from .scalars import LaurentPoly
 
 if TYPE_CHECKING:
     from . import btalg
 
-V = RF.V
+V = LaurentPoly.V
+_ONE = LaurentPoly.one()
 _Q = V * V
 _QM1 = _Q - 1
 QPoly = dict[int, int]  # polynomial in q = v^2, exponent -> integer coefficient
 
 
 class HeckeElement(SparseVector):
-    """Finitely supported map Perm -> RF over a fixed S_m."""
+    """Finitely supported map Perm -> LaurentPoly over a fixed S_m."""
 
     __slots__ = ("m",)
     _ambient = "m"
-    ZERO = RF.ZERO
+    ZERO = LaurentPoly.zero()
 
     @classmethod
     def unit(cls, m: int) -> "HeckeElement":
-        return cls(m, {identity_perm(m): RF.ONE})
+        return cls(m, {identity_perm(m): _ONE})
 
     @classmethod
-    def basis(cls, w: Perm, coeff: RF = RF.ONE) -> "HeckeElement":
+    def basis(cls, w: Perm, coeff: LaurentPoly = _ONE) -> "HeckeElement":
         return cls(len(w), {w: coeff})
 
-    def coeff_tilde(self, w: Perm) -> RF:
+    def coeff_tilde(self, w: Perm) -> LaurentPoly:
         """Coefficient in the normalized basis: of Ã_w, i.e. A_w * v^{l(w)}."""
-        return self.coeff(w) * RF.from_laurent(LaurentPoly.monomial(perm_length(w)))
+        return self.coeff(w) * LaurentPoly.monomial(perm_length(w))
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -108,19 +110,19 @@ class HeckeElement(SparseVector):
 # keyed by l(sw) < l(w); b is None where no A_w term arises.  By the
 # quadratic relation A_s A_w is A_{sw} when the length goes up, and
 # v^2 A_{sw} + (v^2 - 1) A_w when it goes down.
-_A_S = {False: (RF.ONE, None), True: (_Q, _QM1)}
-_G_S = {False: (-RF.ONE, _QM1), True: (-_Q, None)}
+_A_S = {False: (_ONE, None), True: (_Q, _QM1)}
+_G_S = {False: (-_ONE, _QM1), True: (-_Q, None)}
 
 
 def _lmul(weights: dict, i: int, x: HeckeElement) -> HeckeElement:
     """Left multiplication by A_{s_i} or by v^2 - 1 - A_{s_i}, per
     `weights`."""
     left = left_action(x.m, i)
-    out: dict[Perm, RF] = {}
+    out: dict[Perm, LaurentPoly] = {}
     for w, c in x.terms.items():
         sw, down = left[w]
         a, b = weights[down]
-        _acc(out, sw, c if a is RF.ONE else c * a)
+        _acc(out, sw, c if a is _ONE else c * a)
         if b is not None:
             _acc(out, w, c * b)
     return x._like(out)
@@ -130,7 +132,7 @@ def hecke_mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     """Bilinear product; A_w * A_u computed by peeling a reduced word of w."""
     if a.m != b.m:
         raise ValueError("mixing Hecke algebras")
-    out: dict[Perm, RF] = {}
+    out: dict[Perm, LaurentPoly] = {}
     for w, c in a.terms.items():
         x = b.scale(c)
         for i in reversed(reduced_word(w)):
@@ -140,13 +142,13 @@ def hecke_mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
 
 
 def a_tilde(w: Perm) -> HeckeElement:
-    return HeckeElement.basis(w, RF.from_laurent(LaurentPoly.monomial(-perm_length(w))))
+    return HeckeElement.basis(w, LaurentPoly.monomial(-perm_length(w)))
 
 
 @lru_cache(maxsize=None)
 def _simple_inverse(i: int, m: int) -> HeckeElement:
     """A_{s_i}^{-1} = v^{-2} A_{s_i} - (1 - v^{-2}) A_e."""
-    vi2 = RF.from_laurent(LaurentPoly.monomial(-2))
+    vi2 = LaurentPoly.monomial(-2)
     return HeckeElement(m, {simple_perm(i, m): vi2,
                             identity_perm(m): vi2 - 1})
 
@@ -164,12 +166,12 @@ def basis_inverse(w: Perm) -> HeckeElement:
 @lru_cache(maxsize=None)
 def tilde_inverse(w: Perm) -> HeckeElement:
     """Ã_w^{-1} = v^{l(w)} A_w^{-1}, built once per w."""
-    return basis_inverse(w).scale(RF.from_laurent(LaurentPoly.monomial(perm_length(w))))
+    return basis_inverse(w).scale(LaurentPoly.monomial(perm_length(w)))
 
 
 def bar_involution(a: HeckeElement) -> HeckeElement:
     """Semilinear extension of A_w -> A_{w^{-1}}^{-1}, v -> v^{-1}."""
-    out: dict[Perm, RF] = {}
+    out: dict[Perm, LaurentPoly] = {}
     for w, c in a.terms.items():
         _addmul(out, basis_inverse(perm_inv(w)).terms, c.bar())
     return a._like(out)
@@ -255,10 +257,15 @@ def kl_polynomials(n: int) -> KLTable:
             if p:
                 table.entries[(x, w)] = p
                 if x != w:
-                    assert max(p) <= (lw - perm_length(x) - 1) // 2, (x, w, p)
-                else:
-                    assert p == {0: 1}
-        assert table.entries[(w, w)] == {0: 1}
+                    if not max(p) <= (lw - perm_length(x) - 1) // 2:
+                        raise ArithmeticError(f"P_{{x,w}} = {p} breaks the "
+                                              f"degree bound at x = {x}, "
+                                              f"w = {w}")
+                elif not p == {0: 1}:
+                    raise ArithmeticError(f"P_{{w,w}} = {p} at w = {w}")
+        if not table.entries[(w, w)] == {0: 1}:
+            raise ArithmeticError(f"P_{{w,w}} = {table.entries[(w, w)]} "
+                                  f"at w = {w}")
         table._mu_lists[w] = [(z, table.mu(z, w)) for z in perms
                               if perm_length(z) < lw and table.mu(z, w)
                               and bruhat_leq(z, w)]
@@ -270,9 +277,9 @@ def kl_table(m: int) -> KLTable:
     return kl_polynomials(m - 1)
 
 
-def _qpoly_to_rf(p: QPoly) -> RF:
+def _qpoly_to_laurent(p: QPoly) -> LaurentPoly:
     """Evaluate an integer polynomial in q at q = v^2."""
-    return RF.from_laurent(LaurentPoly({2 * e: c for e, c in p.items()}))
+    return LaurentPoly({2 * e: c for e, c in p.items()})
 
 
 @lru_cache(maxsize=None)
@@ -287,15 +294,14 @@ def canonical_basis(w: Perm) -> HeckeElement:
     m = len(w)
     table = kl_table(m)
     lw = perm_length(w)
-    out: dict[Perm, RF] = {}
+    out: dict[Perm, LaurentPoly] = {}
     for x in all_perms(m):
         p = table.poly(x, w)
         if not p:
             continue
         lx = perm_length(x)
         sign = -1 if (lw - lx) % 2 else 1
-        coeff = _qpoly_to_rf(p) * RF.from_laurent(
-            LaurentPoly.monomial(lx - lw, sign))
+        coeff = _qpoly_to_laurent(p) * LaurentPoly.monomial(lx - lw, sign)
         _addmul(out, tilde_inverse(perm_inv(x)).terms, coeff)
     return HeckeElement(m, out)
 
@@ -324,7 +330,7 @@ def canonical_by_bar(w: Perm) -> HeckeElement:
         for y in elem.terms:
             if y == w:
                 continue
-            f = elem.coeff_tilde(y).as_laurent()
+            f = elem.coeff_tilde(y)
             low = {e: c for e, c in f.coeffs().items() if e <= 0}
             if not low:
                 continue
@@ -339,8 +345,10 @@ def canonical_by_bar(w: Perm) -> HeckeElement:
                 defect_g = LaurentPoly(g)
         if defect_y is None:
             break
-        elem = elem - canonical_by_bar(defect_y).scale(RF.from_laurent(defect_g))
-    assert elem.coeff_tilde(w) == RF.ONE, w
+        elem = elem - canonical_by_bar(defect_y).scale(defect_g)
+    if not elem.coeff_tilde(w) == _ONE:
+        raise ArithmeticError(f"the bar-invariance solve leaves the top "
+                              f"coefficient {elem.coeff_tilde(w)} at w = {w}")
     return elem
 
 
@@ -362,16 +370,17 @@ def c_expansion(s: int, u: Perm) -> dict[Perm, int]:
     while rem:
         y = max(rem.terms, key=lambda t: (perm_length(t), t))
         gamma = rem.coeff_tilde(y)
-        lp = gamma.as_laurent()
-        cs = lp.coeffs()
+        cs = gamma.coeffs()
         if set(cs) - {0}:
-            raise ArithmeticError(f"non-constant C-basis coefficient at {y}: {lp}")
+            raise ArithmeticError(f"non-constant C-basis coefficient at {y}: {gamma}")
         ci = cs.get(0, 0)
         if ci.denominator != 1:
             raise ArithmeticError(f"non-integer C-basis coefficient at {y}: {ci}")
         out[y] = int(ci)
         rem = rem - canonical_basis(y).scale(gamma)
-    assert out.get(su) == 1, (s, u, out)
+    if not out.get(su) == 1:
+        raise ArithmeticError(f"the coefficient of C_{{su}} is "
+                              f"{out.get(su)}, not 1, at s = {s}, u = {u}")
     return out
 
 
@@ -410,10 +419,10 @@ def quotient_image(x: btalg.BTElement) -> HeckeElement:
     """
     from .closure import basis_pair
 
-    by_w: dict[Perm, RF] = {}
+    by_w: dict[Perm, LaurentPoly] = {}
     for k, c in x.terms.items():
         _acc(by_w, basis_pair(x.m, k)[1], c)
-    out: dict[Perm, RF] = {}
+    out: dict[Perm, LaurentPoly] = {}
     for w, c in by_w.items():
         _addmul(out, _quotient_g(w).terms, c)
     return HeckeElement(x.m, out)

@@ -11,8 +11,9 @@ $(w\theta)_j = b_{w^{-1}(j)}$, and the reflection subgroup
 $W_\theta^\circ$ consists of the transpositions $(i\,j)$ with
 $b_i \equiv b_j$: exactly the coroots on which $\theta$ is trivial.
 
-$\mathbf{H}_{\mathfrak{o}}$ has basis $A_w 1_{\mathcal{L}}$ over
-$\mathbb{Q}(v)$, with the defining relations
+$\mathbf{H}_{\mathfrak{o}}$ has basis $A_w 1_{\mathcal{L}}$, here with
+coefficients in the Laurent ring $\mathbb{Q}[v, v^{-1}]$
+(`scalars.LaurentPoly`), and the defining relations
 
 - $1_{\mathcal{L}} 1_{\mathcal{L}'} = \delta_{\mathcal{L},\mathcal{L}'}
   1_{\mathcal{L}}$,
@@ -70,16 +71,17 @@ from .coxeter import (
     simple_perm,
 )
 from .linalg import SparseVector, _acc, _addmul
-from .scalars import RationalFunctionScalar as RF
+from .scalars import LaurentPoly
 
 if TYPE_CHECKING:
     from . import hecke
 
-V = RF.V
-_ONE = RF.ONE
+V = LaurentPoly.V
+_ONE = LaurentPoly.one()
 _Q = V * V
 _QM1 = _Q - _ONE
-_VI2 = RF.VI * RF.VI
+_VI = V.inv()
+_VI2 = _VI * _VI
 
 
 # ---------------------------------------------------------------------------
@@ -199,11 +201,11 @@ def all_orbits(m: int, modulus: int) -> list[tuple[TorusCharacter, ...]]:
 # ---------------------------------------------------------------------------
 
 class MonodromicElement(SparseVector):
-    """Q(v)-combination of basis terms A_w 1_L."""
+    """Combination of basis terms A_w 1_L with Laurent coefficients."""
 
     __slots__ = ("m",)
     _ambient = "m"
-    ZERO = RF.ZERO
+    ZERO = LaurentPoly.zero()
 
     def __repr__(self):
         if not self.terms:
@@ -220,23 +222,23 @@ class MonodromicElement(SparseVector):
 def corner_unit(L: TorusCharacter) -> MonodromicElement:
     """The idempotent 1_L as an element."""
     m = len(L.exponents)
-    return MonodromicElement(m, {(identity_perm(m), L): RF.ONE})
+    return MonodromicElement(m, {(identity_perm(m), L): _ONE})
 
 
 def standard_element(w: Perm, L: TorusCharacter) -> MonodromicElement:
     """The basis element A_w 1_L."""
-    return MonodromicElement(len(w), {(w, L): RF.ONE})
+    return MonodromicElement(len(w), {(w, L): _ONE})
 
 
 def ho_unit(orbit) -> MonodromicElement:
     """The unit of the orbit algebra: the sum of all corner idempotents."""
     m = len(orbit[0].exponents)
-    return MonodromicElement(m, {(identity_perm(m), L): RF.ONE for L in orbit})
+    return MonodromicElement(m, {(identity_perm(m), L): _ONE for L in orbit})
 
 
 def full_element(w: Perm, orbit) -> MonodromicElement:
     """A_w spread over the whole orbit: sum of A_w 1_L."""
-    return MonodromicElement(len(w), {(w, L): RF.ONE for L in orbit})
+    return MonodromicElement(len(w), {(w, L): _ONE for L in orbit})
 
 
 # Left multiplication of a term A_w 1_L by A_s, or by the pi-image of the
@@ -253,9 +255,9 @@ def full_element(w: Perm, orbit) -> MonodromicElement:
 #   Atilde_s^2 1_theta = 1_theta).
 _A_S = {(False, False): (_ONE, None), (False, True): (_Q, None),
         (True, False): (_ONE, None), (True, True): (_Q, _QM1)}
-_LETTER = {(False, False): (RF.VI, None), (False, True): (V, None),
+_LETTER = {(False, False): (_VI, None), (False, True): (V, None),
            (True, False): (_ONE, _ONE - _Q), (True, True): (_Q, None)}
-_LETTER_INV = {(False, False): (RF.VI, None), (False, True): (V, None),
+_LETTER_INV = {(False, False): (_VI, None), (False, True): (V, None),
                (True, False): (_VI2, None), (True, True): (_ONE, _ONE - _VI2)}
 
 
@@ -263,7 +265,7 @@ def _lmul(weights: dict, i: int,
           x: MonodromicElement) -> MonodromicElement:
     """Left multiplication by A_{s_i} or by one letter, per `weights`."""
     left = left_action(x.m, i)
-    out: dict[tuple[Perm, TorusCharacter], RF] = {}
+    out: dict[tuple[Perm, TorusCharacter], LaurentPoly] = {}
     for (w, L), c in x.terms.items():
         sw, down = left[w]
         a, b = weights[simple_in_circle(i, w_act(w, L)), down]
@@ -297,7 +299,7 @@ def ho_mul(a: MonodromicElement, b: MonodromicElement) -> MonodromicElement:
     >>> ho_mul(standard_element(s, M), corner_unit(w_act(s, M)))
     0
     """
-    out: dict[tuple[Perm, TorusCharacter], RF] = {}
+    out: dict[tuple[Perm, TorusCharacter], LaurentPoly] = {}
     for (w, L), c in a.terms.items():
         for (u, M), d in b.terms.items():
             if w_act(u, M) != L:
@@ -329,8 +331,8 @@ def pi_L(word: tuple[int, ...], L: TorusCharacter) -> MonodromicElement:
 
 
 def pi_of_combo(combo, L: TorusCharacter) -> MonodromicElement:
-    """pi_L extended linearly to Q(v)-combinations of words."""
-    out: dict[tuple[Perm, TorusCharacter], RF] = {}
+    """pi_L extended linearly to combinations of words."""
+    out: dict[tuple[Perm, TorusCharacter], LaurentPoly] = {}
     for word, c in combo.items():
         _addmul(out, pi_L(word, L).terms, c)
     return MonodromicElement(len(L.exponents), out)
@@ -340,7 +342,7 @@ def hecke_image(x: MonodromicElement) -> hecke.HeckeElement:
     """Read an element over a one-character orbit as a Hecke element."""
     from . import hecke
 
-    out: dict[Perm, RF] = {}
+    out: dict[Perm, LaurentPoly] = {}
     for (w, L), c in x.terms.items():
         _acc(out, w, c)
     return hecke.HeckeElement(x.m, out)
@@ -444,19 +446,19 @@ def _apply_move(rng: random.Random, word: tuple[int, ...], n: int):
     kind, p = rng.choice(moves)
     if kind == "braid":
         a, b = word[p], word[p + 1]
-        return {word[:p] + (b, a, b) + word[p + 3:]: RF.ONE}
+        return {word[:p] + (b, a, b) + word[p + 3:]: _ONE}
     if kind == "cubic":
         i = word[p]
         pre, post = word[:p], word[p + 3:]
-        return {pre + (i,) + post: RF.ONE,
+        return {pre + (i,) + post: _ONE,
                 pre + post: _Q,
                 pre + (i, i) + post: -_Q}
     if kind == "commute":
-        return {word[:p] + (word[p + 1], word[p]) + word[p + 2:]: RF.ONE}
+        return {word[:p] + (word[p + 1], word[p]) + word[p + 2:]: _ONE}
     if kind == "delete":
-        return {word[:p] + word[p + 2:]: RF.ONE}
+        return {word[:p] + word[p + 2:]: _ONE}
     i = rng.choice([1, -1]) * rng.randint(1, n)
-    return {word[:p] + (i, -i) + word[p:]: RF.ONE}
+    return {word[:p] + (i, -i) + word[p:]: _ONE}
 
 
 def pi_consistency(n: int, trials: int, seed: int = 0,

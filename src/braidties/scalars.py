@@ -1,12 +1,12 @@
 r"""Exact scalar arithmetic for the whole workbench.
 
-Four coefficient domains, all exact and all stored as Python integers:
+Three coefficient domains, all exact and all stored as Python integers:
 
 - rationals: `fractions.Fraction` from the standard library, used as-is;
-- Laurent polynomials $\mathbb{Q}[v, v^{-1}]$: `LaurentPoly`;
-- the rational function field $\mathbb{Q}(v)$: `RationalFunctionScalar`,
-  kept in a canonical form so that equality of values is equality of
-  representations;
+- Laurent polynomials $\mathbb{Q}[v, v^{-1}]$: `LaurentPoly`, the one
+  scalar of the algebra of braids and ties, the Hecke algebra and the
+  monodromic algebra.  Every element a command forms there has Laurent
+  coefficients, and the only inverses taken are those of monomials;
 - cyclotomic fields $\mathbb{Q}(\zeta_N)$: `Cyclotomic`, with coordinates
   reduced modulo the $N$-th cyclotomic polynomial $\Phi_N$ (a field, unlike
   $\mathbb{Q}[x]/(x^N-1)$), stored as integer numerators over one positive
@@ -14,26 +14,17 @@ Four coefficient domains, all exact and all stored as Python integers:
 
 The prime fields $\mathbb{F}_p$ of the mod-p rank certificate need no
 class here: they are plain Python ints in $[0, p)$, reduced by
-`linalg.Echelon` given the prime modulus.
+`linalg.Echelon` given the prime modulus.  No command divides by a
+Laurent polynomial that is not a monomial, so no polynomial gcd runs.
 
-Both polynomial-backed types split a value into a rational content and an
-integer part (the content and primitive part of a polynomial). A Laurent
-polynomial is $v^{lo} (c_0 + c_1 v + \dots + c_k v^k) / d$ with integers
-$c_i$, $c_0 \ne 0 \ne c_k$, $d > 0$ and $\gcd(c_0, \dots, c_k, d) = 1$, so
-its representation is unique. Sums and products are integer additions and
-convolutions followed by one integer gcd, and none when $d = 1$, which is
-the common case.
-
-The canonical form of a rational function: the denominator is a monic
-ordinary polynomial in $v$ with nonzero constant term; any Laurent unit
-$v^k$ is absorbed into the numerator; numerator and denominator share no
-polynomial factor. `RationalFunctionScalar.make` reaches it through
-primitive integer polynomials with a positive leading coefficient: a
-polynomial gcd over $\mathbb{Z}[x]$ (the heuristic GCDHEU of Char, Geddes
-and Gonnet, with a primitive remainder sequence as fallback) runs only
-when both parts have more than one term. A sum or product of Laurent
-polynomials, a Laurent polynomial plus a fraction, and a quotient by a
-monomial never reach it.
+Both types split a value into a rational content and an integer part. A
+Laurent polynomial is $v^{lo} (c_0 + c_1 v + \dots + c_k v^k) / d$ with
+integers $c_i$, $c_0 \ne 0 \ne c_k$, $d > 0$ and
+$\gcd(c_0, \dots, c_k, d) = 1$, so its representation is unique. Sums and
+products are integer additions and convolutions followed by one integer
+gcd, and none when $d = 1$, which is the common case.  An int or a
+Fraction is read as a constant when it is the right operand of a sum,
+a difference or a product, or the left operand of a product.
 
 The canonical form of a cyclotomic number: the gcd of its numerators and
 its denominator is 1. Since $\Phi_N$ is monic with integer coefficients,
@@ -43,11 +34,14 @@ products can add up their raw convolutions over a common denominator and
 reduce and normalize once (`Cyclotomic.from_convolution`), which is how
 the finite-model operator products compute each entry.
 
->>> v = RationalFunctionScalar.V
->>> (v*v - 1) / (v - v**3)
--v^-1
->>> ((v*v - 1) / (v - v**3)).specialize(Fraction(2))
-Fraction(-1, 2)
+>>> v = LaurentPoly.V
+>>> (v*v - 1) * (v - v**3) ** -1
+Traceback (most recent call last):
+ArithmeticError: not a unit of Q[v, v^-1]: -v^3 + v
+>>> (v*v - 1) * (-v) ** -3
+-v^-1 + v^-3
+>>> (v*v - 1)(Fraction(2))
+Fraction(3, 1)
 >>> cyclotomic_poly(6)
 (1, -1, 1)
 >>> z = Cyclotomic.root(6, 1)
@@ -60,7 +54,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd as int_gcd, isqrt, lcm
+from math import gcd as int_gcd, lcm
 
 ZERO_F = Fraction(0)
 
@@ -68,13 +62,6 @@ ZERO_F = Fraction(0)
 # ---------------------------------------------------------------------------
 # integer polynomials: tuples of ints, low degree first, no trailing zero
 # ---------------------------------------------------------------------------
-
-def _zeval(a: tuple[int, ...], x: int) -> int:
-    acc = 0
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
-
 
 def _zdiv(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...] | None:
     """a / b in Z[x] when b divides a there, else None."""
@@ -98,92 +85,6 @@ def _zdiv(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...] | None:
     if any(rem[:lb - 1]):
         return None
     return tuple(quo)
-
-
-def _zprimitive(a: tuple[int, ...]) -> tuple[int, ...]:
-    """a divided by its content, signed so that the leading coefficient
-    is positive."""
-    g = int_gcd(*a)
-    if a[-1] < 0:
-        g = -g
-    return a if g == 1 else tuple(x // g for x in a)
-
-
-def _zprem(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Pseudo-remainder of a by b: the remainder of lc(b)^k * a over Z."""
-    rem = list(a)
-    lb = len(b)
-    top = b[-1]
-    while len(rem) >= lb:
-        t = rem[-1]
-        if t:
-            rem = [x * top for x in rem]
-            for j, y in enumerate(b, len(rem) - lb):
-                rem[j] -= t * y
-        rem.pop()
-    while rem and not rem[-1]:
-        rem.pop()
-    return tuple(rem)
-
-
-def _zgcd_prs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """gcd of nonzero a, b in Z[x] by the primitive remainder sequence;
-    primitive with a positive leading coefficient."""
-    a, b = _zprimitive(a), _zprimitive(b)
-    if len(a) < len(b):
-        a, b = b, a
-    while len(b) > 1:
-        r = _zprem(a, b)
-        if not r:
-            return b
-        a, b = b, _zprimitive(r)
-    return (1,)
-
-
-@lru_cache(maxsize=1 << 14)
-def _zgcd(a: tuple[int, ...], b: tuple[int, ...]
-          ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """(g, a/g, b/g) for primitive a, b in Z[x], with g their gcd,
-    primitive with a positive leading coefficient.
-
-    Memoized, with room for every distinct pair one job meets: kl-lift
-    --n 3 asks about 197 000 times for about 10 400 pairs.
-
-    GCDHEU: evaluate at an integer xi, take the integer gcd, read its
-    balanced base-xi digits back as a polynomial H, and accept pp(H) if it
-    divides a and b. With xi >= 2 min(|a|, |b|) + 2 (max norms) an accepted
-    pp(H) is the gcd: if gcd = pp(H) k with k nonconstant, every root of k
-    is a root of a (or b), so |k(xi)| > (xi/2)^deg k >= xi/2, while k(xi)
-    must divide the content of H, which is at most xi/2. Six growing
-    points are tried before the remainder sequence.
-
-    >>> _zgcd((-1, 0, 1), (1, 2, 1))
-    ((1, 1), (-1, 1), (1, 1))
-    """
-    if len(a) == 1 or len(b) == 1:
-        return (1,), a, b
-    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
-    for _ in range(6):
-        h = int_gcd(_zeval(a, xi), _zeval(b, xi))
-        half = xi // 2
-        digits = []
-        while h:
-            r = h % xi
-            if r > half:
-                r -= xi
-            digits.append(r)
-            h = (h - r) // xi
-        if len(digits) == 1:
-            return (1,), a, b
-        g = _zprimitive(tuple(digits))
-        qa = _zdiv(a, g)
-        if qa is not None:
-            qb = _zdiv(b, g)
-            if qb is not None:
-                return g, qa, qb
-        xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
-    g = _zgcd_prs(a, b)
-    return g, _zdiv(a, g), _zdiv(b, g)
 
 
 # ---------------------------------------------------------------------------
@@ -221,19 +122,6 @@ def _lp_norm(lo: int, co: list[int], d: int) -> "LaurentPoly":
     return _lp(lo + start, tuple(co), d)
 
 
-def _lp_scaled(lo: int, co: tuple[int, ...], m: int, d: int) -> "LaurentPoly":
-    """The canonical form of v^lo * m * (co[0] + co[1] v + ...) / d, for
-    co without zeros at either end, m != 0 and d > 0."""
-    if m != 1:
-        co = tuple([x * m for x in co])
-    if d != 1:
-        g = int_gcd(d, *co)
-        if g != 1:
-            co = tuple([x // g for x in co])
-            d //= g
-    return _lp(lo, co, d)
-
-
 class LaurentPoly:
     """Laurent polynomial in v over Q, immutable and hashable.
 
@@ -250,6 +138,8 @@ class LaurentPoly:
     -1 + v^-2
     >>> p(Fraction(3))
     Fraction(8, 1)
+    >>> 2 * p - 1
+    2*v^2 - 3
     >>> LaurentPoly({-1: Fraction(1, 2), 1: 3}).coeffs()
     {-1: Fraction(1, 2), 1: Fraction(3, 1)}
     """
@@ -299,13 +189,19 @@ class LaurentPoly:
         return bool(self._co)
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, LaurentPoly) and self._lo == other._lo
-                and self._d == other._d and self._co == other._co)
+        if other.__class__ is not LaurentPoly:
+            return NotImplemented
+        return (self._lo == other._lo and self._d == other._d
+                and self._co == other._co)
 
     def __hash__(self) -> int:
         return hash(tuple(self.coeffs().items()))
 
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+    def __add__(self, other: "LaurentPoly | int | Fraction") -> "LaurentPoly":
+        if other.__class__ is not LaurentPoly:
+            other = _as_laurent(other)
+            if other is NotImplemented:
+                return NotImplemented
         ca, cb = self._co, other._co
         if not ca:
             return other
@@ -332,10 +228,14 @@ class LaurentPoly:
     def __neg__(self) -> "LaurentPoly":
         return _lp(self._lo, tuple([-x for x in self._co]), self._d)
 
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
+    def __sub__(self, other: "LaurentPoly | int | Fraction") -> "LaurentPoly":
         return self + (-other)
 
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
+    def __mul__(self, other: "LaurentPoly | int | Fraction") -> "LaurentPoly":
+        if other.__class__ is not LaurentPoly:
+            other = _as_laurent(other)
+            if other is NotImplemented:
+                return NotImplemented
         a, b = self._co, other._co
         if not a or not b:
             return _LP_ZERO
@@ -361,9 +261,27 @@ class LaurentPoly:
                 d //= g
         return _lp(self._lo + other._lo, co, d)
 
+    __rmul__ = __mul__
+
+    def inv(self) -> "LaurentPoly":
+        """The inverse of a monomial c v^e, which is c^{-1} v^{-e}; any
+        other element is not a unit of the Laurent ring, and raises
+        (ZeroDivisionError for zero).
+
+        >>> LaurentPoly.monomial(-2, Fraction(-3, 4)).inv()
+        -4/3*v^2
+        """
+        co = self._co
+        if len(co) != 1:
+            if not co:
+                raise ZeroDivisionError("inverting zero")
+            raise ArithmeticError(f"not a unit of Q[v, v^-1]: {self!r}")
+        c = co[0]
+        return _lp(-self._lo, (self._d if c > 0 else -self._d,), abs(c))
+
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
-            raise ValueError("negative power of a Laurent polynomial")
+            return self.inv() ** -k
         out = _LP_ONE
         base = self
         while k:
@@ -434,233 +352,15 @@ _LP_ONE = _lp(0, (1,))
 LaurentPoly.V = _lp(1, (1,))
 
 
-# ---------------------------------------------------------------------------
-# the field Q(v)
-# ---------------------------------------------------------------------------
-
-def _rf(num: LaurentPoly, den: LaurentPoly) -> "RationalFunctionScalar":
-    out = object.__new__(RationalFunctionScalar)
-    out.num = num
-    out.den = den
-    return out
-
-
-class RationalFunctionScalar:
-    """Element of Q(v) in canonical form.
-
-    num/den with den a monic ordinary polynomial with nonzero constant
-    term, gcd(num, den) = 1 as polynomials, and any unit v^k carried by
-    the numerator. Canonical means `==` on representations decides
-    equality of values.
-
-    Inside, den is a primitive integer polynomial D with a positive
-    leading coefficient l, stored as D / l, and `make` computes on the
-    primitive parts of both sides, so every polynomial gcd runs over Z[x].
-    A Laurent value (den = 1) is the common case: sums and products of two
-    of them are Laurent operations, and a Laurent polynomial plus n/D is
-    (L D + n)/D, already in lowest terms.
-
-    >>> v = RationalFunctionScalar.V
-    >>> x = (v**2 - RationalFunctionScalar.ONE) / (v - v**3)
-    >>> x
-    -v^-1
-    >>> x * v == -RationalFunctionScalar.ONE
-    True
-    >>> (RationalFunctionScalar.ONE / (v + RationalFunctionScalar.ONE)).den
-    v + 1
-    >>> (v + 1) / (2 * v + 3)
-    (1/2*v + 1/2)/(v + 3/2)
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: LaurentPoly, den: LaurentPoly):
-        made = RationalFunctionScalar.make(num, den)
-        self.num = made.num
-        self.den = made.den
-
-    @staticmethod
-    def make(num: LaurentPoly, den: LaurentPoly) -> "RationalFunctionScalar":
-        dco = den._co
-        if not dco:
-            raise ZeroDivisionError("rational function with zero denominator")
-        nco = num._co
-        if not nco:
-            return RF_ZERO
-        shift = num._lo - den._lo
-        if len(dco) == 1:
-            # a monomial or a constant: the quotient is a Laurent polynomial
-            c = dco[0]
-            return _rf(_lp_scaled(shift, nco, den._d if c > 0 else -den._d,
-                                  num._d * abs(c)), _LP_ONE)
-        gn = int_gcd(*nco)
-        n = nco if gn == 1 else tuple([x // gn for x in nco])
-        gd = int_gcd(*dco)
-        if dco[-1] < 0:
-            gd = -gd
-        d = dco if gd == 1 else tuple([x // gd for x in dco])
-        if len(n) > 1:
-            _, n, d = _zgcd(n, d)
-        # num/den = v^shift * (gn den._d) / (gd num._d) * n/d, with n, d
-        # coprime and d primitive; the canonical denominator is d / lead
-        lead = d[-1]
-        cn, cd = gn * den._d, gd * num._d * lead
-        if cd < 0:
-            cn, cd = -cn, -cd
-        return _rf(_lp_scaled(shift, n, cn, cd),
-                   _LP_ONE if len(d) == 1 else _lp(0, d, lead))
-
-    @classmethod
-    def from_laurent(cls, p: LaurentPoly) -> "RationalFunctionScalar":
-        return _rf(p, _LP_ONE)
-
-    @classmethod
-    def const(cls, a: Fraction | int) -> "RationalFunctionScalar":
-        return _rf(LaurentPoly.const(a), _LP_ONE)
-
-    def __bool__(self) -> bool:
-        return bool(self.num._co)
-
-    def as_laurent(self) -> LaurentPoly:
-        if len(self.den._co) != 1:
-            raise ValueError(f"not a Laurent polynomial: {self!r}")
-        return self.num
-
-    @staticmethod
-    def _coerce(x: "RationalFunctionScalar | int | Fraction"
-                ) -> "RationalFunctionScalar":
-        if isinstance(x, RationalFunctionScalar):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return RationalFunctionScalar.const(x)
-        return NotImplemented
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = RationalFunctionScalar.const(other)
-        return (isinstance(other, RationalFunctionScalar)
-                and self.num == other.num and self.den == other.den)
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
-    def __add__(self, other) -> "RationalFunctionScalar":
-        other = RationalFunctionScalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.num, other.num
-        if not a._co:
-            return other
-        if not b._co:
-            return self
-        da, db = self.den, other.den
-        # L + n/D = (L D + n)/D is in lowest terms, since gcd(n, D) = 1
-        if len(da._co) == 1:
-            if len(db._co) == 1:
-                return _rf(a + b, _LP_ONE)
-            return _rf(a * db + b, db)
-        if len(db._co) == 1:
-            return _rf(a + b * da, da)
-        if da == db:
-            return RationalFunctionScalar.make(a + b, da)
-        num = a * db + b * da
-        if len(_zgcd(da._co, db._co)[0]) == 1:
-            # coprime denominators: num shares no factor with either
-            return _rf(num, da * db)
-        return RationalFunctionScalar.make(num, da * db)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RationalFunctionScalar":
-        return _rf(-self.num, self.den)
-
-    def __sub__(self, other) -> "RationalFunctionScalar":
-        other = RationalFunctionScalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "RationalFunctionScalar":
-        return (-self) + other
-
-    def __mul__(self, other) -> "RationalFunctionScalar":
-        other = RationalFunctionScalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.num, other.num
-        if not a._co or not b._co:
-            return RF_ZERO
-        da, db = self.den, other.den
-        # cross-reduce num against the other den; what is left is coprime
-        # across as well, so the product needs no further gcd
-        if len(da._co) == 1:
-            if len(db._co) == 1:
-                return _rf(a * b, _LP_ONE)
-            x = RationalFunctionScalar.make(a, db)
-            return _rf(x.num * b, x.den)
-        y = RationalFunctionScalar.make(b, da)
-        if len(db._co) == 1:
-            return _rf(a * y.num, y.den)
-        x = RationalFunctionScalar.make(a, db)
-        return _rf(x.num * y.num, x.den * y.den)
-
-    __rmul__ = __mul__
-
-    def inv(self) -> "RationalFunctionScalar":
-        if not self.num._co:
-            raise ZeroDivisionError("inverting zero")
-        return RationalFunctionScalar.make(self.den, self.num)
-
-    def __truediv__(self, other) -> "RationalFunctionScalar":
-        other = RationalFunctionScalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inv()
-
-    def __rtruediv__(self, other) -> "RationalFunctionScalar":
-        return RationalFunctionScalar._coerce(other) * self.inv()
-
-    def __pow__(self, k: int) -> "RationalFunctionScalar":
-        if k < 0:
-            return self.inv() ** (-k)
-        out = RationalFunctionScalar.ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def bar(self) -> "RationalFunctionScalar":
-        """The involution v -> v^{-1}, extended to Q(v)."""
-        return RationalFunctionScalar.make(self.num.bar(), self.den.bar())
-
-    def specialize(self, v0: Fraction) -> Fraction:
-        v0 = Fraction(v0)
-        if v0 == 0:
-            raise ZeroDivisionError("specialization at v = 0 is not defined")
-        d = self.den(v0)
-        if not d:
-            raise ZeroDivisionError(f"pole at v = {v0}")
-        return self.num(v0) / d
-
-    def __repr__(self) -> str:
-        if len(self.den._co) == 1:
-            return repr(self.num)
-        num = repr(self.num)
-        co = self.num._co
-        if len(co) - co.count(0) > 1:
-            num = f"({num})"
-        return f"{num}/({self.den!r})"
-
-
-RF = RationalFunctionScalar
-RF_ZERO = _rf(_LP_ZERO, _LP_ONE)
-RF.ZERO = RF_ZERO
-RF.ONE = RF.from_laurent(_LP_ONE)
-RF.V = RF.from_laurent(LaurentPoly.V)
-RF.VI = RF.from_laurent(LaurentPoly.monomial(-1))
+def _as_laurent(x) -> "LaurentPoly":
+    """x as a LaurentPoly: itself, or an int or a Fraction as a constant;
+    NotImplemented for any other type, so that its own reflected
+    operator is tried."""
+    if x.__class__ is LaurentPoly:
+        return x
+    if isinstance(x, (int, Fraction)):
+        return LaurentPoly.const(x)
+    return NotImplemented
 
 
 # ---------------------------------------------------------------------------

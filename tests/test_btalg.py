@@ -10,15 +10,12 @@ import pytest
 from braidties import closure
 from braidties.btalg import (
     BTElement,
-    _partition_products,
     bar,
     bt_mul,
     c_simple_bt,
     e_element,
     g_element,
     g_inverse,
-    jr_decomposition,
-    jr_span,
     kl_lift,
     kl_lift_via,
     lmul_g,
@@ -26,9 +23,10 @@ from braidties.btalg import (
     verify_presentation,
     word_element,
 )
-from braidties.closure import c_dimension_report, tie_action
+from braidties.closure import basis_index, c_dimension_report, tie_action
 from braidties.coxeter import (
     all_perms,
+    dim_recurrence,
     all_set_partitions,
     discrete_partition,
     identity_perm,
@@ -44,11 +42,14 @@ from braidties.coxeter import (
     w_action,
 )
 from braidties.linalg import Echelon, _acc
-from braidties.scalars import RationalFunctionScalar as RF
+from braidties.scalars import LaurentPoly
+from qv_oracle import (RF, _partition_products, jr_decomposition, jr_span,
+                       qv, qv_closure)
 from word_oracle import word_combo
 
-V = RF.V
+V = LaurentPoly.V
 Q = V * V
+ONE = LaurentPoly.one()
 
 
 @lru_cache(maxsize=None)
@@ -78,7 +79,7 @@ def random_element(m, rng, nterms=2):
     for _ in range(nterms):
         P, w = pairs[rng.randrange(len(pairs))]
         num = rng.randint(-3, 3)
-        x = x + BTElement.basis(P, w).scale(RF.const(Fraction(num)) * V ** rng.randint(-1, 1))
+        x = x + BTElement.basis(P, w).scale(LaurentPoly.const(Fraction(num)) * V ** rng.randint(-1, 1))
     return x
 
 
@@ -115,7 +116,7 @@ def _ref_lmul_g_inv(i, x):
         _acc(out, (sP, sw), c)
         if perm_length(sw) > perm_length(w):
             joined = partition_join(sP, pair)
-            cc = c * (RF.VI * RF.VI - 1)
+            cc = c * (V ** -2 - 1)
             _acc(out, (joined, sw), cc)
             _acc(out, (joined, w), cc)
     return _element(x.m, out)
@@ -173,8 +174,8 @@ class _RecordingEchelon(Echelon):
 
 
 def _mod_p(c, v0, p):
-    """The Q(v) scalar c at v = v0, reduced mod p."""
-    x = c.specialize(v0)
+    """The Laurent scalar c at v = v0, reduced mod p."""
+    x = c(v0)
     return x.numerator * pow(x.denominator, -1, p) % p
 
 
@@ -182,7 +183,7 @@ def _mod_p(c, v0, p):
 def test_modp_candidates_match_reference_rule(m, monkeypatch):
     """Replays the walk of the mod-p closure at the three points of seed
     0: each candidate g_s x it inserts equals the reference rule
-    `_ref_lmul_g` over Q(v), every coefficient specialized at v0 and
+    `_ref_lmul_g` over the Laurent ring, every coefficient specialized at v0 and
     reduced mod p, where x is a carried row (the stored row of an earlier
     candidate that gained a pivot, with its pivot entry 1), and the ranks
     are the paper's dim C(v)."""
@@ -194,16 +195,17 @@ def test_modp_candidates_match_reference_rule(m, monkeypatch):
 
     monkeypatch.setattr(closure, "Echelon", recording)
     for v0, p in closure._specialization_points(0, 3):
-        assert closure._closure_rank_modp(m, v0, p) == {2: 3, 3: 20, 4: 217}[m]
+        assert closure._closure_modp(m, v0, p).rank == {2: 3, 3: 20, 4: 217}[m]
         assert echelons[-1].p == p
         (unit, _, carried), *log = echelons[-1].log
-        assert unit == carried == BTElement.unit(m).terms
+        assert unit == carried == {0: 1}
+        assert BTElement.unit(m).terms == {0: ONE}
         log = iter(log)
         frontier = [carried]
         while frontier:
             new = []
             for x in frontier:
-                lifted = BTElement(m, {b: RF.const(int(c))
+                lifted = BTElement(m, {b: LaurentPoly.const(int(c))
                                        for b, c in x.items()})
                 for i in range(1, m):
                     y, pivot, carried = next(log)
@@ -268,10 +270,11 @@ def _raw_closure_echelon(m, c2, one, modulus=None):
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_exact_closure_rows_match_raw_candidate_walk(n):
-    """Carrying reduced rows ends at the same space as carrying the raw
-    candidates, so the reduced row echelon form over Q(v) is the same."""
-    raw = _raw_closure_echelon(n + 1, Q - 1, RF.ONE)
-    assert closure._closure(n).rows == raw.rows
+    """The Q(v) oracle `qv_closure`, which walks with `btalg.lmul_g`, ends
+    at the reduced row echelon form over Q(v) of the raw-candidate walk
+    on the reference tables."""
+    raw = _raw_closure_echelon(n + 1, RF.V * RF.V - 1, RF.ONE)
+    assert qv_closure(n).rows == raw.rows
     assert raw.rank == (1, 3, 20, 217)[n]
 
 
@@ -283,10 +286,10 @@ def test_modp_closure_matches_raw_candidate_walk(m):
         for v0, p in closure._specialization_points(seed, 3):
             v = v0.numerator * pow(v0.denominator, -1, p) % p
             c2 = (v * v - 1) % p
-            ech = closure._closure_echelon(m, c2, 1, p)
+            ech = closure._closure_echelon(m, c2, p)
             raw = _raw_closure_echelon(m, c2, 1, p)
             assert ech.rows == raw.rows, (seed, v0, p)
-            assert closure._closure_rank_modp(m, v0, p) == raw.rank
+            assert closure._closure_modp(m, v0, p).rank == raw.rank
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -295,7 +298,7 @@ def test_modp_closure_at_v_squared_one_spans_the_group_algebra(m):
     the closure of 1 is spanned by the g_w: rank (n+1)!."""
     for p in closure._SPECIALIZE_PRIMES:
         for v0 in (Fraction(p + 1), Fraction(1, p - 1)):
-            assert closure._closure_rank_modp(m, v0, p) == factorial(m)
+            assert closure._closure_modp(m, v0, p).rank == factorial(m)
 
 
 def test_model_dimension_formula():
@@ -306,8 +309,8 @@ def test_model_dimension_formula():
         pairs = _sorted_pairs(m)
         assert len(pairs) == factorial(m) * len(all_set_partitions(m))
         for j, (P, w) in enumerate(pairs):
-            assert BTElement.basis(P, w).terms == {j: RF.ONE}
-        assert BTElement.unit(m).terms == {0: RF.ONE}
+            assert BTElement.basis(P, w).terms == {j: ONE}
+        assert BTElement.unit(m).terms == {0: ONE}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -322,7 +325,7 @@ def test_quadratic_relation_example():
     m = 2
     g = g_element(simple_perm(1, m))
     es = e_element(pair_partition(1, 2, m))
-    rhs = BTElement.unit(m) + bt_mul(es, BTElement.unit(m) + g).scale(Q - RF.ONE)
+    rhs = BTElement.unit(m) + bt_mul(es, BTElement.unit(m) + g).scale(Q - ONE)
     assert bt_mul(g, g) == rhs
 
 
@@ -370,8 +373,8 @@ def test_bt_mul_matches_the_term_by_term_product():
         perms, parts = all_perms(m), all_set_partitions(m)
         P, w = rng.choice(parts[1:]), rng.choice(perms[1:])
         lefts = [random_element(m, rng, nterms=12) for _ in range(4)]
-        lefts.append(_element(m, {(P, u): RF.ONE for u in perms}))
-        lefts.append(_element(m, {(Q, w): RF.ONE for Q in parts}))
+        lefts.append(_element(m, {(P, u): ONE for u in perms}))
+        lefts.append(_element(m, {(Q, w): ONE for Q in parts}))
         for a in lefts:
             b = random_element(m, rng, nterms=3)
             want = BTElement.zero(m)
@@ -464,6 +467,93 @@ def test_c_dimension_specialized_n4():
 
 
 # ---------------------------------------------------------------------------
+# the exact certificate of dim C(v)
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_certificate_bounds_meet_at_the_closed_form(n):
+    """Lower bound (the rank over F_p at v0) = upper bound (the rank of
+    the certified +-1 basis) = the paper's dim C(v)."""
+    lower, basis = closure.certificate(n)
+    assert basis is not None
+    assert lower == basis.rank == dim_recurrence(n)
+    assert all(x in (1, -1) for row in basis.rows.values() for x in row.values())
+    assert c_dimension_report(n) == {"n": n, "mode": "exact",
+                                     "dimension": lower, "agree": True}
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_certified_basis_is_the_qv_echelon(n):
+    """The lifted basis is the reduced echelon basis over Q(v), row for
+    row, entry for entry."""
+    assert closure.certificate(n)[1].rows == qv_closure(n).rows
+
+
+def _certified_rows(n):
+    return {p: dict(row) for p, row in closure.certificate(n)[1].rows.items()}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_certificate_refuses_a_dropped_row(n):
+    rows = _certified_rows(n)
+    assert closure._certified(n + 1, rows) is not None
+    for pivot in sorted(rows)[::1 if n < 3 else 9]:
+        dropped = {p: row for p, row in rows.items() if p != pivot}
+        assert closure._certified(n + 1, dropped) is None, pivot
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_certificate_refuses_a_flipped_sign(n):
+    rows = _certified_rows(n)
+    entries = [(p, c) for p, row in sorted(rows.items()) for c in row]
+    assert entries
+    for p, c in entries[::1 if n < 3 else 11]:
+        flipped = {q: dict(row) for q, row in rows.items()}
+        flipped[p][c] = -flipped[p][c]
+        assert closure._certified(n + 1, flipped) is None, (p, c)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_certificate_checks_both_parts_of_every_image(m):
+    """The span of the g_w holds 1 and the part A of every g_s g_w, but
+    not the part B that v^2 - 1 multiplies: it is refused."""
+    rows = {basis_index(discrete_partition(m), w): {} for w in all_perms(m)}
+    assert 0 in rows
+    assert closure._certified(m, rows) is None
+
+
+def test_certificate_checks_the_unit():
+    """The line of e_{12}(1 + g_s) at n = 1 is g-stable (g_s maps it to
+    v^2 times itself) but does not hold 1, and neither does the zero
+    space: both are refused."""
+    P = pair_partition(1, 2, 2)
+    x = e_element(P) + bt_mul(e_element(P), g_element(simple_perm(1, 2)))
+    assert lmul_g(1, x) == x.scale(Q)
+    (pivot, _), (col, _) = sorted(x.terms.items())
+    assert closure._certified(2, {pivot: {col: 1}}) is None
+    assert closure._certified(2, {}) is None
+
+
+def test_certificate_needs_a_plus_minus_one_basis(monkeypatch):
+    """A mod-p echelon with an entry other than 1 or p - 1 gives no
+    certificate: the lower bound stays, the basis is None, and the exact
+    report then reads agree false."""
+    walk = closure._closure_modp
+
+    def scaled(m, v0, q):
+        ech = walk(m, v0, q)
+        pivot = max(p0 for p0, row in ech.rows.items() if row)
+        col = min(ech.rows[pivot])
+        ech.rows[pivot][col] = 2
+        return ech
+
+    monkeypatch.setattr(closure, "_closure_modp", scaled)
+    assert closure.certificate.__wrapped__(2) == (20, None)
+    monkeypatch.setattr(closure, "certificate", closure.certificate.__wrapped__)
+    assert c_dimension_report(2)["agree"] is False
+
+
+# ---------------------------------------------------------------------------
 # the J_R e_R decomposition
 # ---------------------------------------------------------------------------
 
@@ -483,7 +573,7 @@ def _jr_literal_dimension(n, R):
     ech = Echelon()
     for x in _partition_products(R, m):
         for w in all_perms(m):
-            ech.insert(lmul_g_word(reduced_word(w), x).terms)
+            ech.insert(qv(lmul_g_word(reduced_word(w), x).terms))
     return ech.rank
 
 
@@ -511,10 +601,10 @@ def test_jr_decomposition_direct_and_spanning(n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_jr_summands_lie_in_c(n):
     # J_R e_R is inside C(v): jr_decomposition compares dimensions only
-    ech = closure._closure(n)
+    ech = qv_closure(n)
     for R in all_set_partitions(n + 1):
         for x in jr_span(n, R):
-            assert ech.contains(x.terms), (n, R)
+            assert ech.contains(qv(x.terms)), (n, R)
 
 
 def _jr_sum(n: int) -> Echelon:
@@ -522,7 +612,7 @@ def _jr_sum(n: int) -> Echelon:
     total = Echelon()
     for R in all_set_partitions(n + 1):
         for x in jr_span(n, R):
-            total.insert(x.terms)
+            total.insert(qv(x.terms))
     return total
 
 
@@ -534,7 +624,7 @@ def test_membership_of_braid_words():
         for _ in range(10):
             word = tuple(rng.choice([1, -1]) * rng.randint(1, n) for _ in range(4))
             x = word_element(word, m)
-            assert total.contains(x.terms)
+            assert total.contains(qv(x.terms))
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +659,7 @@ def test_kl_lift_bar_invariant_s4():
 def test_kl_lift_linearly_independent_s4():
     ech = Echelon()
     for w in all_perms(4):
-        assert ech.insert(kl_lift(w).terms) is not None
+        assert ech.insert(qv(kl_lift(w).terms)) is not None
     assert ech.rank == 24
 
 
@@ -648,4 +738,4 @@ def test_kl_lift_path_rejects_elements_outside_c():
 def test_kl_lift_words_land_in_c_subalgebra():
     total = _jr_sum(2)
     for w in all_perms(3):
-        assert total.contains(kl_lift(w).terms)
+        assert total.contains(qv(kl_lift(w).terms))

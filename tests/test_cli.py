@@ -224,14 +224,13 @@ def _dim_report_encoded_whole(n, mode, fmt):
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["I", "N_I", "R_I", "D_I"])
-        writer.writerows([" ".join(map(str, r.subset)), r.normalizer_order,
-                          r.subgroup_count, r.descent_count] for r in rows)
+        writer.writerows([" ".join(map(str, subset)), N, R, D]
+                         for subset, _, N, R, D in rows)
         return buf.getvalue()
     report = {"config": {"command": "dim", "fmt": fmt, "k": 1, "mode": mode,
                          "n": n, "q": 2, "seed": 0, "suite": ""},
-              "rows": [{"I": r.subset, "lambda": r.lam,
-                        "N_I": r.normalizer_order, "R_I": r.subgroup_count,
-                        "D_I": r.descent_count} for r in rows],
+              "rows": [{"I": subset, "lambda": lam, "N_I": N, "R_I": R,
+                        "D_I": D} for subset, lam, N, R, D in rows],
               "total": dim_recurrence(n), "row_sum_matches": True}
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
@@ -560,7 +559,8 @@ def test_jobs_run_without_numpy(args, tmp_path):
     assert not probe["numpy"]
     if args[0] == "dim":
         assert probe["modules"] == ["braidties.cli", "braidties.coxeter"]
-    if "specialized" in args:
+    if args[0] == "dim-rank":
+        # exact mode reads the integer certificate, specialized its points
         assert probe["modules"] == ["braidties.cli", "braidties.closure",
                                     "braidties.coxeter", "braidties.linalg"]
     if args[0] == "finite-model":
@@ -589,11 +589,15 @@ print(json.dumps(sorted(sys.modules)))
     (["dim-rank", "--mode", "specialized", "--n", "2"],
      ("braidties.btalg", "braidties.scalars", "braidties.hecke",
       "braidties.monodromic", "numpy")),
+    (["dim-rank", "--mode", "exact", "--n", "3"],
+     ("braidties.btalg", "braidties.scalars", "braidties.hecke",
+      "braidties.monodromic", "numpy")),
     (["kl-lift", "--n", "2"], ("braidties.monodromic", "numpy")),
     (["verify", "--suite", "kl-lift", "--n", "2"],
      ("braidties.monodromic", "numpy")),
 ], ids=["import cli", "finite-model --n 1 --q 2",
-        "dim-rank --mode specialized --n 2", "kl-lift --n 2",
+        "dim-rank --mode specialized --n 2", "dim-rank --mode exact --n 3",
+        "kl-lift --n 2",
         "verify --suite kl-lift --n 2"])
 def test_import_footprint(args, absent, tmp_path):
     src = os.path.dirname(os.path.dirname(braidties.__file__))
@@ -605,3 +609,33 @@ def test_import_footprint(args, absent, tmp_path):
     loaded = set(json.loads(proc.stdout))
     assert "braidties.cli" in loaded
     assert not loaded & set(absent)
+
+
+# Plants a wrong 3! in the closed-form cross-checks of `coxeter`, runs
+# `dim` in subset mode under `python -O` (exit 99 if -O is not in force)
+# and exits with its code.
+_PLANTED_FAULT = """
+import math, sys
+sys.path.insert(0, sys.argv[1])
+if not sys.flags.optimize:
+    sys.exit(99)
+from braidties import cli, coxeter
+coxeter.factorial = lambda k: math.factorial(k) + (k == 3)
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def test_output_checks_hold_under_python_O(tmp_path):
+    """`python -O` strips assert statements, not the checks behind the
+    outputs: the planted fault makes D's product form non-integral, which
+    is an internal error (exit 3, one line, no output file)."""
+    src = os.path.dirname(os.path.dirname(braidties.__file__))
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _PLANTED_FAULT, src, "dim", "--n", "3",
+         "--mode", "subset", "--out", str(out)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("internal error: ArithmeticError: ")
+    assert proc.stderr.count("\n") == 1
+    assert not out.exists()

@@ -22,7 +22,6 @@ from braidties.coxeter import (
     identity_perm,
     left_action,
     pair_partition,
-    partition_block_sizes,
     partition_from_blocks,
     partition_join,
     partitions_P,
@@ -232,6 +231,11 @@ def test_d_subset_examples():
         assert d_subset(n, set()) == factorial(n + 1)
 
 
+def partition_block_sizes(p):
+    """Non-singleton block sizes, decreasing."""
+    return tuple(sorted((len(b) for b in p if len(b) > 1), reverse=True))
+
+
 def test_r_subset_counts_set_partitions():
     # R_I = number of set partitions of {1..n+1} whose non-singleton
     # block sizes are the lambda parts + 1
@@ -329,19 +333,19 @@ def canonical_subset(lam):
 
 def test_canonical_subset():
     assert canonical_subset((2, 1)) == (1, 2, 4)
-    assert [r.subset for r in dimension_rows(3)] == [
+    assert [subset for subset, *_ in dimension_rows(3)] == [
         (1, 2, 3), (1, 2), (1, 3), (1,), ()]
     for n in range(1, 10):
-        for r in dimension_rows(n):
-            assert r.subset == canonical_subset(r.lam), (n, r.lam)
-            assert subset_lambda(r.subset) == r.lam
+        for subset, lam, *_ in dimension_rows(n):
+            assert subset == canonical_subset(lam), (n, lam)
+            assert subset_lambda(subset) == lam
 
 
 def test_dimension_rows_structure():
     for n in (2, 3, 4):
         rows = dimension_rows(n)
-        assert sum(r.subgroup_count * r.descent_count for r in rows) == dim_C(n)
-        for r in rows:
-            assert r.normalizer_order * r.subgroup_count == factorial(n + 1)
-            assert r.descent_count <= factorial(n + 1)
-            assert subset_lambda(r.subset) == r.lam
+        assert sum(R * D for _, _, _, R, D in rows) == dim_C(n)
+        for subset, lam, N, R, D in rows:
+            assert N * R == factorial(n + 1)
+            assert D <= factorial(n + 1)
+            assert subset_lambda(subset) == lam

@@ -10,10 +10,12 @@ from braidties import btalg, hecke, monodromic as mono
 from braidties.coxeter import all_perms, perm_length, perm_mul, simple_perm
 from braidties.linalg import Echelon, _acc
 from braidties.monodromic import TorusCharacter, orbit_of, pi_L
-from braidties.scalars import RationalFunctionScalar as RF
+from braidties.scalars import LaurentPoly
+from qv_oracle import qv
 from word_oracle import word_combo
 
-V = RF.V
+V = LaurentPoly.V
+ONE = LaurentPoly.one()
 Q = V * V
 
 
@@ -135,7 +137,7 @@ def _ref_letter_action(i, inverse, x):
     if inverse:
         part_in = _ref_lmul_As(i, xin).scale(V ** -2)
     else:
-        part_in = _ref_lmul_As(i, xin) + xin.scale(RF.ONE - Q)
+        part_in = _ref_lmul_As(i, xin) + xin.scale(ONE - Q)
     part_out = _ref_lmul_As(i, xout).scale(V ** -1)
     return part_in + part_out
 
@@ -148,7 +150,7 @@ def test_lmul_matches_reference_rule(m):
         for _ in range(6):
             x = mono.MonodromicElement(m, {
                 (rng.choice(perms), rng.choice(orb)):
-                    RF.const(Fraction(rng.randint(-3, 3)))
+                    LaurentPoly.const(Fraction(rng.randint(-3, 3)))
                     * V ** rng.randint(-2, 2)
                 for _ in range(4)})
             for i in range(1, m):
@@ -182,7 +184,7 @@ def test_pi_braid_relation():
 
 def test_pi_cubic_relation():
     Q = V * V
-    combo = {(1,): RF.ONE, (): Q, (1, 1): -Q}
+    combo = {(1,): ONE, (): Q, (1, 1): -Q}
     for exps in [(0, 0, 0), (1, 0, 0), (1, 2, 0)]:
         L0 = mono.torus_character(3, exps)
         for L in mono.orbit_of(L0):
@@ -227,7 +229,7 @@ def pi_image_rank(theta: TorusCharacter, max_length: int = 6) -> int:
         words = [wd + (i,) for wd in words for i in range(1, m)]
         for wd in words:
             vec = {index[k]: c for k, c in pi_L(wd, theta).terms.items()}
-            ech.insert(vec)
+            ech.insert(qv(vec))
     return ech.rank
 
 

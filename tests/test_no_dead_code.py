@@ -25,8 +25,6 @@ SOURCES = sorted((ROOT / "src" / "braidties").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 ALLOWLIST = {
-    "btalg.jr_decomposition":
-        "the paper's direct sum of the J_R e_R, which no command runs yet",
     "coxeter.d_subset":
         "the paper's D_I of a subset I; commands compute D per class",
     "coxeter.howlett_order":

@@ -1,7 +1,7 @@
 """Exact-scalar layer: canonical forms, field axioms, cyclotomics, and
-differential tests against Fraction-coefficient references; and the
-prime fields F_p, plain ints that `linalg.Echelon` reduces given the
-prime modulus."""
+differential tests against Fraction-coefficient references; the Q(v) of
+the reference oracles (`qv_oracle`); and the prime fields F_p, plain
+ints that `linalg.Echelon` reduces given the prime modulus."""
 
 import random
 from fractions import Fraction
@@ -10,12 +10,8 @@ from math import gcd
 import pytest
 
 from braidties.linalg import Echelon
-from braidties.scalars import (
-    Cyclotomic,
-    LaurentPoly,
-    RationalFunctionScalar as RF,
-    cyclotomic_poly,
-)
+from braidties.scalars import Cyclotomic, LaurentPoly, cyclotomic_poly
+from qv_oracle import RF, _zgcd, _zgcd_prs
 
 V = RF.V
 ONE = RF.ONE
@@ -396,8 +392,6 @@ def test_laurent_matches_fraction_reference():
 
 
 def test_integer_gcd_matches_fraction_gcd():
-    from braidties.scalars import _zgcd, _zgcd_prs
-
     rng = random.Random(5000)
     for _ in range(300):
         polys = []
@@ -700,16 +694,19 @@ def _type_checking_namespace(module):
 
 def test_every_annotation_resolves():
     """typing.get_type_hints on every function and method defined in the
-    eight modules, classes included, with their TYPE_CHECKING imports."""
+    nine library modules and in the two test oracles, which hold the Q(v)
+    arithmetic that left the library, classes included, with their
+    TYPE_CHECKING imports."""
     import importlib
     import inspect
     from typing import get_type_hints
 
-    names = ("btalg", "cli", "coxeter", "finite_model", "hecke", "linalg",
-             "monodromic", "scalars")
+    names = [f"braidties.{name}" for name in (
+        "btalg", "cli", "closure", "coxeter", "finite_model", "hecke",
+        "linalg", "monodromic", "scalars")] + ["qv_oracle", "word_oracle"]
     checked = 0
     for name in names:
-        module = importlib.import_module(f"braidties.{name}")
+        module = importlib.import_module(name)
         ns = _type_checking_namespace(module)
         objs = [obj for obj in vars(module).values()
                 if getattr(obj, "__module__", None) == module.__name__]

@@ -10,10 +10,10 @@ exact closure over Q(v) and `monodromic.pi_L`, letter by letter.
 from functools import lru_cache
 
 from braidties import monodromic
-from braidties.btalg import BTElement, WordCombo, lmul_g
+from braidties.btalg import BTElement, lmul_g
 from braidties.hecke import HeckeElement
 from braidties.linalg import Echelon
-from braidties.scalars import RationalFunctionScalar as RF
+from qv_oracle import RF, qv
 
 
 @lru_cache(maxsize=None)
@@ -30,7 +30,7 @@ def _word_closure(n: int) -> Echelon:
     ech = Echelon()
     unit = BTElement.unit(m)
     tag = {(): RF.ONE}
-    ech.insert(unit.terms, tag)
+    ech.insert(qv(unit.terms), tag)
     frontier = [(unit, tag)]
     while frontier:
         new = []
@@ -38,16 +38,16 @@ def _word_closure(n: int) -> Echelon:
             for i in range(1, m):
                 y = lmul_g(i, x)
                 ycombo = {(i,) + word: -c for word, c in combo.items()}
-                if ech.insert(y.terms, ycombo) is not None:
+                if ech.insert(qv(y.terms), ycombo) is not None:
                     new.append((y, ycombo))
         frontier = new
     return ech
 
 
-def word_combo(x: BTElement) -> WordCombo:
+def word_combo(x: BTElement) -> dict[tuple[int, ...], RF]:
     """Express x in C(v) as a Q(v)-combination of signed generator words;
     raises ValueError when x is not in the braid-image subalgebra."""
-    combo = _word_closure(x.m - 1).combination(x.terms)
+    combo = _word_closure(x.m - 1).combination(qv(x.terms))
     if combo is None:
         raise ValueError("element is not in C(v)")
     return combo
