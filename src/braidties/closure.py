@@ -193,15 +193,18 @@ _CERTIFICATE_POINT = (Fraction(51, 98), 1048573)
 
 
 def _certified(m: int, rows: dict[int, dict]) -> Echelon | None:
-    """The Q-basis `rows` (pivot -> integer entries, the pivot entry 1
-    left out, each row vanishing at the other pivots) as an `Echelon`,
-    when its Q(v)-span is g-stable and contains 1; else None.
+    """`rows` (pivot -> integer entries, the pivot entry 1 left out) as an
+    `Echelon` used to reduce, when they are a Q-basis whose Q(v)-span is
+    g-stable and contains 1; else None.
 
+    Rows that vanish at the other pivots are independent, over Q(v) too.
     For a row b and a generator g_s, `g_action` with weights 0 and 1
     gives the integer vectors A and A + B of g_s b = A + (v^2 - 1) B, so
     b's image lies in the Q(v)-span exactly when A and A + B, hence A and
     B, lie in the Q-span.  Each test reduces an integer vector against
     rows with pivot entry 1: integer arithmetic, no division."""
+    if any(c in rows for row in rows.values() for c in row):
+        return None
     basis = Echelon()
     basis.rows = rows
     if not basis.contains({0: 1}):

@@ -513,6 +513,16 @@ def test_certificate_refuses_a_flipped_sign(n):
         assert closure._certified(n + 1, flipped) is None, (p, c)
 
 
+def test_certificate_refuses_rows_that_hold_other_pivots():
+    """At n = 1 the basis 1, g_s, e_12 + e_12 g_s with the same third row
+    again under the pivot of e_12 g_s spans the same g-stable space, but
+    its four rows are dependent: refused, as is any row holding another
+    row's pivot."""
+    rows = _certified_rows(1)
+    assert rows == {0: {}, 1: {}, 2: {3: 1}}
+    assert closure._certified(2, {**rows, 3: {2: 1}}) is None
+
+
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_certificate_checks_both_parts_of_every_image(m):
     """The span of the g_w holds 1 and the part A of every g_s g_w, but
