@@ -22,7 +22,7 @@ the Laurent ring, and the closure walk here once per candidate.
 
 $\mathcal{C}(v)$ is generated by the $g_s$ alone, so its dimension is the
 rank of the closure of $\mathrm{span}\{1\}$ under left multiplication by
-the generators.  One breadth-first walk, `_closure_echelon`, runs it on
+the generators.  One breadth-first walk, `_closure_modp`, runs it on
 `linalg.Echelon` over $\mathbb{F}_p$, with $v^2-1$ a Python int at a
 rational specialization of $v$; each candidate that gains a pivot is
 carried on as its reduced row.  Mode ``specialized`` reports the rank at
@@ -150,12 +150,13 @@ def g_action(m: int, i: int, x: dict, weight, inverse: bool = False
     return y
 
 
-def _closure_echelon(m: int, c2: int, p: int) -> Echelon:
+def _closure_modp(m: int, v0: Fraction, p: int) -> Echelon:
     """Echelon basis over F_p of the closure of span{1} under the g_s,
-    with the int c2 standing for v^2 - 1: a breadth-first walk on rows
-    keyed by basis index, each candidate g_s x formed by `g_action`.  The
-    unit e_{discrete} g_{identity} is index 0.  A candidate may hold zero
-    entries, or ints past p; `Echelon.insert` drops and reduces them.
+    with v specialized to v0, so that v^2 - 1 is the int c2 = v0^2 - 1
+    mod p: a breadth-first walk on rows keyed by basis index, each
+    candidate g_s x formed by `g_action`.  The unit e_{discrete}
+    g_{identity} is index 0.  A candidate may hold zero entries, or ints
+    past p; `Echelon.insert` drops and reduces them.
 
     The frontier carries, for each candidate that gains a pivot, a copy
     of the row stored for it then, pivot entry 1 included (later inserts
@@ -164,6 +165,8 @@ def _closure_echelon(m: int, c2: int, p: int) -> Echelon:
     carried rows span what the candidates span at every step, the walk
     ends at the same g-stable subspace, and the reduced rows are the ones
     the raw candidates give; the carried rows are just shorter."""
+    v = v0.numerator * pow(v0.denominator, -1, p) % p
+    c2 = (v * v - 1) % p
     unit = {0: 1}
     ech = Echelon(p)
     ech.insert(unit)
@@ -179,13 +182,6 @@ def _closure_echelon(m: int, c2: int, p: int) -> Echelon:
                     new.append(row)
         frontier = new
     return ech
-
-
-def _closure_modp(m: int, v0: Fraction, p: int) -> Echelon:
-    """The closure of span{1} under the g_s over F_p, with v specialized
-    to v0, so that v^2 - 1 is c2 = v0^2 - 1 mod p."""
-    v = v0.numerator * pow(v0.denominator, -1, p) % p
-    return _closure_echelon(m, (v * v - 1) % p, p)
 
 
 # the one point of the exact certificate: the first point of seed 0

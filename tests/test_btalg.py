@@ -245,7 +245,7 @@ def _reference_tables(m):
 def _raw_closure_echelon(m, c2, one, modulus=None):
     """The closure walk on `_reference_tables`, with the frontier keeping
     each raw candidate g_s x that gained a pivot, rather than its reduced
-    row: the oracle for `closure._closure_echelon`."""
+    row: the oracle for `closure._closure_modp`."""
     tables, unit_index = _reference_tables(m)
     unit = {unit_index: one}
     ech = Echelon(modulus)
@@ -286,10 +286,10 @@ def test_modp_closure_matches_raw_candidate_walk(m):
         for v0, p in closure._specialization_points(seed, 3):
             v = v0.numerator * pow(v0.denominator, -1, p) % p
             c2 = (v * v - 1) % p
-            ech = closure._closure_echelon(m, c2, p)
+            ech = closure._closure_modp(m, v0, p)
             raw = _raw_closure_echelon(m, c2, 1, p)
             assert ech.rows == raw.rows, (seed, v0, p)
-            assert closure._closure_modp(m, v0, p).rank == raw.rank
+            assert ech.rank == raw.rank
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])

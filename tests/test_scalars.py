@@ -391,6 +391,39 @@ def test_laurent_matches_fraction_reference():
         LaurentPoly.monomial(-1)(Fraction(0))
 
 
+def test_laurent_monomial_inverse_and_int_operands():
+    """The one inverse of the Laurent ring, of monomials, also through
+    negative powers; anything else raises.  An int or a Fraction on the
+    right of +, - and *, or on the left of *, is read as a constant."""
+    rng = random.Random(4100)
+    one = LaurentPoly.one()
+    for _ in range(200):
+        e = rng.randint(-5, 5)
+        c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 7))
+        x = LaurentPoly.monomial(e, c)
+        assert x.inv().coeffs() == {-e: 1 / c}
+        assert x * x.inv() == one
+        k = rng.randint(1, 4)
+        assert (x ** -k).coeffs() == RefLaurent({-k * e: c ** -k}).c
+        assert x ** -k * x ** k == one
+        a = LaurentPoly(_rand_coeffs(rng, -3, 3, 0.5, rng.random() < 0.5))
+        q = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        n = rng.randint(-5, 5)
+        for y, want in ((a + n, a + LaurentPoly.const(n)),
+                        (a - q, a - LaurentPoly.const(q)),
+                        (a * q, a * LaurentPoly.const(q)),
+                        (n * a, LaurentPoly.const(n) * a)):
+            assert y == want
+    with pytest.raises(ZeroDivisionError):
+        LaurentPoly.zero().inv()
+    for bad in (LaurentPoly.V + 1, LaurentPoly({-1: 1, 2: Fraction(1, 3)})):
+        with pytest.raises(ArithmeticError, match="not a unit"):
+            bad.inv()
+        with pytest.raises(ArithmeticError, match="not a unit"):
+            bad ** -1
+    assert (LaurentPoly.one() == 1) is False
+
+
 def test_integer_gcd_matches_fraction_gcd():
     rng = random.Random(5000)
     for _ in range(300):
