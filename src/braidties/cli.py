@@ -8,10 +8,13 @@ Subcommands:
   $N_I$, class size $R_I$, descent count $D_I$) and the total dimension
   of the braid-generated subalgebra; ``row_sum_matches`` compares the sum
   of $R_I D_I$ with `coxeter.dim_recurrence` (and, in subset mode, with
-  the total over the classes of the prefix walk).  ``dim`` writes its
-  table row by row: the rows of `coxeter.dimension_rows` are formatted
-  in chunks straight to the output, with the bytes that encoding the
-  whole report at once would give, and never held as one string.
+  the total over the classes of the prefix walk).  ``dim`` runs the one
+  walk of `coxeter.dimension_rows` with the run pieces of `_text_runs`,
+  so each row's $I$ and $\lambda$ arrive as text, extended from the
+  parent row's by one concatenation.  Its table is written row by row:
+  each row is formatted once, in chunks straight to the output, with the
+  bytes that encoding the whole report at once would give, and never
+  held as one string.
 - ``dim-rank``: cross-check of the closed-form total (`dim_recurrence`)
   against the dimension of the generated subalgebra computed by linear
   closure over $\mathbb{F}_p$: certified exactly from one point
@@ -33,19 +36,18 @@ output files; JSON keys are sorted, CSV columns fixed.  Exit codes:
 line on stderr, no output file).
 
 Each command imports the modules it runs when it runs, so ``dim`` loads
-only `coxeter`.  Every command runs on the standard library alone.
+only `coxeter`, and neither `csv` nor `fractions`, which only other
+reports need.  Every command runs on the standard library alone.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from fractions import Fraction
 from typing import NamedTuple
 
 from .coxeter import (all_perms, dim_C, dim_recurrence, dimension_rows,
@@ -77,6 +79,8 @@ class RunConfig(NamedTuple):
 def _json_leaf(x):
     """What JSON cannot encode: a Fraction as its str, anything else as
     its repr."""
+    from fractions import Fraction
+
     return str(x) if isinstance(x, Fraction) else repr(x)
 
 
@@ -97,6 +101,8 @@ def _serialize(report: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(report, default=_json_leaf, sort_keys=True,
                           indent=2) + "\n"
+    import csv
+
     buf = io.StringIO()
     header, rows = _csv_rows(report)
     writer = csv.writer(buf, lineterminator="\n")
@@ -108,25 +114,39 @@ def _serialize(report: dict, fmt: str) -> str:
 _ROWS_PER_CHUNK = 4096
 
 
+def _text_runs(n: int) -> list[list]:
+    """The `runs` table of `coxeter.dimension_rows` whose subsets and
+    lambdas are text: their members as decimals between single spaces,
+    which is the CSV cell of I.  Only the first run starts at 1, so every
+    other piece opens with the space."""
+    word = [str(i) for i in range(n + 1)]
+    runs = [[("", "")]]
+    for start in range(1, n + 1):
+        sep = " " if start > 1 else ""
+        runs.append([None] + [(sep + " ".join(word[start:start + part]),
+                               sep + word[part])
+                              for part in range(1, n + 2 - start)])
+    return runs
+
+
 def _dim_chunks(report: dict, rows: list, fmt: str) -> Iterator[str]:
-    """The dim report, whose empty "rows" stands for `rows`, in chunks of
-    up to _ROWS_PER_CHUNK rows: the bytes `_serialize` writes for the
-    report with the rows as dicts, without the table as one string."""
-    n = report["config"]["n"]
+    """The dim report, whose empty "rows" stands for `rows` (with the
+    subsets and lambdas of `_text_runs`), in chunks of up to
+    _ROWS_PER_CHUNK rows: the bytes `_serialize` writes for the report
+    with the rows as dicts, without the table as one string."""
     batches = (rows[i:i + _ROWS_PER_CHUNK]
                for i in range(0, len(rows), _ROWS_PER_CHUNK))
     if fmt == "csv":
-        word = [str(i) for i in range(n + 1)]
         yield "I,N_I,R_I,D_I\n"
         for batch in batches:
-            yield "".join(
-                f"{' '.join(map(word.__getitem__, subset))},{N},{R},{D}\n"
-                for subset, _, N, R, D in batch)
+            yield "".join(f"{subset},{N},{R},{D}\n"
+                          for subset, _, N, R, D in batch)
         return
-    item = [f"\n        {i}" for i in range(n + 1)]
+    item = ",\n        "
 
-    def array(xs):
-        return f"[{','.join(map(item.__getitem__, xs))}\n      ]" if xs else "[]"
+    def array(text):
+        return (f"[\n        {text.replace(' ', item)}\n      ]" if text
+                else "[]")
 
     head, tail = _serialize(report, fmt).split('"rows": []')
     yield head + '"rows": ['
@@ -187,7 +207,7 @@ def suite_hecke(n: int) -> list[tuple[str, bool]]:
                 continue
             try:
                 hecke.c_expansion(s, u)
-            except ArithmeticError:
+            except hecke.NonIntegralCoefficient:
                 ok_int = False
     return [("canonical basis bar-invariant", ok_bar),
             ("bar-invariance solve matches recursion", ok_rec),
@@ -319,7 +339,7 @@ _ALL_BATTERY = (("presentation", {"n": 2}),
 # ---------------------------------------------------------------------------
 
 def cmd_dim(config: RunConfig) -> tuple[Iterable[str], int]:
-    rows = dimension_rows(config.n)
+    rows = dimension_rows(config.n, _text_runs(config.n))
     cross = sum(R * D for _, _, _, R, D in rows)
     # subset mode also sums over the classes its prefix walk finds
     total = (dim_C(config.n, "subset-enumeration") if config.mode == "subset"

@@ -34,9 +34,9 @@ functions attach to $I$:
   value; for $k \leq 12$ and $n \leq 25$ the $2^k$ inclusion-exclusion
   terms are summed as exact integers and checked to agree (each
   $\prod_{i \in T}(\lambda_i+1)!$ divides $(n+1)!$, since
-  $\sum_i (\lambda_i+1) \leq n+1$).  A failed check raises
-  `ArithmeticError`, an internal error for the command line (exit 3),
-  also under ``python -O``.
+  $\sum_i (\lambda_i+1) \leq n+1$; at each part the walk below checks
+  that it does).  A failed check raises `ArithmeticError`, an internal
+  error for the command line (exit 3), also under ``python -O``.
 
 The dimension of the braid-generated subalgebra is
 $\sum_{\lambda \in P(n)} R_\lambda D_\lambda$, summed over the *distinct*
@@ -45,8 +45,11 @@ reflection subgroups counted once); $P(n)$ is the set of partitions
 $\lambda = (\lambda_1 \geq \dots \geq \lambda_k)$ with
 $\sum \lambda_i + k - 1 \leq n$.  `dimension_rows` is one depth-first
 walk over $P(n)$ that carries each class's counts from its parent
-prefix, one exact multiply or divide per count.  `dim_C` sums over that
-walk or, in subset mode, finds the partitions by a walk over the
+prefix, one exact multiply or divide per count, and builds each class's
+$I$ and $\lambda$ by extending its parent's by one run: as tuples, or as
+the text the command line writes, from a table of run pieces built once
+per walk, so no row costs Python work in proportion to $|I|$.  `dim_C` sums
+over that walk or, in subset mode, finds the partitions by a walk over the
 prefixes $I \cap \{1,\dots,j\}$ of all $2^n$ subsets that keeps only
 their distinct run-length states, and computes each class's counts on
 its own.  `dim_recurrence` computes the same number by the exponential
@@ -407,8 +410,10 @@ def partitions_P(n: int) -> list[tuple[tuple[int, ...], int]]:
     return [(lam, _realizing_count(n, lam))
             for _, lam, _, _, _ in reversed(dimension_rows(n))]
 
-def dimension_rows(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...],
-                                         int, int, int]]:
+Runs = list[list]
+
+
+def dimension_rows(n: int, runs: Runs | None = None) -> list[tuple]:
     """The per-class table behind dim_C(n): one row per lambda in P(n),
     reverse-lexicographic (each prefix after its extensions), ending with
     the empty set.  A row is the plain tuple (subset, lam, N, R, D) of one
@@ -421,51 +426,85 @@ def dimension_rows(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...],
     appends the run of p places after a one-place gap to the subset,
     multiplies the product prod_i n_i! ((i+1)!)^{n_i} of Howlett's
     formula by c (p+1)!, where c counts the trailing parts equal to p,
-    and multiplies the numerator and denominator of D's product form by
-    (p+1)! - 1 and (p+1)!.  A row then costs one multiply for N, one
-    divide for R and one divide for D, whose remainder is checked to be
-    zero.  Under the bounds of `_d_value_lambda` (k <= 12, n <= 25) the
-    signed inclusion-exclusion list doubles once per part, and its sum
-    is checked to equal D.
+    divides the quotient (n+1)!/prod_i (lambda_i+1)! by (p+1)!, checking
+    that the division is exact, and multiplies prod_i ((lambda_i+1)! - 1)
+    by (p+1)! - 1.  D's product form is the product of the last two, so
+    it is an integer.  A row then costs one multiply for N, one divide
+    for R and one multiply for D.  Under the bounds of `_d_value_lambda`
+    (k <= 12, n <= 25) the list of the signed inclusion-exclusion terms
+    (-1)^|T| (n+1)!/prod_{i in T} (lambda_i+1)! doubles once per part,
+    each new term the negated quotient of an old one by (p+1)!, with its
+    factorials from `math.factorial`, not from the walk's table; their
+    sum is checked to equal D.
+
+    `runs` says what a subset and a lambda are: runs[start][part] is the
+    pair that the run of `part` places from `start` concatenates onto its
+    prefix's subset and lambda, and runs[0][0] the pair of the empty set.
+    By default (`_tuple_runs`) the pair is the run as a tuple and (part,),
+    so subset and lambda are tuples; the command line passes text.  A row
+    thus extends its parent's subset and lambda by one concatenation each.
 
     >>> dimension_rows(2)
     [((1, 2), (2,), 6, 1, 5), ((1,), (1,), 2, 3, 3), ((), (), 6, 1, 6)]
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    fact = [1]
-    for i in range(1, n + 2):
-        fact.append(fact[-1] * i)
+    if runs is None:
+        runs = _tuple_runs(n)
+    fact = _factorials(n + 1)
     total = fact[n + 1]
+    own_fact = [factorial(i) for i in range(n + 2)]
     rows = []
 
-    def descend(lam, subset, free, run, prod, num, den, signed):
+    def descend(subset, lam, last, free, run, prod, quot, coprod, terms):
         # free = n + 1 - sum(lam) - len(lam) points lie outside the blocks
         # of sizes lam_i + 1, so the next part is at most free - 1 and its
-        # run starts at n + 2 - free; the last part of lam repeats run times
-        last = lam[-1] if lam else n
-        start = n + 2 - free
+        # run starts at n + 2 - free; the last part, last, repeats run times
+        pieces = runs[n + 2 - free] if free > 1 else None
         for part in range(min(last, free - 1), 0, -1):
             f = fact[part + 1]
             c = run + 1 if part == last else 1
-            descend(lam + (part,), subset + tuple(range(start, start + part)),
-                    free - part - 1, c, prod * c * f, num * (f - 1), den * f,
-                    signed + [-d * f for d in signed]
-                    if signed is not None and len(lam) < 12 else None)
+            piece, lam_piece = pieces[part]
+            q, rest = divmod(quot, f)
+            if rest:
+                raise ArithmeticError(f"D's product form is not an integer "
+                                      f"at n = {n}, lambda = "
+                                      f"{lam + lam_piece!r}")
+            # the blocks fit in {1..n+1}, so every term divides exactly;
+            # there are 2^k terms for k parts, at most 2^12
+            g = own_fact[part + 1]
+            descend(subset + piece, lam + lam_piece, part, free - part - 1,
+                    c, prod * c * f, q, coprod * (f - 1),
+                    terms + [-(t // g) for t in terms]
+                    if terms is not None and len(terms) < 4096 else None)
         order = fact[free] * prod
-        value, rest = divmod(num, den)
-        if not rest == 0:
-            raise ArithmeticError(f"D's product form is not an integer at "
-                                  f"n = {n}, lambda = {lam}")
-        # each d divides (n+1)! (see _d_value_lambda), so every term is exact
-        if not (signed is None
-                or sum(total // d for d in signed) == value):
+        value = quot * coprod
+        if not (terms is None or sum(terms) == value):
             raise ArithmeticError(f"inclusion-exclusion disagrees with D "
-                                  f"at n = {n}, lambda = {lam}")
+                                  f"at n = {n}, lambda = {lam!r}")
         rows.append((subset, lam, order, total // order, value))
 
-    descend((), (), n + 1, 0, 1, total, 1, [1] if n <= 25 else None)
+    subset, lam = runs[0][0]
+    descend(subset, lam, n, n + 1, 0, 1, total, 1,
+            [own_fact[n + 1]] if n <= 25 else None)
     return rows
+
+
+def _factorials(m: int) -> list[int]:
+    """[0!, 1!, ..., m!], each from the one before."""
+    fact = [1]
+    for i in range(1, m + 1):
+        fact.append(fact[-1] * i)
+    return fact
+
+
+def _tuple_runs(n: int) -> Runs:
+    """The `runs` table of `dimension_rows` whose subsets and lambdas are
+    tuples."""
+    return [[((), ())]] + [
+        [None] + [(tuple(range(start, start + part)), (part,))
+                  for part in range(1, n + 2 - start)]
+        for start in range(1, n + 1)]
 
 def _realizing_count(n: int, lam: tuple[int, ...]) -> int:
     k = len(lam)

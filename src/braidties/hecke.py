@@ -352,11 +352,18 @@ def canonical_by_bar(w: Perm) -> HeckeElement:
     return elem
 
 
+class NonIntegralCoefficient(ArithmeticError):
+    """A coefficient of C_s C_u in the C basis that is not an integer
+    constant."""
+
+
 def c_expansion(s: int, u: Perm) -> dict[Perm, int]:
     """Integer coefficients of C_s C_u = sum_y gamma_y C_y (gamma_{su} = 1).
 
-    Requires l(s u) > l(u); raises if a coefficient fails to be an integer
-    constant, which would violate the span property of the C basis.
+    Requires l(s u) > l(u).  Raises `NonIntegralCoefficient` if a
+    coefficient fails to be an integer constant, which would violate the
+    span property of the C basis, and a plain ArithmeticError if
+    gamma_{su} is not 1.
 
     >>> c_expansion(1, (1, 3, 2))
     {(2, 3, 1): 1}
@@ -372,10 +379,12 @@ def c_expansion(s: int, u: Perm) -> dict[Perm, int]:
         gamma = rem.coeff_tilde(y)
         cs = gamma.coeffs()
         if set(cs) - {0}:
-            raise ArithmeticError(f"non-constant C-basis coefficient at {y}: {gamma}")
+            raise NonIntegralCoefficient(f"non-constant C-basis coefficient "
+                                         f"at {y}: {gamma}")
         ci = cs.get(0, 0)
         if ci.denominator != 1:
-            raise ArithmeticError(f"non-integer C-basis coefficient at {y}: {ci}")
+            raise NonIntegralCoefficient(f"non-integer C-basis coefficient "
+                                         f"at {y}: {ci}")
         out[y] = int(ci)
         rem = rem - canonical_basis(y).scale(gamma)
     if not out.get(su) == 1:

@@ -125,7 +125,7 @@ def test_criterion_5_hecke_kl_suite():
                 continue
             try:
                 hecke.c_expansion(s, u)
-            except ArithmeticError:
+            except hecke.NonIntegralCoefficient:
                 int_ok = False
     elapsed = time.perf_counter() - t0
     ok = bar_ok and rec_ok and int_ok

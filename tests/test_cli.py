@@ -14,8 +14,8 @@ from fractions import Fraction
 import pytest
 
 import braidties
-from braidties import cli
-from braidties.coxeter import dim_recurrence, dimension_rows
+from braidties import cli, coxeter, hecke
+from braidties.coxeter import all_perms, dim_recurrence, dimension_rows
 
 
 def run_cli(args, tmp_path, name="out"):
@@ -246,6 +246,33 @@ def test_dim_output_equals_the_report_encoded_whole(fmt, tmp_path):
             assert out.read_bytes() == expected.encode("utf-8"), (mode, n)
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("n, message", [
+    (20, "inclusion-exclusion disagrees with D"),
+    (30, "D's product form is not an integer"),
+], ids=["n20", "n30"])
+def test_wrong_factorial_in_the_walk_exits_3(n, message, fmt, monkeypatch,
+                                             tmp_path, capsys):
+    """A wrong 3! (7) in the walk's factorial table.  At n = 20 the first
+    lambda with a part 2, (17, 2), keeps the product form integral, since
+    7 divides 21!/18!, and the inclusion-exclusion sum, whose factorials
+    are its own, disagrees.  At n = 30, beyond that cross-check, the
+    quotient 31!/(28! 7) at (27, 2) is not an integer.  Either is an
+    internal error."""
+    factorials = coxeter._factorials
+    monkeypatch.setattr(coxeter, "_factorials", lambda m: [
+        f + (i == 3) for i, f in enumerate(factorials(m))])
+    out = tmp_path / f"out.{fmt}"
+    assert cli.main(["dim", "--n", str(n), "--mode", "aggregation",
+                     "--format", fmt, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"internal error: ArithmeticError: "
+                                   f"{message} at n = {n}, lambda = ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_usage_errors_exit_2(tmp_path):
     for args in (["dim", "--n", "60"],
                  ["dim", "--n", "25", "--mode", "subset"],
@@ -343,6 +370,43 @@ def test_verify_hecke_and_kl_lift_suites(tmp_path):
         code, text = run_cli(["verify", "--suite", suite, "--n", "2"],
                              tmp_path)
         assert code == 0 and json.loads(text)["ok"] is True
+
+
+def _planted_c_simple(monkeypatch, factor):
+    """Replace C_s by factor * C_s inside `hecke.c_expansion`, once the
+    cached C_w of S_3, built from the true C_s, are in place."""
+    for w in all_perms(3):
+        hecke.canonical_basis(w)
+        hecke.canonical_by_bar(w)
+    c_simple = hecke.c_simple
+    monkeypatch.setattr(hecke, "c_simple",
+                        lambda i, m: c_simple(i, m).scale(factor))
+
+
+def test_non_integral_c_expansion_fails_the_hecke_check(monkeypatch,
+                                                        tmp_path):
+    _planted_c_simple(monkeypatch, Fraction(1, 2))
+    code, text = run_cli(["verify", "--suite", "hecke", "--n", "2"],
+                         tmp_path)
+    assert code == 1
+    assert json.loads(text)["checks"] == [
+        ["canonical basis bar-invariant", True],
+        ["bar-invariance solve matches recursion", True],
+        ["canonical product expansion integral", False]]
+
+
+def test_broken_c_expansion_guard_exits_3(monkeypatch, tmp_path, capsys):
+    # 2 C_s C_u has integer coefficients, but gamma_{su} = 2
+    _planted_c_simple(monkeypatch, 2)
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--suite", "hecke", "--n", "2",
+                     "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("internal error: ArithmeticError: the "
+                                   "coefficient of C_{su} is 2, not 1")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_all_battery(tmp_path):
@@ -592,12 +656,16 @@ print(json.dumps(sorted(sys.modules)))
     (["dim-rank", "--mode", "exact", "--n", "3"],
      ("braidties.btalg", "braidties.scalars", "braidties.hecke",
       "braidties.monodromic", "numpy")),
+    (["dim", "--n", "3", "--format", "json"],
+     ("fractions", "decimal", "csv", "numpy")),
+    (["dim", "--n", "3", "--format", "csv"],
+     ("fractions", "decimal", "csv", "numpy")),
     (["kl-lift", "--n", "2"], ("braidties.monodromic", "numpy")),
     (["verify", "--suite", "kl-lift", "--n", "2"],
      ("braidties.monodromic", "numpy")),
 ], ids=["import cli", "finite-model --n 1 --q 2",
         "dim-rank --mode specialized --n 2", "dim-rank --mode exact --n 3",
-        "kl-lift --n 2",
+        "dim --n 3 json", "dim --n 3 csv", "kl-lift --n 2",
         "verify --suite kl-lift --n 2"])
 def test_import_footprint(args, absent, tmp_path):
     src = os.path.dirname(os.path.dirname(braidties.__file__))
