@@ -412,7 +412,6 @@ def partitions_P(n: int) -> list[tuple[tuple[int, ...], int]]:
 
 Runs = list[list]
 
-
 def dimension_rows(n: int, runs: Runs | None = None) -> list[tuple]:
     """The per-class table behind dim_C(n): one row per lambda in P(n),
     reverse-lexicographic (each prefix after its extensions), ending with
@@ -453,7 +452,8 @@ def dimension_rows(n: int, runs: Runs | None = None) -> list[tuple]:
         runs = _tuple_runs(n)
     fact = _factorials(n + 1)
     total = fact[n + 1]
-    own_fact = [factorial(i) for i in range(n + 2)]
+    # the inclusion-exclusion terms' own factorials
+    ie_fact = [factorial(i) for i in range(n + 2)]
     rows = []
 
     def descend(subset, lam, last, free, run, prod, quot, coprod, terms):
@@ -472,10 +472,9 @@ def dimension_rows(n: int, runs: Runs | None = None) -> list[tuple]:
                                       f"{lam + lam_piece!r}")
             # the blocks fit in {1..n+1}, so every term divides exactly;
             # there are 2^k terms for k parts, at most 2^12
-            g = own_fact[part + 1]
             descend(subset + piece, lam + lam_piece, part, free - part - 1,
                     c, prod * c * f, q, coprod * (f - 1),
-                    terms + [-(t // g) for t in terms]
+                    terms + [-(t // ie_fact[part + 1]) for t in terms]
                     if terms is not None and len(terms) < 4096 else None)
         order = fact[free] * prod
         value = quot * coprod
@@ -486,9 +485,8 @@ def dimension_rows(n: int, runs: Runs | None = None) -> list[tuple]:
 
     subset, lam = runs[0][0]
     descend(subset, lam, n, n + 1, 0, 1, total, 1,
-            [own_fact[n + 1]] if n <= 25 else None)
+            [ie_fact[n + 1]] if n <= 25 else None)
     return rows
-
 
 def _factorials(m: int) -> list[int]:
     """[0!, 1!, ..., m!], each from the one before."""
@@ -496,7 +494,6 @@ def _factorials(m: int) -> list[int]:
     for i in range(1, m + 1):
         fact.append(fact[-1] * i)
     return fact
-
 
 def _tuple_runs(n: int) -> Runs:
     """The `runs` table of `dimension_rows` whose subsets and lambdas are
